@@ -344,8 +344,11 @@ def bound_report(
         symmetric_lhs = symmetric_condition(profile, 0.0).lhs
     else:
         symmetric_lhs = None
-    live = [e for e in profile.entries if not e.degenerate]
-    live_profile = NormalizedProfile(profile.n, profile.k, tuple(live), profile.in_theorem_regime)
+    # Minimise over the non-degenerate entries, then map back to family indices.
+    live = [i for i, e in enumerate(profile.entries) if not e.degenerate]
+    live_profile = NormalizedProfile(
+        profile.n, profile.k, tuple(profile.entries[i] for i in live), profile.in_theorem_regime
+    )
     asym = asymmetric_condition(live_profile, 0.0)
     return BoundReport(
         n=family.n,
@@ -362,7 +365,7 @@ def bound_report(
         hansel_satisfied=hansel.satisfied,
         symmetric_lhs=symmetric_lhs,
         asymmetric_min=asym.min_over_x,
-        asymmetric_argmin_x=tuple(sorted(asym.argmin_x)),
+        asymmetric_argmin_x=tuple(sorted(live[j] for j in asym.argmin_x)),
         rhs_unit=family.k * math.log2(family.n) if family.n > 1 else 0.0,
         constants=constants,
     )

@@ -93,37 +93,50 @@ def _branch_bound(
 
     ``adj_t`` maps each branch-side vertex to its other-side neighbor mask.
     Vertices are tried in ascending-degree order with index tie-break, so the
-    returned witness is deterministic (the first under that order, which need
-    not be the globally lexicographically least). Returns (non_neighbor_mask,
-    chosen_vertices), None when the search space is exhausted, or "budget".
+    returned witness is deterministic: the first k-subset of positions, in
+    ``itertools.combinations`` order, whose common non-neighborhood has >= k
+    bits (which need not be the globally lexicographically least witness).
+    Returns (non_neighbor_mask, chosen_vertices), None when the search space
+    is exhausted, or "budget".
+
+    Each node carries its live candidates: the later positions that keep the
+    common non-neighborhood at >= k bits. Common masks only shrink, so a node
+    with fewer live candidates than picks still needed has no completion. The
+    search runs on an explicit stack, so its depth is bounded by k only.
     """
     n_branch = len(adj_t)
     full_other = (1 << n_other) - 1
     order = sorted(range(n_branch), key=lambda w: (adj_t[w].bit_count(), w))
     non_nbrs = [full_other & ~adj_t[w] for w in order]
 
+    if not budget.tick():
+        return "budget"
+    live = [pos for pos in range(n_branch) if non_nbrs[pos].bit_count() >= k]
     chosen: list[int] = []
-
-    def recurse(start: int, common: int) -> Optional[tuple[int, list[int]]] | str:
+    # One frame per depth: [common mask, live candidates, next candidate index].
+    stack: list[list] = [[full_other, live, 0]]
+    while stack:
+        frame = stack[-1]
+        common, live, i = frame
+        need = k - len(chosen)  # picks still needed, this one included
+        if i > len(live) - need:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        frame[2] = i + 1
+        pos = live[i]
+        shrunk = common & non_nbrs[pos]
         if not budget.tick():
             return "budget"
-        if len(chosen) == k:
-            return common, [order[i] for i in chosen]
-        # Not enough branch-side vertices left to complete a k-subset.
-        if n_branch - start < k - len(chosen):
-            return None
-        for pos in range(start, n_branch):
-            shrunk = common & non_nbrs[pos]
-            if shrunk.bit_count() < k:
-                continue
+        if need == 1:
             chosen.append(pos)
-            result = recurse(pos + 1, shrunk)
-            if result is not None:
-                return result
-            chosen.pop()
-        return None
-
-    return recurse(0, full_other)
+            return shrunk, [order[p] for p in chosen]
+        rest = [p for p in live[i + 1 :] if (shrunk & non_nbrs[p]).bit_count() >= k]
+        if len(rest) >= need - 1:
+            chosen.append(pos)
+            stack.append([shrunk, rest, 0])
+    return None
 
 
 def _exhaustive(
@@ -154,7 +167,8 @@ def has_kxk_independent_set(
 
     Branches over the side with smaller average degree (ties to the right
     side), maintaining the intersection of the chosen vertices' non-neighbor
-    masks and pruning once it drops below k.
+    masks and the branch-side candidates that keep it at k or more, and
+    pruning once too few candidates remain.
     """
     config = config or WitnessConfig()
     if k < 1 or k > min(g.n_left, g.n_right):

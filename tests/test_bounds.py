@@ -265,3 +265,12 @@ class TestBoundReport:
     def test_asymmetric_family_has_no_symmetric_lhs(self):
         fam = BicliqueFamily.from_index_lists(12, 3, [([0, 1], [2, 3, 4])])
         assert bound_report(fam).symmetric_lhs is None
+
+    def test_asymmetric_argmin_uses_family_indices(self):
+        # The empty biclique at index 0 is left out of the minimisation; the
+        # argmin must still name bicliques by their index in the family.
+        block, shifted = list(range(10)), list(range(5, 15))
+        fam = BicliqueFamily.from_index_lists(
+            20, 3, [([], []), (block, block), (shifted, shifted), ([0, 1], [0, 1])]
+        )
+        assert bound_report(fam).asymmetric_argmin_x == (1, 2, 3)

@@ -83,6 +83,17 @@ class TestVerifyCommand:
         assert rc == 2
         assert "bicliques[0].left[0]" in capsys.readouterr().err
 
+    def test_deep_witness_writes_report(self, tmp_path, capsys):
+        # k = 1100 picks 1100 branch vertices; the search must not recurse per pick.
+        empty = write_json(tmp_path / "empty.json", {"n": 1200, "k": 1100, "bicliques": []})
+        out = tmp_path / "witness.json"
+        rc = main(["verify", "--family", empty, "--json-out", str(out)])
+        assert rc == 1
+        assert "witness found" in capsys.readouterr().out
+        witness = load_json(out)["witness"]
+        assert witness["found"] is True and witness["complete"] is True
+        assert len(set(witness["S"])) == len(set(witness["T"])) == 1100
+
 
 class TestAttackCommand:
     def test_attack_writes_trace_and_summary(self, tmp_path, sparse_family_file, capsys):

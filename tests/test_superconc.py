@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -122,6 +123,51 @@ class TestVerify:
                 LayeredGraph(4, 4, tuple(vm), tuple(mw)), "all"
             ).is_superconcentrator
             assert not (before and not after)
+
+
+def reference_verdict(g, ks, flow):
+    """(is_sc, counterexample, pairs_checked) by enumerating (k, S, T) in lex order."""
+    pairs = 0
+    for k in ks:
+        for s in combinations(range(g.n), k):
+            for t in combinations(range(g.n), k):
+                pairs += 1
+                value = flow(s, t)
+                if value < k:
+                    return False, (k, s, t, value), pairs
+    return True, None, pairs
+
+
+class TestHallScan:
+    def test_matches_per_pair_oracle(self):
+        rng = random.Random(59)
+        refuted = certified = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            m = rng.randint(0, 7)
+            g = random_layered(rng, n, m, rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0))
+            cache = {}
+
+            def flow(s, t):
+                if (s, t) not in cache:
+                    cache[s, t] = brute_max_two_paths(g.adj_vm, g.adj_mw, s, t)
+                return cache[s, t]
+
+            b = rng.randint(1, n)
+            lists = [("all", range(1, n + 1)), (range(1, b + 1), range(1, b + 1))]
+            if n >= 2:
+                a = rng.randint(2, n)
+                above = range(a, rng.randint(a, n) + 1)  # runs the per-pair flow
+                lists.append((above, above))
+            for k_values, ks in lists:
+                verdict = verify_superconcentrator(g, k_values)
+                expect = reference_verdict(g, ks, flow)
+                got = (verdict.is_superconcentrator, verdict.counterexample, verdict.pairs_checked)
+                assert got == expect, (g, list(ks))
+                assert verdict.k_checked == tuple(ks)
+                refuted += not verdict.is_superconcentrator
+                certified += verdict.certified
+        assert refuted > 100 and certified > 100
 
 
 class TestMiddleBicliques:

@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from oracles import naive_bipartite_witness, naive_general_independent_set
-from zarank.core import BipartiteGraph, transpose
+from zarank.construct import construct_until_verified
+from zarank.core import BipartiteGraph, RandomSource, transpose
 from zarank.witness import (
     WitnessConfig,
     counting_refuter,
@@ -22,6 +24,30 @@ def random_graph(rng, n_left, n_right, p):
 def rectangle_is_independent(g, s_indices, t_indices):
     t_mask = sum(1 << w for w in t_indices)
     return all(g.adj[v] & t_mask == 0 for v in s_indices)
+
+
+def first_combination_witness(g, k):
+    """The witness the search must report, straight from its definition.
+
+    The branch side is the one with the smaller average degree (ties to the
+    right). Its vertices are sorted by (degree, index); the witness is the
+    first ``combinations`` of sorted positions whose common non-neighbourhood
+    has >= k vertices, together with the k smallest of those vertices.
+    Returns (S, T) as sorted index lists, or None.
+    """
+    branch_right = g.edge_count / g.n_right <= g.edge_count / g.n_left
+    if branch_right:
+        rows = [sum(1 << v for v in range(g.n_left) if g.adj[v] >> w & 1) for w in range(g.n_right)]
+        n_other = g.n_left
+    else:
+        rows, n_other = list(g.adj), g.n_right
+    order = sorted(range(len(rows)), key=lambda v: (bin(rows[v]).count("1"), v))
+    for combo in combinations(order, k):
+        common = [u for u in range(n_other) if not any(rows[v] >> u & 1 for v in combo)]
+        if len(common) >= k:
+            chosen, other = sorted(combo), common[:k]
+            return (other, chosen) if branch_right else (chosen, other)
+    return None
 
 
 class TestHasKxk:
@@ -108,6 +134,35 @@ class TestHasKxk:
             bigger = BicliqueFamily.from_index_lists(n, k, pairs + [extra])
             assert has_kxk_independent_set(union_of(bigger), k).found is False
             checked += 1
+
+    def test_witness_order_matches_definition(self):
+        rng = random.Random(41)
+        sides = set()
+        for _ in range(300):
+            n_left, n_right = rng.randint(2, 9), rng.randint(2, 9)
+            g = random_graph(rng, n_left, n_right, rng.choice([0.1, 0.3, 0.5, 0.7]))
+            k = rng.randint(1, min(3, n_left, n_right))
+            sides.add(g.edge_count / g.n_right <= g.edge_count / g.n_left)
+            expect = first_combination_witness(g, k)
+            res = has_kxk_independent_set(g, k)
+            assert res.complete and res.found is (expect is not None)
+            if res.found:
+                assert (res.S.indices(), res.T.indices()) == expect
+        assert sides == {True, False}  # both branch sides exercised
+
+    def test_deep_k_needs_no_recursion(self):
+        g = BipartiteGraph.empty(1200, 1200)
+        res = has_kxk_independent_set(g, 1100)
+        assert res.found is True and res.complete
+        assert len(res.S.indices()) == len(res.T.indices()) == 1100
+        assert rectangle_is_independent(g, res.S.indices(), res.T.indices())
+
+    def test_candidate_filter_cuts_absence_proof(self):
+        # Seed-1 construct at (n, k, r) = (150, 10, 120): the search without
+        # live-candidate filtering needs 270,045 nodes to prove absence.
+        result = construct_until_verified(150, 10, [(15, 15)] * 120, RandomSource(1), 4)
+        assert result.attempts == 1 and result.verification.found is False
+        assert result.verification.nodes_explored < 270_045
 
     def test_budget_exhaustion_is_unknown(self):
         g = BipartiteGraph(12, 12, tuple([1] * 12))  # all left -> right 0
