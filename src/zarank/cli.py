@@ -315,6 +315,16 @@ _SWEEP_AXES = {
     "sc-verify": ["layered", "k_range", "mode", "samples", "seed"],
 }
 
+# Axes each command reads without a default; a spec must give each one in
+# its grid or its params.
+_SWEEP_REQUIRED = {
+    "construct": ["n", "k", "sizes"],
+    "attack": ["family", "mode"],
+    "bounds": ["family"],
+    "verify": ["family"],
+    "sc-verify": ["layered"],
+}
+
 _SWEEP_COLUMNS = {
     "construct": [
         "index", "command", "version", "n", "k", "sizes", "mode", "max_attempts",
@@ -352,17 +362,23 @@ def _spec_get(doc: dict, key: str, kind: type, where: str):
     return value
 
 
-def _expand_grid(command: str, grid: dict, where: str) -> list[dict]:
+def _expand_grid(command: str, grid: dict, params: dict) -> list[dict]:
+    """Every point of ``grid``, each completed with the fixed ``params``."""
     axes = _SWEEP_AXES[command]
     for key in grid:
         if key not in axes:
-            raise SchemaError(f"{where}.{key}: not a grid axis for '{command}' (allowed: {axes})")
+            raise SchemaError(f"spec.grid.{key}: not a grid axis for '{command}' (allowed: {axes})")
     if "seed" not in grid:
-        raise SchemaError(f"{where}.seed: every sweep grid must name its seeds")
+        raise SchemaError("spec.grid.seed: every sweep grid must name its seeds")
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
-            raise SchemaError(f"{where}.{key}: expected a non-empty list of values")
-    points = [{}]
+            raise SchemaError(f"spec.grid.{key}: expected a non-empty list of values")
+        if key in params:
+            raise SchemaError(f"spec.params.{key}: also present in the grid")
+    for key in _SWEEP_REQUIRED[command]:
+        if key not in grid and key not in params:
+            raise SchemaError(f"spec.grid.{key}: '{command}' needs this axis in the grid or the params")
+    points = [dict(params)]
     for axis in axes:
         if axis not in grid:
             continue
@@ -482,12 +498,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("spec.params: expected an object")
-    points = _expand_grid(command, grid, "spec.grid")
-    for point in points:
-        for key, value in params.items():
-            if key in point:
-                raise SchemaError(f"spec.params.{key}: also present in the grid")
-            point[key] = value
+    points = _expand_grid(command, grid, params)
 
     base_dir = str(spec_path.resolve().parent)
     tasks = [(i, command, point, base_dir) for i, point in enumerate(points)]

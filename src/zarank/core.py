@@ -14,6 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -223,12 +224,17 @@ class BipartiteGraph:
 
 
 def transpose_masks(rows: Sequence[int], n_cols: int) -> list[int]:
-    cols = [0] * n_cols
-    for r, row in enumerate(rows):
-        bit = 1 << r
-        for c in bits(row):
-            cols[c] |= bit
-    return cols
+    """Column masks of a bit matrix: bit r of column c is bit c of ``rows[r]``.
+
+    Every row must lie in [0, 2**n_cols). Each row becomes a fixed-width,
+    least-significant-first bit string, ``zip`` turns the rows into columns
+    and ``int(..., 2)`` parses each column back, so the work is done at C
+    level rather than once per set bit.
+    """
+    if not rows or n_cols == 0:
+        return [0] * n_cols
+    strings = [format(row, "b").zfill(n_cols)[::-1] for row in rows]
+    return [int("".join(col)[::-1], 2) for col in zip(*strings)]
 
 
 def union_of(family: BicliqueFamily) -> BipartiteGraph:
@@ -289,9 +295,15 @@ class LayeredGraph:
             mw[u] |= 1 << w
         return cls(n, m, tuple(vm), tuple(mw))
 
-    def middle_in_masks(self) -> list[int]:
-        """Per middle vertex, the bitmask of its V-side in-neighbors."""
-        return transpose_masks(self.adj_vm, self.m)
+    @cached_property
+    def _middle_in(self) -> tuple[int, ...]:
+        return tuple(transpose_masks(self.adj_vm, self.m))
+
+    def middle_in_masks(self) -> tuple[int, ...]:
+        """Per middle vertex, the bitmask of its V-side in-neighbors.
+
+        Computed once per graph; a tuple, so callers copy before writing."""
+        return self._middle_in
 
     def in_degrees(self) -> list[int]:
         return [mask.bit_count() for mask in self.middle_in_masks()]

@@ -64,74 +64,129 @@ DEFAULT_PAIR_BUDGET = 2_000_000
 # ---------------------------------------------------------------------------
 
 
-class _Dinic:
-    def __init__(self, n_nodes: int):
-        self.adj: list[list[list[int]]] = [[] for _ in range(n_nodes)]
+def _depth_two_flow(
+    adj_vm: Sequence[int], adj_mw: Sequence[int], s_list: Sequence[int], t_mask: int
+) -> int:
+    """Unit-capacity max-flow from the sources ``s_list`` to the sinks in
+    ``t_mask`` through split middle vertices, on bitmasks.
 
-    def add_edge(self, u: int, v: int) -> None:
-        # Unit capacities only: [to, cap, index of reverse edge].
-        self.adj[u].append([v, 1, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+    Greedy paths come first: each source, in ascending order, takes the
+    lowest unused middle that still reaches a free sink. Then every round runs
+    one BFS over the residual network with frontiers kept as masks over the
+    sources, middle-in, middle-out and sink nodes, and flips the shortest
+    augmenting path it finds. Residual moves: s -> m-in along an edge without
+    flow, m-in -> s back along the edge with flow, m-in -> m-out for an
+    unused middle, m-out -> m-in for a used one, m-out -> t along an edge
+    without flow, t -> m-out back along the edge with flow.
+    """
+    out = [row & t_mask for row in adj_mw]
+    mid_of_s: dict[int, int] = {}
+    src_of_m: dict[int, int] = {}
+    sink_of_m: dict[int, int] = {}
+    mid_of_t: dict[int, int] = {}
+    used = 0  # middles that carry a path
+    free_t = t_mask
+    for s in s_list:
+        cand = adj_vm[s] & ~used
+        while cand:
+            low = cand & -cand
+            u = low.bit_length() - 1
+            reach = out[u] & free_t
+            if reach:
+                t_low = reach & -reach
+                t = t_low.bit_length() - 1
+                mid_of_s[s] = u
+                src_of_m[u] = s
+                sink_of_m[u] = t
+                mid_of_t[t] = u
+                used |= low
+                free_t ^= t_low
+                break
+            cand ^= low
 
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        n = len(self.adj)
-        while True:
-            level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for edge in self.adj[u]:
-                    if edge[1] > 0 and level[edge[0]] < 0:
-                        level[edge[0]] = level[u] + 1
-                        queue.append(edge[0])
-            if level[t] < 0:
-                return flow
-            it = [0] * n
+    while free_t:
+        seen_s = 0
+        for s in s_list:
+            if s not in mid_of_s:
+                seen_s |= 1 << s
+        if not seen_s:
+            break
+        seen_i = seen_o = seen_t = 0
+        levels = [(seen_s, 0, 0, 0)]
+        hit = 0
+        while not hit:
+            fs, fi, fo, ft = levels[-1]
+            ni = fo & used  # m-out -> m-in, backward through a used middle
+            no = fi & ~used  # m-in -> m-out through an unused middle
+            ns = nt = 0
+            for s in bits(fs):
+                ni |= adj_vm[s]
+            for u in bits(fi & used):
+                ns |= 1 << src_of_m[u]
+            for u in bits(fo):
+                nt |= out[u]
+            for t in bits(ft):
+                no |= 1 << mid_of_t[t]
+            ns &= ~seen_s
+            ni &= ~seen_i
+            no &= ~seen_o
+            nt &= ~seen_t
+            if not (ns or ni or no or nt):
+                return len(mid_of_s)
+            seen_s |= ns
+            seen_i |= ni
+            seen_o |= no
+            seen_t |= nt
+            levels.append((ns, ni, no, nt))
+            hit = nt & free_t
 
-            def augment(u: int) -> int:
-                if u == t:
-                    return 1
-                while it[u] < len(self.adj[u]):
-                    edge = self.adj[u][it[u]]
-                    v = edge[0]
-                    if edge[1] > 0 and level[v] == level[u] + 1 and augment(v):
-                        edge[1] -= 1
-                        self.adj[v][edge[2]][1] += 1
-                        return 1
-                    it[u] += 1
-                return 0
+        # Walk back one level at a time; kinds are 0 = s, 1 = m-in, 2 = m-out, 3 = t.
+        t = (hit & -hit).bit_length() - 1
+        path = [(3, t)]
+        kind, node = 3, t
+        for fs, fi, fo, ft in reversed(levels[:-1]):
+            if kind == 3:
+                kind = 2
+                node = next(u for u in bits(fo) if out[u] >> node & 1)
+            elif kind == 2:
+                if used >> node & 1:
+                    kind, node = 3, sink_of_m[node]
+                else:
+                    kind = 1
+            elif kind == 1:
+                if used >> node & 1 and fo >> node & 1:
+                    kind = 2
+                else:
+                    kind = 0
+                    node = next(s for s in bits(fs) if adj_vm[s] >> node & 1)
+            else:
+                kind, node = 1, mid_of_s[node]
+            path.append((kind, node))
+        path.reverse()
 
-            while augment(s):
-                flow += 1
+        # Flip the path. A forward move out of s or m-out sets its partner and
+        # m-in -> m-out starts using a middle, m-out -> m-in frees it. The
+        # backward moves m-in -> s and t -> m-out need no update: the move
+        # after them overwrites what they undo.
+        for (ka, a), (kb, b) in zip(path, path[1:]):
+            if ka == 0:
+                mid_of_s[a] = b
+                src_of_m[b] = a
+            elif ka == 1 and kb == 2:
+                used |= 1 << a
+            elif ka == 2 and kb == 1:
+                used &= ~(1 << a)
+                del src_of_m[a], sink_of_m[a]
+            elif ka == 2:
+                sink_of_m[a] = b
+                mid_of_t[b] = a
+        free_t &= ~(1 << t)
+    return len(mid_of_s)
 
 
 def max_disjoint_paths(g: LayeredGraph, sources: Iterable[int], sinks: Iterable[int]) -> int:
     """Maximum number of vertex-disjoint V->M->W paths from S to T."""
-    s_list = sorted(set(sources))
-    t_set = set(sinks)
-    t_mask = mask_of(t_set)
-    # Nodes: 0 source, 1 sink, then S, then M split in/out, then T.
-    m = g.m
-    t_list = sorted(t_set)
-    base_s = 2
-    base_m_in = base_s + len(s_list)
-    base_m_out = base_m_in + m
-    base_t = base_m_out + m
-    net = _Dinic(base_t + len(t_list))
-    t_pos = {w: base_t + j for j, w in enumerate(t_list)}
-    for u in range(m):
-        net.add_edge(base_m_in + u, base_m_out + u)
-        row = g.adj_mw[u] & t_mask
-        for w in bits(row):
-            net.add_edge(base_m_out + u, t_pos[w])
-    for j in range(len(t_list)):
-        net.add_edge(base_t + j, 1)
-    for i, v in enumerate(s_list):
-        net.add_edge(0, base_s + i)
-        for u in bits(g.adj_vm[v]):
-            net.add_edge(base_s + i, base_m_in + u)
-    return net.max_flow(0, 1)
+    return _depth_two_flow(g.adj_vm, g.adj_mw, sorted(set(sources)), mask_of(sinks))
 
 
 @dataclass(frozen=True)
@@ -184,8 +239,8 @@ def _hall_scan(g: LayeredGraph, ks: list[int]) -> ScVerdict:
     j with a Hall violation |N(S) & N(T)| < j, |S| = |T| = j, and at that j
     the failing pairs are exactly the violating pairs. Scanning (j, S, T) in
     lex order therefore meets the same first counterexample, after the same
-    number of pairs, as the per-pair flow; Dinic runs once, to report and
-    re-verify its flow value.
+    number of pairs, as the per-pair flow; the flow runs once, to compute the
+    reported max_flow and confirm the deficit.
     """
     n = g.n
     into_w = transpose_masks(g.adj_mw, n)  # per W vertex: middles reaching it
@@ -779,7 +834,7 @@ def tradeoff_audit(g: LayeredGraph, constant: float) -> TradeoffReport:
         high_premise_ok=len(dec0.high) < k0,
         medium_sets_disjoint=disjoint,
         asymmetric_min=asym.min_over_x,
-        asymmetric_argmin=tuple(sorted(asym.argmin_x)),
+        asymmetric_argmin=tuple(sorted(selection[live_positions[j]] for j in asym.argmin_x)),
         value_at_low=value_at_low,
         condition_rhs=asym.rhs,
         tradeoff_lhs=tradeoff_lhs,

@@ -216,11 +216,14 @@ def has_kxk_independent_set(
     )
 
 
-def counting_refuter(g: BipartiteGraph, k: int) -> Optional[WitnessResult]:
+def counting_refuter(
+    g: BipartiteGraph, k: int, node_budget: int = DEFAULT_NODE_BUDGET
+) -> Optional[WitnessResult]:
     """Counting shortcut: if sum_v C(n_right - deg(v), k) > (k-1) * C(n_right, k),
     some k-subset T of the right side has >= k common non-neighbors; find one
     and return it verified. A count below the threshold is inconclusive and
-    yields None (never a claim of absence)."""
+    yields None (never a claim of absence), and so does a fallback search that
+    runs out of its ``node_budget`` before it finds the witness."""
     if g.n_left != g.n_right:
         raise ValueError("counting refuter requires equal side sizes")
     n = g.n_left
@@ -255,7 +258,9 @@ def counting_refuter(g: BipartiteGraph, k: int) -> Optional[WitnessResult]:
         t_mask = mask_of(t_list)
     else:
         # The count guarantees existence, so the complete search must succeed.
-        fallback = has_kxk_independent_set(g, k, WitnessConfig())
+        fallback = has_kxk_independent_set(g, k, WitnessConfig(node_budget=node_budget))
+        if fallback.found is None:
+            return None
         if not fallback.found:
             raise AssertionError("counting threshold exceeded but no witness found")
         nodes += fallback.nodes_explored

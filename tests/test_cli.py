@@ -244,6 +244,37 @@ class TestSweep:
         assert main(["sweep", "--spec", path]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, grid, missing",
+        [
+            ("construct", {"n": [60], "k": [8]}, "sizes"),
+            ("construct", {"k": [8], "sizes": [[[8, 8]]]}, "n"),
+            ("attack", {"family": ["x.json"]}, "mode"),
+            ("attack", {"mode": ["sym"]}, "family"),
+            ("bounds", {}, "family"),
+            ("verify", {"k": [2]}, "family"),
+            ("sc-verify", {"mode": ["exhaustive"]}, "layered"),
+        ],
+    )
+    def test_missing_required_axis_rejected(self, tmp_path, capsys, command, grid, missing):
+        spec = {"command": command, "grid": dict(grid, seed=[0]), "output_csv": "out.csv"}
+        path = write_json(tmp_path / "spec.json", spec)
+        assert main(["sweep", "--spec", path]) == 2
+        assert f"spec.grid.{missing}" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_required_axis_may_come_from_params(self, tmp_path, sparse_family_file):
+        spec = {
+            "command": "bounds",
+            "grid": {"seed": [0, 1]},
+            "params": {"family": sparse_family_file},
+            "output_csv": "out.csv",
+        }
+        path = write_json(tmp_path / "spec.json", spec)
+        assert main(["sweep", "--spec", path]) == 0
+        with open(tmp_path / "out.csv", encoding="utf-8") as fh:
+            assert [row["seed"] for row in csv.DictReader(fh)] == ["0", "1"]
+
     def test_unknown_axis_rejected(self, tmp_path, capsys):
         spec = {
             "command": "bounds",

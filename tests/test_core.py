@@ -23,6 +23,7 @@ from zarank.core import (
     lint_family,
     mask_of,
     transpose,
+    transpose_masks,
     union_of,
 )
 
@@ -113,6 +114,36 @@ class TestTranspose:
         for _ in range(20):
             g = random_graph(rng, 8, 8, 0.4)
             assert transpose(transpose(g)) == g
+
+    def test_masks_match_has_bit_reference(self):
+        def reference(rows, n_cols):
+            return [
+                sum(1 << r for r, row in enumerate(rows) if row >> c & 1)
+                for c in range(n_cols)
+            ]
+
+        rng = random.Random(17)
+        shapes = [(0, 0), (0, 5), (5, 0), (1, 9), (9, 1), (1, 1), (70, 3), (3, 70)]
+        shapes += [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(300)]
+        for n_rows, n_cols in shapes:
+            p = rng.choice([0.0, 0.05, 0.5, 1.0])
+            rows = [
+                sum(1 << c for c in range(n_cols) if rng.random() < p) for _ in range(n_rows)
+            ]
+            if n_rows and n_cols:
+                rows[rng.randrange(n_rows)] = 0
+                rows[rng.randrange(n_rows)] |= 1 << (n_cols - 1)
+            cols = transpose_masks(rows, n_cols)
+            assert cols == reference(rows, n_cols), (rows, n_cols)
+            if n_rows:
+                assert transpose_masks(cols, n_rows) == rows
+
+    def test_middle_in_masks_cached_and_immutable(self):
+        g = LayeredGraph.from_edge_lists(3, 2, [(0, 1), (2, 1), (1, 0)], [(0, 0)])
+        masks = g.middle_in_masks()
+        assert masks == (0b010, 0b101)
+        assert g.middle_in_masks() is masks
+        assert g.in_degrees() == [1, 2]
 
 
 class TestSerialization:

@@ -51,18 +51,56 @@ class TestFlow:
         assert max_disjoint_paths(g, [0], [1]) == 0
 
     def test_matches_exhaustive_oracle(self):
+        # Sources and sinks come unsorted and with repeats.
         rng = random.Random(19)
-        for _ in range(60):
-            n = rng.randint(2, 8)
-            m = rng.randint(1, 8)
-            g = random_layered(rng, n, m, rng.uniform(0.2, 0.7), rng.uniform(0.2, 0.7))
-            for _ in range(3):
-                k = rng.randint(1, min(4, n))
-                S = rng.sample(range(n), k)
-                T = rng.sample(range(n), k)
-                assert max_disjoint_paths(g, S, T) == brute_max_two_paths(
-                    g.adj_vm, g.adj_mw, S, T
-                )
+        deficits = 0
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            m = rng.randint(0, 9)
+            g = random_layered(rng, n, m, rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
+            S = [rng.randrange(n) for _ in range(rng.randint(0, n + 2))]
+            T = [rng.randrange(n) for _ in range(rng.randint(0, n + 2))]
+            flow = max_disjoint_paths(g, S, T)
+            assert flow == brute_max_two_paths(g.adj_vm, g.adj_mw, S, T), (g, S, T)
+            deficits += flow < min(len(set(S)), len(set(T)))
+        assert deficits > 100
+
+    def test_augmenting_path_reroutes_greedy_choice(self):
+        # Greedy sends source 0 through middle 0, which source 1 needs; one
+        # augmentation moves source 0 to middle 1.
+        g = LayeredGraph.from_edge_lists(
+            2, 2, [(0, 0), (0, 1), (1, 0)], [(0, 0), (0, 1), (1, 0), (1, 1)]
+        )
+        assert max_disjoint_paths(g, [0, 1], [0, 1]) == 2
+        # Middle 0 greedily takes sink 0, the only sink middle 1 reaches.
+        g = LayeredGraph.from_edge_lists(
+            2, 2, [(0, 0), (1, 1)], [(0, 0), (0, 1), (1, 0)]
+        )
+        assert max_disjoint_paths(g, [0, 1], [0, 1]) == 2
+        # Graphs whose later rounds read the state an augmentation left:
+        # a middle newly put to use, a middle whose whole path is taken back
+        # (t -> m-out -> m-in -> s), and a middle moved to another sink.
+        for n, m, vm, mw in [
+            (7, 5, (27, 30, 1, 3, 6, 31, 7), (0, 14, 112, 79, 17)),
+            (5, 8, (197, 154, 13, 16, 34), (19, 0, 4, 16, 4, 4, 8, 1)),
+            (6, 7, (37, 0, 0, 17, 4, 12), (3, 60, 3, 3, 62, 5, 4)),
+        ]:
+            g = LayeredGraph(n, m, vm, mw)
+            assert max_disjoint_paths(g, range(n), range(n)) == 4
+
+    def test_every_pair_of_subsets_on_tiny_graphs(self):
+        rng = random.Random(61)
+        graphs = [complete_layered(3, 2), LayeredGraph(3, 0, (0, 0, 0), ())]
+        graphs += [random_layered(rng, 4, rng.randint(1, 5), 0.5, 0.5) for _ in range(6)]
+        for g in graphs:
+            subsets = [
+                c for size in range(g.n + 1) for c in combinations(range(g.n), size)
+            ]
+            for S in subsets:
+                for T in subsets:
+                    assert max_disjoint_paths(g, S, T) == brute_max_two_paths(
+                        g.adj_vm, g.adj_mw, S, T
+                    ), (g, S, T)
 
 
 class TestVerify:
@@ -105,6 +143,35 @@ class TestVerify:
             g, [4], mode="sampled", samples=3, rng=RandomSource(1)
         )
         assert not verdict.is_superconcentrator
+
+    def test_counterexample_flows_pinned(self):
+        # V vertices 0..4 reach only middles 0..2, so any S of four of them
+        # has flow 3. Expected values are those of the previous flow code.
+        vm = tuple(0b111 if v < 5 else 0xFF for v in range(8))
+        mw = tuple([0xFF] * 6 + [0b1111, 0b11110000])
+        g = LayeredGraph(8, 8, vm, mw)
+        sampled = [
+            verify_superconcentrator(
+                g, "all", mode="sampled", samples=10, rng=RandomSource(seed)
+            )
+            for seed in range(5)
+        ]
+        assert [(v.counterexample, v.pairs_checked) for v in sampled] == [
+            ((5, (0, 1, 2, 4, 5), (0, 2, 4, 6, 7), 4), 44),
+            ((4, (0, 1, 2, 4), (1, 3, 5, 6), 3), 32),
+            ((4, (1, 2, 3, 4), (1, 2, 5, 6), 3), 36),
+            ((4, (0, 1, 2, 4), (2, 3, 5, 6), 3), 33),
+            ((5, (0, 1, 2, 3, 5), (1, 2, 4, 5, 6), 4), 43),
+        ]
+        hall = verify_superconcentrator(g, "all")  # the Hall scan
+        assert (hall.counterexample, hall.pairs_checked) == (
+            (4, (0, 1, 2, 3), (0, 1, 2, 3), 3), 3985
+        )
+        above = verify_superconcentrator(g, range(5, 9))  # the per-pair flow
+        assert above.counterexample == (5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4), 3)
+        for verdict in sampled + [hall, above]:
+            _, S, T, flow = verdict.counterexample
+            assert flow == brute_max_two_paths(g.adj_vm, g.adj_mw, S, T)
 
     def test_budget_enforced(self):
         with pytest.raises(ValueError):
@@ -235,6 +302,13 @@ class TestDecompose:
 
 
 class TestBalance:
+    def test_input_graph_unchanged(self):
+        g = LayeredGraph.from_edge_lists(4, 2, [(0, 0)], [(0, 0), (0, 1), (1, 2)])
+        before = g.middle_in_masks()
+        balanced = balance_degrees(g, 1, 1)
+        assert balanced.in_degrees() == [2, 1]
+        assert g.middle_in_masks() == before == (0b0001, 0)
+
     def test_already_balanced_identity(self):
         g = complete_layered(4, 3)
         assert balance_degrees(g, 1, 1) == g
@@ -333,6 +407,21 @@ class TestTradeoffAudit:
         assert report.k0_v_edges * report.ladder_length <= g.vm_edge_count
         assert report.medium_sets_disjoint
         assert report.value_at_low >= report.asymmetric_min
+
+    def test_argmin_names_middle_ids(self):
+        # Eight middles with degrees (2, 4); with_isolated puts an isolated
+        # middle 0 in front, which the profile drops as degenerate.
+        def instance(with_isolated):
+            first = 1 if with_isolated else 0
+            edges_vm, edges_mw = [], []
+            for i in range(8):
+                u = first + i
+                edges_vm += [(2 * i, u), (2 * i + 1, u)]
+                edges_mw += [(u, (4 * i + j) % 16) for j in range(4)]
+            return LayeredGraph.from_edge_lists(16, first + 8, edges_vm, edges_mw)
+
+        assert tradeoff_audit(instance(True), 0.01).asymmetric_argmin == tuple(range(1, 9))
+        assert tradeoff_audit(instance(False), 0.01).asymmetric_argmin == tuple(range(8))
 
     def test_requires_normalized_ratio(self):
         g = ratio_half_instance()

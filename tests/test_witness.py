@@ -195,6 +195,15 @@ class TestCountingRefuter:
         # witness exists.
         assert counting_refuter(g, 2) is None
 
+    def test_exhausted_fallback_budget_is_inconclusive(self):
+        # The count exceeds the threshold but the greedy pass misses, so the
+        # complete search runs; it needs 4 nodes.
+        g = BipartiteGraph(4, 4, (0b0001, 0b1111, 0b1000, 0b0110))
+        assert counting_refuter(g, 2, node_budget=3) is None
+        res = counting_refuter(g, 2, node_budget=4)
+        assert res is not None and res.found
+        assert rectangle_is_independent(g, res.S.indices(), res.T.indices())
+
     def test_returned_witnesses_verify(self):
         rng = random.Random(41)
         conclusive = 0
