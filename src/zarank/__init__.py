@@ -67,7 +67,6 @@ from .core import (
     graph_to_json,
     layered_from_json,
     layered_to_json,
-    lint_family,
     load_json,
     mask_of,
     save_json,
@@ -94,7 +93,5 @@ from .superconc import (
 from .witness import (
     WitnessConfig,
     WitnessResult,
-    counting_refuter,
-    general_graph_has_independent_set,
     has_kxk_independent_set,
 )

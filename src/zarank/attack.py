@@ -70,15 +70,7 @@ def classify(
     if mode != "asymmetric":
         raise ValueError(f"unknown attack mode {mode!r}")
     if marked is None:
-        live = [i for i, e in enumerate(profile.entries) if not e.degenerate]
-        live_profile = NormalizedProfile(
-            profile.n,
-            profile.k,
-            tuple(profile.entries[i] for i in live),
-            profile.in_theorem_regime,
-        )
-        argmin = asymmetric_condition(live_profile, 0.0).argmin_x
-        marked_set = {live[j] for j in argmin}
+        marked_set = set(asymmetric_condition(profile, 0.0).argmin_x)
         # Degenerate (empty) bicliques cannot be side-deleted; keep them.
         marked_set.update(i for i, e in enumerate(profile.entries) if e.degenerate)
     else:

@@ -177,14 +177,6 @@ class NormalizedProfile:
     in_theorem_regime: bool
 
     @property
-    def alphas(self) -> list[float]:
-        return [e.alpha for e in self.entries]
-
-    @property
-    def betas(self) -> list[float]:
-        return [e.beta for e in self.entries]
-
-    @property
     def is_symmetric(self) -> bool:
         return all(e.alpha == e.beta for e in self.entries)
 
@@ -235,12 +227,14 @@ def asymmetric_condition(profile: NormalizedProfile, constant: float) -> Asymmet
     The objective is separable, so the minimum is the per-index minimum of the
     two terms; ties go into X, which makes the argmin deterministic. The
     "for every X" condition holds iff this minimum clears the threshold.
+    Degenerate (empty) entries add 0 to every X and are left out of the argmin,
+    which is given in the profile's own indices.
     """
     argmin = set()
     total = 0.0
     for i, e in enumerate(profile.entries):
         if e.degenerate:
-            raise ValueError(f"entry {i} is degenerate (alpha + beta = 0)")
+            continue
         if e.product_term <= e.entropy_term:
             argmin.add(i)
             total += e.product_term
@@ -344,12 +338,7 @@ def bound_report(
         symmetric_lhs = symmetric_condition(profile, 0.0).lhs
     else:
         symmetric_lhs = None
-    # Minimise over the non-degenerate entries, then map back to family indices.
-    live = [i for i, e in enumerate(profile.entries) if not e.degenerate]
-    live_profile = NormalizedProfile(
-        profile.n, profile.k, tuple(profile.entries[i] for i in live), profile.in_theorem_regime
-    )
-    asym = asymmetric_condition(live_profile, 0.0)
+    asym = asymmetric_condition(profile, 0.0)
     return BoundReport(
         n=family.n,
         k=family.k,
@@ -365,7 +354,7 @@ def bound_report(
         hansel_satisfied=hansel.satisfied,
         symmetric_lhs=symmetric_lhs,
         asymmetric_min=asym.min_over_x,
-        asymmetric_argmin_x=tuple(sorted(live[j] for j in asym.argmin_x)),
+        asymmetric_argmin_x=tuple(sorted(asym.argmin_x)),
         rhs_unit=family.k * math.log2(family.n) if family.n > 1 else 0.0,
         constants=constants,
     )

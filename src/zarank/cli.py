@@ -5,6 +5,12 @@ Every randomized subcommand takes an explicit --seed; reruns with identical
 inputs, seed and version produce byte-identical reports. Exit codes: 0 for a
 clean run, 1 when the run found a refutation (a witness, a counterexample, or
 a failed construction), 2 for usage or validation errors.
+
+The five sweepable commands share one layer. Each has a ``run_<command>``
+that takes checked parameters and returns ``(report_doc, refuted)``, and an
+entry in ``COMMANDS`` that states every parameter once. The CLI flags, the
+keys a sweep spec accepts and the parameter checks all come from that entry,
+and a sweep's CSV row is a projection of the same report the command writes.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Optional
 
 from . import __version__
 from .attack import AttackConfig, run_attack_trials, survivor_statistics
@@ -33,14 +41,15 @@ from .core import (
     union_of,
 )
 from .superconc import (
+    DEFAULT_PAIR_BUDGET,
     edge_lower_bound_audit,
     normalize_for_tradeoff,
     tradeoff_audit,
     verify_superconcentrator,
 )
-from .witness import WitnessConfig, has_kxk_independent_set
+from .witness import DEFAULT_NODE_BUDGET, WitnessConfig, has_kxk_independent_set
 
-__all__ = ["main"]
+__all__ = ["main", "run_attack", "run_bounds", "run_construct", "run_sc_verify", "run_verify"]
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -70,14 +79,6 @@ def _load_family(path: str):
     return family_from_json(load_json(path))
 
 
-def _load_graph(path: str):
-    return graph_from_json(load_json(path))
-
-
-def _load_layered(path: str):
-    return layered_from_json(load_json(path))
-
-
 def _parse_sizes_doc(doc: object, where: str) -> list[tuple[int, int]]:
     if not isinstance(doc, list):
         raise SchemaError(f"{where}: expected a list of [m, n] pairs")
@@ -93,189 +94,372 @@ def _parse_sizes_doc(doc: object, where: str) -> list[tuple[int, int]]:
     return sizes
 
 
-# ---------------------------------------------------------------------------
-# Subcommand handlers
-# ---------------------------------------------------------------------------
-
-
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    family = _load_family(args.family)
-    constants = Constants(A=args.A, B=args.B, C=args.C, D=args.D)
-    report = bound_report(family, constants=constants)
-    print(f"family: n={report.n} k={report.k} r={report.r} regime={report.in_theorem_regime}")
-    print(f"counting:  lhs={report.kst_lhs:.6g} rhs={report.kst_rhs:.6g} satisfied={report.kst_satisfied}")
-    print(f"           degree>={report.kst_degree_bound:.6g} edges>={report.kst_edge_bound:.6g}")
-    print(f"vertexsum: lhs={report.hansel_lhs:.6g} rhs={report.hansel_rhs:.6g} satisfied={report.hansel_satisfied}")
-    if report.symmetric_lhs is not None:
-        print(f"symmetric: lhs={report.symmetric_lhs:.6g}")
-    else:
-        print("symmetric: n/a (asymmetric family)")
-    print(f"entropy:   min={report.asymmetric_min:.6g} argmin_X={list(report.asymmetric_argmin_x)}")
-    print(f"unit k*log2(n)={report.rhs_unit:.6g}")
-    if args.json_out:
-        _write_json(args.json_out, {"version": __version__, "bounds": report.to_json()}, args.force)
-    return EXIT_OK
-
-
-def _cmd_construct(args: argparse.Namespace) -> int:
-    sizes = _parse_sizes_doc(load_json(args.sizes), "sizes")
-    cert = certify_union_bound(args.n, args.k, sizes, args.mode)
-    rng = RandomSource(args.seed, args.stream)
-    budget = args.budget if args.budget else _env_int("ZARANK_WITNESS_BUDGET", 10_000_000)
-    config = WitnessConfig(node_budget=budget)
-    print(
-        f"certificate ({cert.mode}): log2 failure bound = {cert.log2_failure_bound:.4f} "
-        f"certified={cert.certified}"
-    )
-    doc = {
-        "version": __version__,
-        "seed": args.seed,
-        "stream": args.stream,
-        "certificate": cert.to_json(),
-    }
+def _parse_marked(raw: str, where: str) -> frozenset[int]:
+    if raw.strip() == "":
+        return frozenset()
     try:
-        result = construct_until_verified(
-            args.n, args.k, sizes, rng, args.max_attempts, config
+        return frozenset(int(tok) for tok in raw.split(","))
+    except ValueError as exc:
+        raise SchemaError(f"{where}: expected comma-separated integers, got {raw!r}") from exc
+
+
+def _parse_k_range(raw: str, n: int) -> list[int] | str:
+    if raw == "all":
+        return "all"
+    lo, dots, hi = raw.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError as exc:
+        raise SchemaError(f"--k-range: expected 'k', 'a..b' or 'all', got {raw!r}") from exc
+    if not 1 <= lo <= hi <= n:
+        raise SchemaError(f"--k-range {raw!r} outside [1, {n}]")
+    return list(range(lo, hi + 1))
+
+
+# ---------------------------------------------------------------------------
+# Parameters
+# ---------------------------------------------------------------------------
+
+# Accepted Python types and their description, per parameter kind. A Path is
+# a file, relative to the spec in a sweep; a list is read from a JSON file on
+# the command line and given inline in a sweep.
+_KINDS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    Path: (str, "a file path"),
+    list: (list, "a list"),
+}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter of a sweepable command: the flag ``--name`` (underscores
+    as dashes) on the command line and the key ``name`` in a sweep spec."""
+
+    name: str
+    kind: type = str
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    help: Optional[str] = None
+    parse: Optional[Callable[[object, str], object]] = None  # (value, where) -> value
+    switch: Optional[tuple[str, object]] = None  # CLI (flag, value) in place of --name VALUE
+    exclusive: Optional[str] = None  # exactly one of this parameter and that one is given
+
+    def check(self, value: object, where: str) -> object:
+        if value is None and self.default is None and not self.required:
+            return None
+        types, described = _KINDS[self.kind]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise SchemaError(f"{where}: expected {described}, got {value!r}")
+        if self.choices and value not in self.choices:
+            raise SchemaError(f"{where}: expected one of {list(self.choices)}, got {value!r}")
+        if self.kind is float:
+            value = float(value)
+        return self.parse(value, where) if self.parse else value
+
+
+def _check_params(params: tuple[Param, ...], given: dict, where: Callable[[str], str]) -> dict:
+    """Every parameter's value: checked when given, its default otherwise."""
+    checked = {}
+    for p in params:
+        if p.name in given:
+            checked[p.name] = p.check(given[p.name], where(p.name))
+        elif p.required:
+            raise SchemaError(f"{where(p.name)}: missing required parameter")
+        else:
+            checked[p.name] = p.default
+        if p.exclusive and (given.get(p.name) is None) == (given.get(p.exclusive) is None):
+            raise SchemaError(
+                f"{where(p.name)}: give exactly one of {where(p.name)} or {where(p.exclusive)}"
+            )
+    return checked
+
+
+def _witness_config(budget: int) -> WitnessConfig:
+    return WitnessConfig(node_budget=budget or _env_int("ZARANK_WITNESS_BUDGET", DEFAULT_NODE_BUDGET))
+
+
+# ---------------------------------------------------------------------------
+# Commands: run_<command>(params) -> (report_doc, refuted)
+# ---------------------------------------------------------------------------
+
+
+def run_construct(p: dict) -> tuple[dict, bool]:
+    """The certificate doc; its ``family`` key holds the last family drawn."""
+    cert = certify_union_bound(p["n"], p["k"], p["sizes"], p["mode"])
+    try:
+        outcome = construct_until_verified(
+            p["n"], p["k"], p["sizes"], RandomSource(p["seed"], p["stream"]),
+            p["max_attempts"], _witness_config(p["budget"]),
         )
     except ConstructionError as exc:
-        doc["verified"] = False
-        doc["attempts"] = exc.attempts
-        doc["witness"] = exc.verification.to_json() if exc.verification else None
-        if args.out_family:
-            _write_json(args.out_family, family_to_json(exc.family), args.force)
-        if args.out_cert:
-            _write_json(args.out_cert, doc, args.force)
-        print(f"FAILED: {exc}")
-        return EXIT_REFUTED
-    doc["verified"] = True
-    doc["attempts"] = result.attempts
-    doc["witness"] = None
-    if args.out_family:
-        _write_json(args.out_family, family_to_json(result.family), args.force)
-    if args.out_cert:
-        _write_json(args.out_cert, doc, args.force)
-    print(f"verified family after {result.attempts} attempt(s)")
-    return EXIT_OK
+        outcome = exc
+    verified = not isinstance(outcome, ConstructionError)
+    doc = {
+        "version": __version__,
+        "seed": p["seed"],
+        "stream": p["stream"],
+        "certificate": cert.to_json(),
+        "verified": verified,
+        "attempts": outcome.attempts,
+        "witness": None if verified else outcome.verification.to_json(),
+        "family": family_to_json(outcome.family),
+    }
+    return doc, not verified
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    if (args.family is None) == (args.graph is None):
-        raise SchemaError("give exactly one of --family or --graph")
-    if args.family:
-        family = _load_family(args.family)
-        graph = union_of(family)
-        k = args.k if args.k is not None else family.k
+def run_verify(p: dict) -> tuple[dict, bool]:
+    if p["family"] is not None:
+        family = _load_family(p["family"])
+        graph, k = union_of(family), family.k if p["k"] is None else p["k"]
     else:
-        graph = _load_graph(args.graph)
-        if args.k is None:
-            raise SchemaError("--k is required with --graph")
-        k = args.k
-    budget = args.budget if args.budget else _env_int("ZARANK_WITNESS_BUDGET", 10_000_000)
-    result = has_kxk_independent_set(graph, k, WitnessConfig(mode=args.mode, node_budget=budget))
-    doc = {"version": __version__, "k": k, "witness": result.to_json()}
-    if result.found:
-        print(f"witness found: S={result.S.indices()} T={result.T.indices()}")
-    elif result.found is False:
-        print(f"no {k}x{k} independent set (complete search, {result.nodes_explored} nodes)")
-    else:
-        print(f"inconclusive: node budget exhausted after {result.nodes_explored} nodes")
-    if args.json_out:
-        _write_json(args.json_out, doc, args.force)
-    return EXIT_REFUTED if result.found else EXIT_OK
+        if p["k"] is None:
+            raise SchemaError("k is required with a graph")
+        graph, k = graph_from_json(load_json(p["graph"])), p["k"]
+    result = has_kxk_independent_set(graph, k, _witness_config(p["budget"]))
+    return {"version": __version__, "k": k, "witness": result.to_json()}, bool(result.found)
 
 
-def _cmd_attack(args: argparse.Namespace) -> int:
-    family = _load_family(args.family)
-    mode = {"sym": "symmetric", "asym": "asymmetric"}.get(args.mode, args.mode)
-    marked = None
-    if args.marked is not None:
-        if args.marked.strip() == "":
-            marked = frozenset()
-        else:
-            try:
-                marked = frozenset(int(tok) for tok in args.marked.split(","))
-            except ValueError as exc:
-                raise SchemaError(f"--marked: expected comma-separated integers, got {args.marked!r}") from exc
-    budget = args.budget if args.budget else _env_int("ZARANK_WITNESS_BUDGET", 10_000_000)
+def run_attack(p: dict) -> tuple[dict, bool]:
     config = AttackConfig(
-        mode=mode,
-        rng=RandomSource(args.seed, args.stream),
-        trials=args.trials,
-        marked=marked,
-        truncation="none" if args.no_truncation else "exact",
-        fixed_d=args.fixed_d,
-        witness_config=WitnessConfig(node_budget=budget),
+        mode={"sym": "symmetric", "asym": "asymmetric"}.get(p["mode"], p["mode"]),
+        rng=RandomSource(p["seed"], p["stream"]),
+        trials=p["trials"],
+        marked=p["marked"],
+        truncation=p["truncation"],
+        fixed_d=p["fixed_d"],
+        witness_config=_witness_config(p["budget"]),
     )
-    traces = run_attack_trials(family, config)
+    traces = run_attack_trials(_load_family(p["family"]), config)
     hits = [t for t in traces if t.found]
-    shown = hits[0] if hits else traces[-1]
     if config.truncation == "exact":
         summary = survivor_statistics(traces).to_json()
     else:
         summary = {"trials": len(traces), "found_count": len(hits)}
     doc = {
         "version": __version__,
-        "seed": args.seed,
-        "stream": args.stream,
-        "trace": shown.to_json(),
+        "seed": p["seed"],
+        "stream": p["stream"],
+        "trace": (hits[0] if hits else traces[-1]).to_json(),
         "summary": summary,
     }
-    if hits:
-        s, t = shown.witness
-        print(f"witness found in trial {shown.trial}: S={list(s)} T={list(t)}")
-    else:
-        print(f"no witness in {len(traces)} trial(s)")
-    if args.json_out:
-        _write_json(args.json_out, doc, args.force)
-    return EXIT_REFUTED if hits else EXIT_OK
+    return doc, bool(hits)
 
 
-def _parse_k_range(raw: str, n: int) -> list[int] | str:
-    if raw == "all":
-        return "all"
-    if ".." in raw:
-        lo_s, hi_s = raw.split("..", 1)
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError as exc:
-            raise SchemaError(f"--k-range: expected 'a..b' or 'all', got {raw!r}") from exc
-        if not 1 <= lo <= hi <= n:
-            raise SchemaError(f"--k-range {raw!r} outside [1, {n}]")
-        return list(range(lo, hi + 1))
-    try:
-        k = int(raw)
-    except ValueError as exc:
-        raise SchemaError(f"--k-range: expected 'a..b' or 'all', got {raw!r}") from exc
-    return [k]
+def run_bounds(p: dict) -> tuple[dict, bool]:
+    constants = Constants(A=p["A"], B=p["B"], C=p["C"], D=p["D"])
+    report = bound_report(_load_family(p["family"]), constants=constants)
+    return {"version": __version__, "bounds": report.to_json()}, False
 
 
-def _cmd_sc_verify(args: argparse.Namespace) -> int:
-    g = _load_layered(args.layered)
-    ks = _parse_k_range(args.k_range, g.n)
+def run_sc_verify(p: dict) -> tuple[dict, bool]:
+    g = layered_from_json(load_json(p["layered"]))
+    ks = _parse_k_range(p["k_range"], g.n)
     rng = None
-    if args.mode == "sampled":
-        if args.seed is None:
-            raise SchemaError("--seed is required in sampled mode")
-        rng = RandomSource(args.seed, args.stream)
-    budget = args.pair_budget if args.pair_budget else _env_int("ZARANK_PAIR_BUDGET", 2_000_000)
+    if p["mode"] == "sampled":
+        if p["seed"] is None:
+            raise SchemaError("a seed is required in sampled mode")
+        rng = RandomSource(p["seed"], p["stream"])
+    budget = p["pair_budget"] or _env_int("ZARANK_PAIR_BUDGET", DEFAULT_PAIR_BUDGET)
     verdict = verify_superconcentrator(
-        g, ks, mode=args.mode, samples=args.samples, rng=rng, pair_budget=budget
+        g, ks, mode=p["mode"], samples=p["samples"], rng=rng, pair_budget=budget
     )
-    doc = {"version": __version__, "verdict": verdict.to_json()}
-    if verdict.counterexample:
-        k, s, t, flow = verdict.counterexample
-        print(f"counterexample at k={k}: S={list(s)} T={list(t)} max_flow={flow}")
-    elif verdict.certified:
-        print(f"superconcentrator verified exhaustively ({verdict.pairs_checked} pairs)")
+    return {"version": __version__, "verdict": verdict.to_json()}, not verdict.is_superconcentrator
+
+
+# ---------------------------------------------------------------------------
+# What each command prints
+# ---------------------------------------------------------------------------
+
+
+def _show_construct(doc: dict) -> None:
+    cert = doc["certificate"]
+    print(
+        f"certificate ({cert['mode']}): log2 failure bound = {cert['log2_failure_bound']:.4f} "
+        f"certified={cert['certified']}"
+    )
+    if doc["verified"]:
+        print(f"verified family after {doc['attempts']} attempt(s)")
+        return
+    witness = doc["witness"]
+    if witness["found"]:
+        detail = f"last attempt has witness S={witness['S']}, T={witness['T']}"
     else:
-        print(f"no counterexample in {verdict.pairs_checked} sampled pairs (not a certificate)")
-    if args.json_out:
-        _write_json(args.json_out, doc, args.force)
-    return EXIT_OK if verdict.is_superconcentrator else EXIT_REFUTED
+        detail = "last attempt could not be verified within the node budget"
+    print(f"FAILED: no verified family after {doc['attempts']} attempts; {detail}")
+
+
+def _show_verify(doc: dict) -> None:
+    witness = doc["witness"]
+    if witness["found"]:
+        print(f"witness found: S={witness['S']} T={witness['T']}")
+    elif witness["found"] is False:
+        print(f"no {doc['k']}x{doc['k']} independent set (complete search, {witness['nodes_explored']} nodes)")
+    else:
+        print(f"inconclusive: node budget exhausted after {witness['nodes_explored']} nodes")
+
+
+def _show_attack(doc: dict) -> None:
+    trace = doc["trace"]
+    if trace["found"]:
+        s, t = trace["witness"]
+        print(f"witness found in trial {trace['trial']}: S={s} T={t}")
+    else:
+        print(f"no witness in {doc['summary']['trials']} trial(s)")
+
+
+def _show_bounds(doc: dict) -> None:
+    b = doc["bounds"]
+    kst, hansel = b["kst"], b["hansel"]
+    print(f"family: n={b['n']} k={b['k']} r={b['r']} regime={b['in_theorem_regime']}")
+    print(f"counting:  lhs={kst['lhs']:.6g} rhs={kst['rhs']:.6g} satisfied={kst['satisfied']}")
+    print(f"           degree>={kst['degree_bound']:.6g} edges>={kst['edge_bound']:.6g}")
+    print(f"vertexsum: lhs={hansel['lhs']:.6g} rhs={hansel['rhs']:.6g} satisfied={hansel['satisfied']}")
+    if b["symmetric_lhs"] is not None:
+        print(f"symmetric: lhs={b['symmetric_lhs']:.6g}")
+    else:
+        print("symmetric: n/a (asymmetric family)")
+    print(f"entropy:   min={b['asymmetric_min']:.6g} argmin_X={b['asymmetric_argmin_x']}")
+    print(f"unit k*log2(n)={b['rhs_unit']:.6g}")
+
+
+def _show_sc_verify(doc: dict) -> None:
+    verdict = doc["verdict"]
+    ce = verdict["counterexample"]
+    if ce:
+        print(f"counterexample at k={ce['k']}: S={ce['S']} T={ce['T']} max_flow={ce['max_flow']}")
+    elif verdict["certified"]:
+        print(f"superconcentrator verified exhaustively ({verdict['pairs_checked']} pairs)")
+    else:
+        print(f"no counterexample in {verdict['pairs_checked']} sampled pairs (not a certificate)")
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    run: Callable[[dict], tuple[dict, bool]]
+    show: Callable[[dict], None]
+    params: tuple[Param, ...]
+    # Sweep CSV columns after index, command and version: "name" or
+    # "name=path", a dotted path into the report, else into the parameters;
+    # "#path" counts a list.
+    columns: tuple[str, ...]
+
+
+_FAMILY = Param("family", Path, required=True)
+_WITNESS_BUDGET = Param("budget", int, 0, help="witness search node budget")
+_STREAM = Param("stream", int, 0)
+
+COMMANDS = {
+    "bounds": Command(
+        "evaluate every closed-form condition on a family",
+        run_bounds,
+        _show_bounds,
+        (_FAMILY, *(Param(name, float, getattr(Constants, name)) for name in "ABCD")),
+        (
+            "family", "seed", "n=bounds.n", "k=bounds.k", "r=bounds.r",
+            "kst_lhs=bounds.kst.lhs", "kst_rhs=bounds.kst.rhs", "kst_satisfied=bounds.kst.satisfied",
+            "hansel_lhs=bounds.hansel.lhs", "hansel_rhs=bounds.hansel.rhs",
+            "hansel_satisfied=bounds.hansel.satisfied", "symmetric_lhs=bounds.symmetric_lhs",
+            "asymmetric_min=bounds.asymmetric_min", "rhs_unit=bounds.rhs_unit",
+        ),
+    ),
+    "construct": Command(
+        "draw random families until one verifies",
+        run_construct,
+        _show_construct,
+        (
+            Param("n", int, required=True),
+            Param("k", int, required=True),
+            Param("sizes", list, required=True, help="JSON file: list of [m, n] pairs", parse=_parse_sizes_doc),
+            Param("seed", int, required=True),
+            _STREAM,
+            Param("mode", str, "exact", choices=("exact", "relaxed")),
+            Param("max_attempts", int, 16),
+            _WITNESS_BUDGET,
+        ),
+        (
+            "n", "k", "sizes", "mode", "max_attempts", "seed",
+            "certified=certificate.certified", "log2_failure_bound=certificate.log2_failure_bound",
+            "attempts", "verified",
+        ),
+    ),
+    "verify": Command(
+        "search for a k x k independent set",
+        run_verify,
+        _show_verify,
+        (Param("family", Path, exclusive="graph"), Param("graph", Path), Param("k", int), _WITNESS_BUDGET),
+        (
+            "family", "k", "seed", "found=witness.found", "complete=witness.complete",
+            "nodes_explored=witness.nodes_explored",
+        ),
+    ),
+    "attack": Command(
+        "random-deletion refuter",
+        run_attack,
+        _show_attack,
+        (
+            _FAMILY,
+            Param("mode", str, required=True, choices=("sym", "asym", "symmetric", "asymmetric")),
+            Param("marked", str, help="comma-separated kept indices (asymmetric)", parse=_parse_marked),
+            Param("trials", int, 1),
+            Param("seed", int, required=True),
+            _STREAM,
+            Param("truncation", str, "exact", choices=("exact", "none"), switch=("--no-truncation", "none")),
+            Param("fixed_d", float),
+            _WITNESS_BUDGET,
+        ),
+        (
+            "family", "mode", "trials", "truncation", "seed", "found=trace.found",
+            "trial=trace.trial", "d_left=trace.d_left", "d_right=trace.d_right",
+            "x_surv=#trace.x_surv", "y_surv=#trace.y_surv",
+            "attacked_pairs_surviving=trace.attacked_edge_pairs_surviving",
+        ),
+    ),
+    "sc-verify": Command(
+        "verify a depth-two superconcentrator",
+        run_sc_verify,
+        _show_sc_verify,
+        (
+            Param("layered", Path, required=True),
+            Param("k_range", str, "all", help="'all', a single k, or 'a..b'"),
+            Param("mode", str, "exhaustive", choices=("exhaustive", "sampled")),
+            Param("samples", int, 100),
+            Param("seed", int),
+            _STREAM,
+            Param("pair_budget", int, 0),
+        ),
+        (
+            "layered", "k_range", "mode", "samples", "seed",
+            "is_superconcentrator=verdict.is_superconcentrator",
+            "pairs_checked=verdict.pairs_checked", "counterexample_k=verdict.counterexample.k",
+        ),
+    ),
+}
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Any command of ``COMMANDS``: check, run, print, write the report."""
+    command = COMMANDS[args.command]
+    given = {p.name: getattr(args, p.name) for p in command.params if hasattr(args, p.name)}
+    if "sizes" in given:
+        given["sizes"] = load_json(given["sizes"])  # a JSON file on the command line
+    params = _check_params(command.params, given, lambda name: "--" + name.replace("_", "-"))
+    doc, refuted = command.run(params)
+    family = doc.pop("family", None)
+    command.show(doc)
+    if getattr(args, "out_family", None):
+        _write_json(args.out_family, family, args.force)
+    report_path = getattr(args, "json_out", None) or getattr(args, "out_cert", None)
+    if report_path:
+        _write_json(report_path, doc, args.force)
+    return EXIT_REFUTED if refuted else EXIT_OK
 
 
 def _cmd_sc_analyze(args: argparse.Namespace) -> int:
-    g = _load_layered(args.layered)
+    g = layered_from_json(load_json(args.layered))
     if args.theorem == "7":
         report = edge_lower_bound_audit(g, args.B)
         doc = {"version": __version__, "theorem": 7, "report": report.to_json()}
@@ -287,12 +471,7 @@ def _cmd_sc_analyze(args: argparse.Namespace) -> int:
     else:
         normalized, flipped = normalize_for_tradeoff(g)
         report = tradeoff_audit(normalized, args.D)
-        doc = {
-            "version": __version__,
-            "theorem": 8,
-            "flipped": flipped,
-            "report": report.to_json(),
-        }
+        doc = {"version": __version__, "theorem": 8, "flipped": flipped, "report": report.to_json()}
         print(
             f"a={report.a:.4g} b={report.b:.4g} L={report.ladder_length} k0={report.k0} "
             f"pigeonhole_exact={report.pigeonhole_exact} "
@@ -307,67 +486,29 @@ def _cmd_sc_analyze(args: argparse.Namespace) -> int:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-_SWEEP_AXES = {
-    "construct": ["n", "k", "sizes", "mode", "max_attempts", "seed"],
-    "attack": ["family", "mode", "trials", "truncation", "seed"],
-    "bounds": ["family", "seed"],
-    "verify": ["family", "k", "seed"],
-    "sc-verify": ["layered", "k_range", "mode", "samples", "seed"],
-}
-
-# Axes each command reads without a default; a spec must give each one in
-# its grid or its params.
-_SWEEP_REQUIRED = {
-    "construct": ["n", "k", "sizes"],
-    "attack": ["family", "mode"],
-    "bounds": ["family"],
-    "verify": ["family"],
-    "sc-verify": ["layered"],
-}
-
-_SWEEP_COLUMNS = {
-    "construct": [
-        "index", "command", "version", "n", "k", "sizes", "mode", "max_attempts",
-        "seed", "certified", "log2_failure_bound", "attempts", "verified",
-    ],
-    "attack": [
-        "index", "command", "version", "family", "mode", "trials", "truncation",
-        "seed", "found", "trial", "d_left", "d_right", "x_surv", "y_surv",
-        "attacked_pairs_surviving",
-    ],
-    "bounds": [
-        "index", "command", "version", "family", "seed", "n", "k", "r",
-        "kst_lhs", "kst_rhs", "kst_satisfied", "hansel_lhs", "hansel_rhs",
-        "hansel_satisfied", "symmetric_lhs", "asymmetric_min", "rhs_unit",
-    ],
-    "verify": [
-        "index", "command", "version", "family", "k", "seed", "found",
-        "complete", "nodes_explored",
-    ],
-    "sc-verify": [
-        "index", "command", "version", "layered", "k_range", "mode", "samples",
-        "seed", "is_superconcentrator", "pairs_checked", "counterexample_k",
-    ],
-}
-
 
 def _spec_get(doc: dict, key: str, kind: type, where: str):
     if key not in doc:
         raise SchemaError(f"{where}.{key}: missing required key")
     value = doc[key]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise SchemaError(f"{where}.{key}: expected an integer, got {value!r}")
-    if kind in (str, dict, list) and not isinstance(value, kind):
+    if not isinstance(value, kind):
         raise SchemaError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
-def _expand_grid(command: str, grid: dict, params: dict) -> list[dict]:
-    """Every point of ``grid``, each completed with the fixed ``params``."""
-    axes = _SWEEP_AXES[command]
-    for key in grid:
-        if key not in axes:
-            raise SchemaError(f"spec.grid.{key}: not a grid axis for '{command}' (allowed: {axes})")
+def _sweep_points(name: str, grid: dict, params: dict) -> list[dict]:
+    """Every point of ``grid``, completed with the fixed ``params`` and
+    checked against the command's parameters. Every grid names its seeds; a
+    command that takes no seed gets one as a replicate label. Later axes vary
+    faster, the seed fastest."""
+    entries = COMMANDS[name].params
+    if "seed" not in [p.name for p in entries]:
+        entries += (Param("seed", int, required=True),)
+    axes = [p.name for p in entries if p.name != "seed"] + ["seed"]
+    for part, keys in (("grid", grid), ("params", params)):
+        for key in keys:
+            if key not in axes:
+                raise SchemaError(f"spec.{part}.{key}: not a parameter of '{name}' (allowed: {axes})")
     if "seed" not in grid:
         raise SchemaError("spec.grid.seed: every sweep grid must name its seeds")
     for key, values in grid.items():
@@ -375,112 +516,40 @@ def _expand_grid(command: str, grid: dict, params: dict) -> list[dict]:
             raise SchemaError(f"spec.grid.{key}: expected a non-empty list of values")
         if key in params:
             raise SchemaError(f"spec.params.{key}: also present in the grid")
-    for key in _SWEEP_REQUIRED[command]:
-        if key not in grid and key not in params:
-            raise SchemaError(f"spec.grid.{key}: '{command}' needs this axis in the grid or the params")
     points = [dict(params)]
     for axis in axes:
-        if axis not in grid:
-            continue
-        points = [dict(p, **{axis: value}) for p in points for value in grid[axis]]
-    return points
+        if axis in grid:
+            points = [dict(p, **{axis: value}) for p in points for value in grid[axis]]
+
+    def where(key: str) -> str:
+        return f"spec.params.{key}" if key in params else f"spec.grid.{key}"
+
+    return [_check_params(entries, point, where) for point in points]
 
 
-def _sweep_point(task: tuple) -> tuple[dict, bool]:
-    index, command, point, base_dir = task
-    row = {"index": index, "command": command, "version": __version__}
-    refuted = False
-
-    def resolve(path: str) -> str:
-        p = Path(path)
-        return str(p if p.is_absolute() else Path(base_dir) / p)
-
-    if command == "construct":
-        sizes = [(int(m), int(n2)) for m, n2 in point["sizes"]]
-        cert = certify_union_bound(point["n"], point["k"], sizes, point.get("mode", "exact"))
-        row.update(
-            n=point["n"], k=point["k"], sizes=json.dumps(point["sizes"], separators=(",", ":")),
-            mode=point.get("mode", "exact"), max_attempts=point.get("max_attempts", 16),
-            seed=point["seed"], certified=cert.certified,
-            log2_failure_bound=cert.log2_failure_bound,
-        )
-        try:
-            result = construct_until_verified(
-                point["n"], point["k"], sizes, RandomSource(point["seed"]),
-                point.get("max_attempts", 16),
-            )
-            row.update(attempts=result.attempts, verified=True)
-        except ConstructionError as exc:
-            row.update(attempts=exc.attempts, verified=False)
-            refuted = True
-    elif command == "attack":
-        family = _load_family(resolve(point["family"]))
-        mode = {"sym": "symmetric", "asym": "asymmetric"}.get(point["mode"], point["mode"])
-        config = AttackConfig(
-            mode=mode,
-            rng=RandomSource(point["seed"]),
-            trials=point.get("trials", 1),
-            truncation=point.get("truncation", "exact"),
-        )
-        traces = run_attack_trials(family, config)
-        hits = [t for t in traces if t.found]
-        shown = hits[0] if hits else traces[-1]
-        row.update(
-            family=point["family"], mode=point["mode"], trials=point.get("trials", 1),
-            truncation=point.get("truncation", "exact"), seed=point["seed"],
-            found=bool(hits), trial=shown.trial, d_left=shown.d_left,
-            d_right=shown.d_right, x_surv=shown.x_surv_mask.bit_count(),
-            y_surv=shown.y_surv_mask.bit_count(),
-            attacked_pairs_surviving=shown.attacked_edge_pairs_surviving,
-        )
-        refuted = bool(hits)
-    elif command == "bounds":
-        family = _load_family(resolve(point["family"]))
-        report = bound_report(family)
-        row.update(
-            family=point["family"], seed=point["seed"], n=report.n, k=report.k,
-            r=report.r, kst_lhs=report.kst_lhs, kst_rhs=report.kst_rhs,
-            kst_satisfied=report.kst_satisfied, hansel_lhs=report.hansel_lhs,
-            hansel_rhs=report.hansel_rhs, hansel_satisfied=report.hansel_satisfied,
-            symmetric_lhs=report.symmetric_lhs, asymmetric_min=report.asymmetric_min,
-            rhs_unit=report.rhs_unit,
-        )
-    elif command == "verify":
-        family = _load_family(resolve(point["family"]))
-        k = point.get("k", family.k)
-        result = has_kxk_independent_set(union_of(family), k)
-        row.update(
-            family=point["family"], k=k, seed=point["seed"], found=result.found,
-            complete=result.complete, nodes_explored=result.nodes_explored,
-        )
-        refuted = bool(result.found)
-    elif command == "sc-verify":
-        g = _load_layered(resolve(point["layered"]))
-        mode = point.get("mode", "exhaustive")
-        rng = RandomSource(point["seed"]) if mode == "sampled" else None
-        ks = _parse_k_range(str(point.get("k_range", "all")), g.n)
-        verdict = verify_superconcentrator(
-            g, ks, mode=mode, samples=point.get("samples", 100), rng=rng
-        )
-        row.update(
-            layered=point["layered"], k_range=str(point.get("k_range", "all")),
-            mode=mode, samples=point.get("samples", 100), seed=point["seed"],
-            is_superconcentrator=verdict.is_superconcentrator,
-            pairs_checked=verdict.pairs_checked,
-            counterexample_k=verdict.counterexample[0] if verdict.counterexample else None,
-        )
-        refuted = not verdict.is_superconcentrator
-    else:
-        raise SchemaError(f"command: sweep does not support {command!r}")
-    return row, refuted
-
-
-def _format_cell(value) -> str:
+def _column(source: dict, column: str) -> str:
+    header, _, path = column.partition("=")
+    count = path.startswith("#")
+    value = source
+    for key in (path.lstrip("#") or header).split("."):
+        value = value[key] if value is not None else None
+    if count:
+        value = len(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return json.dumps(value, separators=(",", ":"))
     return str(value)
+
+
+def _sweep_point(task: tuple) -> tuple[list, bool]:
+    index, name, point, params = task
+    command = COMMANDS[name]
+    doc, refuted = command.run(params)
+    source = {**point, **doc}
+    return [str(index), name] + [_column(source, c) for c in ("version",) + command.columns], refuted
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -488,41 +557,37 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     doc = load_json(spec_path)
     if not isinstance(doc, dict):
         raise SchemaError("spec: expected a JSON object")
-    command = _spec_get(doc, "command", str, "spec")
-    if command not in _SWEEP_AXES:
-        raise SchemaError(
-            f"spec.command: {command!r} not supported (choose from {sorted(_SWEEP_AXES)})"
-        )
+    name = _spec_get(doc, "command", str, "spec")
+    if name not in COMMANDS:
+        raise SchemaError(f"spec.command: {name!r} not supported (choose from {sorted(COMMANDS)})")
     grid = _spec_get(doc, "grid", dict, "spec")
     output_csv = _spec_get(doc, "output_csv", str, "spec")
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("spec.params: expected an object")
-    points = _expand_grid(command, grid, params)
-
-    base_dir = str(spec_path.resolve().parent)
-    tasks = [(i, command, point, base_dir) for i, point in enumerate(points)]
+    command = COMMANDS[name]
+    base_dir = spec_path.resolve().parent
+    paths = [p.name for p in command.params if p.kind is Path]
+    tasks = []
+    for index, point in enumerate(_sweep_points(name, grid, params)):
+        resolved = {k: str(base_dir / point[k]) for k in paths if point[k] is not None}
+        tasks.append((index, name, point, {**point, **resolved}))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(task) for task in tasks]
 
-    out_path = Path(output_csv)
-    if not out_path.is_absolute():
-        out_path = Path(base_dir) / out_path
+    out_path = base_dir / output_csv
     if out_path.exists() and not args.force:
         raise SchemaError(f"refusing to overwrite {out_path} (use --force)")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    columns = _SWEEP_COLUMNS[command]
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row, _ in results:
-            writer.writerow([_format_cell(row.get(col)) for col in columns])
-    refuted = any(flag for _, flag in results)
+        writer.writerow(["index", "command", "version"] + [c.partition("=")[0] for c in command.columns])
+        writer.writerows(row for row, _ in results)
     print(f"wrote {len(results)} rows to {out_path}")
-    return EXIT_REFUTED if refuted else EXIT_OK
+    return EXIT_REFUTED if any(flag for _, flag in results) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -535,65 +600,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"zarank {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bounds", help="evaluate every closed-form condition on a family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--json-out")
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--A", type=float, default=2.0)
-    p.add_argument("--B", type=float, default=0.01)
-    p.add_argument("--C", type=float, default=2.0)
-    p.add_argument("--D", type=float, default=0.01)
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser("construct", help="draw random families until one verifies")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--sizes", required=True, help="JSON file: list of [m, n] pairs")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--mode", choices=["exact", "relaxed"], default="exact")
-    p.add_argument("--max-attempts", type=int, default=16)
-    p.add_argument("--budget", type=int, default=0, help="witness search node budget")
-    p.add_argument("--out-family")
-    p.add_argument("--out-cert")
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(handler=_cmd_construct)
-
-    p = sub.add_parser("verify", help="search for a k x k independent set")
-    p.add_argument("--family")
-    p.add_argument("--graph")
-    p.add_argument("--k", type=int)
-    p.add_argument("--mode", choices=["branch_bound", "exhaustive"], default="branch_bound")
-    p.add_argument("--budget", type=int, default=0)
-    p.add_argument("--json-out")
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("attack", help="random-deletion refuter")
-    p.add_argument("--family", required=True)
-    p.add_argument("--mode", choices=["sym", "asym", "symmetric", "asymmetric"], required=True)
-    p.add_argument("--marked", help="comma-separated kept indices (asymmetric)")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--no-truncation", action="store_true")
-    p.add_argument("--fixed-d", type=float, default=None)
-    p.add_argument("--budget", type=int, default=0)
-    p.add_argument("--json-out")
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(handler=_cmd_attack)
-
-    p = sub.add_parser("sc-verify", help="verify a depth-two superconcentrator")
-    p.add_argument("--layered", required=True)
-    p.add_argument("--k-range", default="all", help="'all', a single k, or 'a..b'")
-    p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--pair-budget", type=int, default=0)
-    p.add_argument("--json-out")
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(handler=_cmd_sc_verify)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for param in command.params:
+            # Unset flags stay off the namespace, so the entry's default applies.
+            if param.switch:
+                flag, value = param.switch
+                p.add_argument(flag, dest=param.name, action="store_const", const=value, default=argparse.SUPPRESS)
+                continue
+            p.add_argument(
+                "--" + param.name.replace("_", "-"),
+                type=param.kind if param.kind in (int, float) else str,
+                choices=param.choices or None,
+                required=param.required,
+                help=param.help,
+                default=argparse.SUPPRESS,
+            )
+        if name == "construct":
+            p.add_argument("--out-family")
+            p.add_argument("--out-cert")
+        else:
+            p.add_argument("--json-out")
+        p.add_argument("--force", action="store_true")
+        p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("sc-analyze", help="degree-decomposition audits")
     p.add_argument("--layered", required=True)

@@ -32,7 +32,6 @@ __all__ = [
     "union_of",
     "transpose",
     "transpose_masks",
-    "lint_family",
     "family_to_json",
     "family_from_json",
     "graph_to_json",
@@ -52,7 +51,6 @@ class SchemaError(ValueError):
 class Side(str, Enum):
     LEFT = "left"
     RIGHT = "right"
-    MIDDLE = "middle"
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -105,8 +103,7 @@ class Biclique:
     """A complete bipartite subgraph, given by its two vertex sets.
 
     The edge set is implicitly left x right and is never materialized
-    edge by edge. Empty bicliques are legal but useless; ``lint_family``
-    reports them.
+    edge by edge. Empty bicliques are legal.
     """
 
     left: VertexSet
@@ -119,10 +116,6 @@ class Biclique:
     @property
     def edge_count(self) -> int:
         return self.left.cardinality() * self.right.cardinality()
-
-    @property
-    def is_empty(self) -> bool:
-        return self.left.mask == 0 or self.right.mask == 0
 
 
 @dataclass(frozen=True)
@@ -168,15 +161,6 @@ class BicliqueFamily:
 
     def side_cardinalities(self) -> list[tuple[int, int]]:
         return [(b.left.cardinality(), b.right.cardinality()) for b in self.bicliques]
-
-
-def lint_family(family: BicliqueFamily) -> list[str]:
-    """Report legal-but-suspect content (currently: empty bicliques)."""
-    notes = []
-    for idx, b in enumerate(family.bicliques):
-        if b.is_empty:
-            notes.append(f"bicliques[{idx}] is empty ({b.left.cardinality()}x{b.right.cardinality()})")
-    return notes
 
 
 @dataclass(frozen=True)
@@ -379,9 +363,6 @@ class SubsetSampler:
             j = swaps[i]
             arr[i], arr[j] = arr[j], arr[i]
         return out
-
-    def draw_mask(self, m: int) -> int:
-        return mask_of(self.draw_list(m))
 
 
 # ---------------------------------------------------------------------------

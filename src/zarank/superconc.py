@@ -22,7 +22,6 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .bounds import (
-    NormalizedProfile,
     asymmetric_condition,
     asymmetric_value_at,
     profile_from_family,
@@ -447,6 +446,16 @@ def decompose(
     )
 
 
+def _lowest_bits(mask: int, count: int) -> int:
+    """The ``count`` lowest set bits of ``mask`` (all of them if it has fewer)."""
+    out = 0
+    for _ in range(count):
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out
+
+
 def balance_degrees(g: LayeredGraph, a: float | int = 1, b: float | int = 1) -> LayeredGraph:
     """Pad edges so every middle vertex has deg_V / deg_W = a/b within integer
     rounding. Never removes edges; raises if a vertex would need more than n
@@ -487,15 +496,15 @@ def balance_degrees(g: LayeredGraph, a: float | int = 1, b: float | int = 1) -> 
             )
         x, y = target
         if x > dv:
-            extra = list(bits(full & ~new_in[u]))[: x - dv]
-            if len(extra) < x - dv:
+            extra = _lowest_bits(full & ~new_in[u], x - dv)
+            if extra.bit_count() < x - dv:
                 raise ValueError(f"middle vertex {u} needs in-degree {x} > n={n}")
-            new_in[u] |= mask_of(extra)
+            new_in[u] |= extra
         if y > dw:
-            extra = list(bits(full & ~out_masks[u]))[: y - dw]
-            if len(extra) < y - dw:
+            extra = _lowest_bits(full & ~out_masks[u], y - dw)
+            if extra.bit_count() < y - dw:
                 raise ValueError(f"middle vertex {u} needs out-degree {y} > n={n}")
-            out_masks[u] = out_masks[u] | mask_of(extra)
+            out_masks[u] |= extra
 
     balanced = LayeredGraph(
         n, m, tuple(transpose_masks(new_in, n)), tuple(out_masks)
@@ -800,19 +809,11 @@ def tradeoff_audit(g: LayeredGraph, constant: float) -> TradeoffReport:
     selection = sorted(dec0.medium + dec0.low)
     fam = middle_bicliques(g, selection, k0)
     profile = profile_from_family(fam)
-    live_positions = [i for i, e in enumerate(profile.entries) if not e.degenerate]
-    live_profile = NormalizedProfile(
-        profile.n,
-        profile.k,
-        tuple(profile.entries[i] for i in live_positions),
-        profile.in_theorem_regime,
-    )
     low_set = set(dec0.low)
-    live_low = [
-        j for j, i in enumerate(live_positions) if selection[i] in low_set
-    ]
-    asym = asymmetric_condition(live_profile, constant)
-    value_at_low = asymmetric_value_at(live_profile, live_low)
+    asym = asymmetric_condition(profile, constant)
+    value_at_low = asymmetric_value_at(
+        profile, [i for i, u in enumerate(selection) if u in low_set]
+    )
 
     log_n = math.log2(n)
     tradeoff_lhs = a * math.log2((a + b) / a) * math.log2(b)
@@ -834,7 +835,7 @@ def tradeoff_audit(g: LayeredGraph, constant: float) -> TradeoffReport:
         high_premise_ok=len(dec0.high) < k0,
         medium_sets_disjoint=disjoint,
         asymmetric_min=asym.min_over_x,
-        asymmetric_argmin=tuple(sorted(selection[live_positions[j]] for j in asym.argmin_x)),
+        asymmetric_argmin=tuple(sorted(selection[i] for i in asym.argmin_x)),
         value_at_low=value_at_low,
         condition_rhs=asym.rhs,
         tradeoff_lhs=tradeoff_lhs,

@@ -196,10 +196,17 @@ class TestAsymmetricCondition:
             expected = alpha * alpha if alpha <= 2.0 else 2 * alpha
             assert res.min_over_x == pytest.approx(expected, abs=1e-12)
 
-    def test_degenerate_entry_rejected(self):
-        profile = profile_from_normalized(100, 10, [(0.0, 0.0)])
-        with pytest.raises(ValueError):
-            asymmetric_condition(profile, 1.0)
+    def test_degenerate_entry_skipped(self):
+        # An empty biclique adds 0 to every X and stays out of the argmin,
+        # which keeps the profile's own indices.
+        pairs = [(1.0, 3.0), (0.0, 0.0), (2.0, 0.5)]
+        full = asymmetric_condition(profile_from_normalized(100, 10, pairs), 1.0)
+        live = asymmetric_condition(profile_from_normalized(100, 10, pairs[::2]), 1.0)
+        assert full.min_over_x == live.min_over_x
+        assert full.argmin_x == {2 * j for j in live.argmin_x}
+        assert 1 not in full.argmin_x
+        empty = asymmetric_condition(profile_from_normalized(100, 10, [(0.0, 0.0)]), 1.0)
+        assert empty.min_over_x == 0.0 and empty.argmin_x == frozenset()
 
 
 class TestProfileFromFamily:

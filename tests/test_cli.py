@@ -263,6 +263,41 @@ class TestSweep:
         assert f"spec.grid.{missing}" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, grid, params, field",
+        [
+            ("construct", {"n": [60], "k": [8]}, {"sizes": [5]}, "spec.params.sizes"),
+            ("construct", {"k": [8], "sizes": [[[8, 8]]]}, {"n": "10"}, "spec.params.n"),
+            ("construct", {"n": [60], "k": [8]}, {"sizes": [[8, True]]}, "spec.params.sizes[0].n"),
+            ("bounds", {}, {"family": 5}, "spec.params.family"),
+            ("verify", {"k": [2]}, {"family": 5}, "spec.params.family"),
+            ("attack", {"family": ["x.json"], "mode": ["sym"], "seed": ["x"]}, {}, "spec.grid.seed"),
+            ("bounds", {"family": ["x.json"], "seed": [1.5]}, {}, "spec.grid.seed"),
+            ("attack", {"family": ["x.json"]}, {"mode": "both"}, "spec.params.mode"),
+            ("construct", {"n": [60], "k": [8], "sizes": [[[8, 8]]]}, {"max_atempts": 3}, "spec.params.max_atempts"),
+            ("verify", {"family": ["x.json"]}, {"mode": "exhaustive"}, "spec.params.mode"),
+        ],
+    )
+    def test_malformed_spec_rejected(self, tmp_path, capsys, command, grid, params, field):
+        spec = {
+            "command": command,
+            "grid": {"seed": [0], **grid},
+            "params": params,
+            "output_csv": "out.csv",
+        }
+        path = write_json(tmp_path / "spec.json", spec)
+        assert main(["sweep", "--spec", path]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_witness_budget_env_reaches_sweeps(self, tmp_path, sparse_family_file, monkeypatch):
+        monkeypatch.setenv("ZARANK_WITNESS_BUDGET", "1")
+        spec = {"command": "verify", "grid": {"family": [sparse_family_file], "seed": [0]}, "output_csv": "out.csv"}
+        assert main(["sweep", "--spec", write_json(tmp_path / "spec.json", spec)]) == 0
+        with open(tmp_path / "out.csv", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["found"], row["complete"], row["nodes_explored"]) == ("", "false", "2")
+
     def test_required_axis_may_come_from_params(self, tmp_path, sparse_family_file):
         spec = {
             "command": "bounds",
@@ -295,3 +330,108 @@ class TestSweep:
         assert main(["sweep", "--spec", path]) == 0
         assert main(["sweep", "--spec", path]) == 2
         assert main(["sweep", "--spec", path, "--force"]) == 0
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+# Each CSV column of a sweep row, read off the single command's report (or the
+# sweep's own parameter where the report does not carry it).
+EXPECTED_ROW = {
+    "construct": lambda doc, point: {
+        "n": point["n"], "k": point["k"], "sizes": json.dumps(point["sizes"], separators=(",", ":")),
+        "mode": "exact", "max_attempts": point["max_attempts"], "seed": doc["seed"],
+        "certified": doc["certificate"]["certified"],
+        "log2_failure_bound": doc["certificate"]["log2_failure_bound"],
+        "attempts": doc["attempts"], "verified": doc["verified"],
+    },
+    "verify": lambda doc, point: {
+        "family": point["family"], "k": doc["k"], "seed": point["seed"],
+        "found": doc["witness"]["found"], "complete": doc["witness"]["complete"],
+        "nodes_explored": doc["witness"]["nodes_explored"],
+    },
+    "attack": lambda doc, point: {
+        "family": point["family"], "mode": point["mode"], "trials": point["trials"],
+        "truncation": "exact", "seed": doc["seed"], "found": doc["trace"]["found"],
+        "trial": doc["trace"]["trial"], "d_left": doc["trace"]["d_left"],
+        "d_right": doc["trace"]["d_right"], "x_surv": len(doc["trace"]["x_surv"]),
+        "y_surv": len(doc["trace"]["y_surv"]),
+        "attacked_pairs_surviving": doc["trace"]["attacked_edge_pairs_surviving"],
+    },
+    "bounds": lambda doc, point: {
+        "family": point["family"], "seed": point["seed"],
+        **{key: doc["bounds"][key] for key in ("n", "k", "r", "symmetric_lhs", "asymmetric_min", "rhs_unit")},
+        **{f"{part}_{key}": doc["bounds"][part][key] for part in ("kst", "hansel") for key in ("lhs", "rhs", "satisfied")},
+    },
+    "sc-verify": lambda doc, point: {
+        "layered": point["layered"], "k_range": "all", "mode": point["mode"],
+        "samples": point["samples"], "seed": doc["verdict"]["seed"],
+        "is_superconcentrator": doc["verdict"]["is_superconcentrator"],
+        "pairs_checked": doc["verdict"]["pairs_checked"],
+        "counterexample_k": (doc["verdict"]["counterexample"] or {}).get("k"),
+    },
+}
+
+
+class TestSweepParity:
+    """A one-point sweep writes the row its single command's report implies,
+    non-default parameters included."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        family = {
+            "n": 12, "k": 2,
+            "bicliques": [
+                {"left": list(range(6)), "right": [0, 1]},
+                {"left": list(range(6, 12)), "right": list(range(2, 8))},
+                {"left": [0, 1, 2], "right": list(range(3, 12))},
+                {"left": list(range(7, 12)), "right": list(range(5))},
+            ],
+        }
+        thin = {
+            "n": 3, "m": 2,
+            "edges_vm": [[v, u] for v in range(3) for u in range(2)],
+            "edges_mw": [[u, w] for u in range(2) for w in range(3)],
+        }
+        return {
+            "family": write_json(tmp_path / "family.json", family),
+            "layered": write_json(tmp_path / "thin.json", thin),
+            "sizes": [[8, 8]] * 70,
+        }
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED_ROW))
+    def test_row_matches_single_command_report(self, tmp_path, inputs, command):
+        fam, layered = inputs["family"], inputs["layered"]
+        seed, params = {
+            "construct": (3, {"n": 60, "k": 8, "sizes": inputs["sizes"], "max_attempts": 2, "budget": 1}),
+            "verify": (0, {"family": fam, "k": 2, "budget": 1}),
+            "attack": (4, {"family": fam, "mode": "asym", "marked": "0,1", "trials": 3, "fixed_d": 1.0}),
+            "bounds": (0, {"family": fam, "A": 3.0}),
+            "sc-verify": (2, {"layered": layered, "mode": "sampled", "samples": 5, "stream": 1}),
+        }[command]
+        argv = [command]
+        for key, value in params.items():
+            if key == "sizes":
+                value = write_json(tmp_path / "sizes.json", value)
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        if command in ("construct", "attack", "sc-verify"):
+            argv += ["--seed", str(seed)]
+        report = tmp_path / "report.json"
+        argv += ["--out-cert" if command == "construct" else "--json-out", str(report)]
+        rc = main(argv)
+
+        spec = {"command": command, "grid": {"seed": [seed]}, "params": params, "output_csv": "out.csv"}
+        assert main(["sweep", "--spec", write_json(tmp_path / "spec.json", spec)]) == rc
+        with open(tmp_path / "out.csv", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        doc = load_json(report)
+        expected = EXPECTED_ROW[command](doc, dict(params, seed=seed))
+        assert set(row) == {"index", "command", "version", *expected}
+        assert (row["index"], row["command"], row["version"]) == ("0", command, doc["version"])
+        for column, value in expected.items():
+            assert row[column] == _cell(value), column

@@ -20,7 +20,6 @@ from zarank.core import (
     graph_to_json,
     layered_from_json,
     layered_to_json,
-    lint_family,
     mask_of,
     transpose,
     transpose_masks,
@@ -179,13 +178,6 @@ class TestSerialization:
         doc = {"n": 4, "k": 1, "bicliques": [{"left": [True], "right": []}]}
         with pytest.raises(SchemaError):
             family_from_json(doc)
-
-
-class TestLint:
-    def test_reports_empty_bicliques(self):
-        fam = BicliqueFamily.from_index_lists(4, 2, [([0], []), ([1], [1])])
-        notes = lint_family(fam)
-        assert len(notes) == 1 and "bicliques[0]" in notes[0]
 
 
 class TestRandomSource:

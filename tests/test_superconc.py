@@ -323,6 +323,19 @@ class TestBalance:
         # Original edges survive.
         assert balanced.adj_vm[0] & 1
 
+    def test_pads_lowest_free_vertices_around_existing_edges(self):
+        # Middle 0 has in-neighbours {1, 4, 5, 9} and needs four more; middle 1
+        # has out-neighbours {1, 4, 8} and needs four more. The padding takes
+        # the lowest absent vertices, skipping the present ones.
+        g = LayeredGraph.from_edge_lists(
+            10, 3,
+            [(1, 0), (4, 0), (5, 0), (9, 0)] + [(v, 1) for v in (0, 2, 3, 6, 7, 8, 9)] + [(3, 2), (7, 2)],
+            [(0, w) for w in (0, 2, 3, 6, 7, 8, 9, 1)] + [(1, 1), (1, 4), (1, 8)] + [(2, 0), (2, 5)],
+        )
+        balanced = balance_degrees(g, 1, 1)
+        assert balanced.middle_in_masks() == (0b1001111111, 0b1111001101, 0b0010001000)
+        assert balanced.adj_mw == (0b1111001111, 0b0100111111, 0b0000100001)
+
     def test_never_removes_and_at_most_doubles_per_layer(self):
         rng = random.Random(4)
         for _ in range(20):

@@ -3,15 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from oracles import naive_bipartite_witness, naive_general_independent_set
+from oracles import naive_bipartite_witness
 from zarank.construct import construct_until_verified
 from zarank.core import BipartiteGraph, RandomSource, transpose
-from zarank.witness import (
-    WitnessConfig,
-    counting_refuter,
-    general_graph_has_independent_set,
-    has_kxk_independent_set,
-)
+from zarank.witness import WitnessConfig, has_kxk_independent_set
 
 
 def random_graph(rng, n_left, n_right, p):
@@ -66,21 +61,18 @@ class TestHasKxk:
         assert has_kxk_independent_set(g, 2).found is False
         assert naive_bipartite_witness(g.adj, 3, 3, 2) is None
 
-    def test_exhaustive_mode_agrees(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            g = random_graph(rng, 6, 6, rng.choice([0.2, 0.5, 0.8]))
-            k = rng.randint(1, 3)
-            a = has_kxk_independent_set(g, k, WitnessConfig(mode="branch_bound"))
-            b = has_kxk_independent_set(g, k, WitnessConfig(mode="exhaustive"))
-            assert a.found == b.found
-
     def test_oracle_equivalence_batch(self):
         rng = random.Random(17)
+        cases = []
         for _ in range(200):
             n = rng.randint(2, 10)
             k = rng.randint(1, min(3, n))
-            g = random_graph(rng, n, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+            cases.append((n, k, random_graph(rng, n, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))))
+        rng = random.Random(3)
+        for _ in range(50):
+            g = random_graph(rng, 6, 6, rng.choice([0.2, 0.5, 0.8]))
+            cases.append((6, rng.randint(1, 3), g))
+        for n, k, g in cases:
             expect = naive_bipartite_witness(g.adj, n, n, k)
             res = has_kxk_independent_set(g, k)
             assert res.complete
@@ -180,91 +172,3 @@ class TestHasKxk:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             has_kxk_independent_set(BipartiteGraph.empty(3, 3), 4)
-
-
-class TestCountingRefuter:
-    def test_empty_graph_refuted(self):
-        g = BipartiteGraph.empty(4, 4)
-        res = counting_refuter(g, 2)
-        assert res is not None and res.found
-        assert rectangle_is_independent(g, res.S.indices(), res.T.indices())
-
-    def test_perfect_matching_inconclusive(self):
-        g = BipartiteGraph.from_edges(3, 3, [(0, 0), (1, 1), (2, 2)])
-        # Count equals the threshold exactly, so no conclusion; and indeed no
-        # witness exists.
-        assert counting_refuter(g, 2) is None
-
-    def test_exhausted_fallback_budget_is_inconclusive(self):
-        # The count exceeds the threshold but the greedy pass misses, so the
-        # complete search runs; it needs 4 nodes.
-        g = BipartiteGraph(4, 4, (0b0001, 0b1111, 0b1000, 0b0110))
-        assert counting_refuter(g, 2, node_budget=3) is None
-        res = counting_refuter(g, 2, node_budget=4)
-        assert res is not None and res.found
-        assert rectangle_is_independent(g, res.S.indices(), res.T.indices())
-
-    def test_returned_witnesses_verify(self):
-        rng = random.Random(41)
-        conclusive = 0
-        for _ in range(200):
-            n = rng.randint(3, 10)
-            k = rng.randint(1, min(3, n))
-            g = random_graph(rng, n, n, rng.choice([0.05, 0.15, 0.3]))
-            res = counting_refuter(g, k)
-            if res is None:
-                continue
-            conclusive += 1
-            assert rectangle_is_independent(g, res.S.indices(), res.T.indices())
-        assert conclusive > 50
-
-    def test_never_claims_absence(self):
-        # Sparse graphs with witnesses may still be inconclusive; that must
-        # never be read as absence. Dense graph below threshold: fine.
-        rng = random.Random(43)
-        for _ in range(100):
-            n = rng.randint(3, 9)
-            g = random_graph(rng, n, n, 0.4)
-            k = rng.randint(1, min(3, n))
-            res = counting_refuter(g, k)
-            if res is None:
-                continue  # inconclusive: no claim to check
-            assert res.found
-
-
-class TestGeneralGraph:
-    def test_edgeless_triangle_found(self):
-        assert general_graph_has_independent_set([0, 0, 0], 3) == [0, 1, 2]
-
-    def test_complete_graph_none(self):
-        n = 4
-        adj = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
-        assert general_graph_has_independent_set(adj, 2) is None
-
-    def test_single_edge_two_vertices(self):
-        adj = [0b10, 0b01]
-        assert general_graph_has_independent_set(adj, 2) is None
-
-    def test_matches_naive_oracle(self):
-        rng = random.Random(47)
-        for _ in range(150):
-            n = rng.randint(2, 9)
-            adj = [0] * n
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < 0.4:
-                        adj[i] |= 1 << j
-                        adj[j] |= 1 << i
-            k = rng.randint(1, n)
-            expect = naive_general_independent_set(adj, k)
-            got = general_graph_has_independent_set(adj, k)
-            assert (got is None) == (expect is None)
-            if got is not None:
-                assert len(got) == k
-                for a in range(k):
-                    for b in range(a + 1, k):
-                        assert not adj[got[a]] >> got[b] & 1
-
-    def test_limit_enforced(self):
-        with pytest.raises(ValueError):
-            general_graph_has_independent_set([0] * 30, 2)
