@@ -61,6 +61,20 @@ class TestHasKxk:
         assert has_kxk_independent_set(g, 2).found is False
         assert naive_bipartite_witness(g.adj, 3, 3, 2) is None
 
+    def test_exhaustive_mode_agrees(self):
+        # The branch-and-bound search agrees with exhaustive enumeration over
+        # every k-subset (the naive oracle) on dense and sparse 6x6 graphs.
+        rng = random.Random(3)
+        for _ in range(50):
+            g = random_graph(rng, 6, 6, rng.choice([0.2, 0.5, 0.8]))
+            k = rng.randint(1, 3)
+            expect = naive_bipartite_witness(g.adj, 6, 6, k)
+            res = has_kxk_independent_set(g, k)
+            assert res.complete
+            assert res.found is (expect is not None)
+            if res.found:
+                assert rectangle_is_independent(g, res.S.indices(), res.T.indices())
+
     def test_oracle_equivalence_batch(self):
         rng = random.Random(17)
         cases = []
@@ -68,10 +82,6 @@ class TestHasKxk:
             n = rng.randint(2, 10)
             k = rng.randint(1, min(3, n))
             cases.append((n, k, random_graph(rng, n, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))))
-        rng = random.Random(3)
-        for _ in range(50):
-            g = random_graph(rng, 6, 6, rng.choice([0.2, 0.5, 0.8]))
-            cases.append((6, rng.randint(1, 3), g))
         for n, k, g in cases:
             expect = naive_bipartite_witness(g.adj, n, n, k)
             res = has_kxk_independent_set(g, k)
