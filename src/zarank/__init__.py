@@ -38,7 +38,6 @@ from .bounds import (
 )
 from .construct import (
     ConstructionCertificate,
-    ConstructionError,
     ConstructResult,
     MissProbability,
     certify_union_bound,
@@ -51,15 +50,12 @@ from .construct import (
     random_family,
 )
 from .core import (
-    Biclique,
     BicliqueFamily,
     BipartiteGraph,
     LayeredGraph,
     RandomSource,
     SchemaError,
-    Side,
     SubsetSampler,
-    VertexSet,
     bits,
     family_from_json,
     family_to_json,

@@ -52,6 +52,9 @@ class AttackConfig:
             raise ValueError(f"unknown truncation {self.truncation!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # Deletion exponents are >= 0, so a negative threshold keeps no vertex.
+        if self.fixed_d is not None and not 0.0 <= self.fixed_d < math.inf:
+            raise ValueError(f"fixed_d must be a finite number >= 0, got {self.fixed_d}")
 
 
 def classify(
@@ -164,8 +167,8 @@ class _AttackPlan:
             self.attacked, self.kept = classify(profile, "symmetric")
             self.marked = None
 
-        self.left_masks = family.left_masks()
-        self.right_masks = family.right_masks()
+        self.left_masks = family.left
+        self.right_masks = family.right
 
         # Side-deletion probabilities for attacked indices: delete the right
         # side of biclique i with probability p_i, the left side otherwise.
@@ -301,8 +304,8 @@ def _run_trial(plan: _AttackPlan, trial: int) -> DeletionTrace:
         result = has_kxk_independent_set(sub_graph, k, config.witness_config)
         search_complete = result.complete
         if result.found:
-            s = tuple(left_ids[i] for i in result.S.indices())
-            t = tuple(right_ids[j] for j in result.T.indices())
+            s = tuple(left_ids[i] for i in result.S)
+            t = tuple(right_ids[j] for j in result.T)
             t_mask = sum(1 << w for w in t)
             for v in s:
                 if plan.full_adj[v] & t_mask:
@@ -419,6 +422,11 @@ def survivor_statistics(traces: Sequence[DeletionTrace]) -> SurvivorStatistics:
     n = first.n
     denom_left = n * 2.0 ** -first.d_left
     denom_right = n * 2.0 ** -first.d_right
+    if not denom_left or not denom_right:
+        d = max(first.d_left, first.d_right)
+        raise ValueError(
+            f"d = {d} is too large: n * 2^-d underflows to 0, so survivor ratios are undefined"
+        )
     ratios_left = [t.x_surv_mask.bit_count() / denom_left for t in traces]
     ratios_right = [t.y_surv_mask.bit_count() / denom_right for t in traces]
     trials = len(traces)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +29,7 @@ from typing import Callable, Optional
 from . import __version__
 from .attack import AttackConfig, run_attack_trials, survivor_statistics
 from .bounds import Constants, bound_report
-from .construct import ConstructionError, certify_union_bound, construct_until_verified
+from .construct import certify_union_bound, construct_until_verified
 from .core import (
     RandomSource,
     SchemaError,
@@ -156,7 +157,13 @@ class Param:
         if self.choices and value not in self.choices:
             raise SchemaError(f"{where}: expected one of {list(self.choices)}, got {value!r}")
         if self.kind is float:
-            value = float(value)
+            try:
+                number = float(value)
+            except OverflowError:  # an integer beyond the float range
+                number = math.inf
+            if not math.isfinite(number):
+                raise SchemaError(f"{where}: expected a finite number, got {value!r}")
+            value = number
         return self.parse(value, where) if self.parse else value
 
 
@@ -189,14 +196,11 @@ def _witness_config(budget: int) -> WitnessConfig:
 def run_construct(p: dict) -> tuple[dict, bool]:
     """The certificate doc; its ``family`` key holds the last family drawn."""
     cert = certify_union_bound(p["n"], p["k"], p["sizes"], p["mode"])
-    try:
-        outcome = construct_until_verified(
-            p["n"], p["k"], p["sizes"], RandomSource(p["seed"], p["stream"]),
-            p["max_attempts"], _witness_config(p["budget"]),
-        )
-    except ConstructionError as exc:
-        outcome = exc
-    verified = not isinstance(outcome, ConstructionError)
+    outcome = construct_until_verified(
+        p["n"], p["k"], p["sizes"], RandomSource(p["seed"], p["stream"]),
+        p["max_attempts"], _witness_config(p["budget"]),
+    )
+    verified = outcome.verification.found is False
     doc = {
         "version": __version__,
         "seed": p["seed"],
@@ -459,6 +463,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sc_analyze(args: argparse.Namespace) -> int:
+    for flag, value in (("--B", args.B), ("--D", args.D)):
+        if not math.isfinite(value):
+            raise SchemaError(f"{flag}: expected a finite number, got {value!r}")
     g = layered_from_json(load_json(args.layered))
     if args.theorem == "7":
         report = edge_lower_bound_audit(g, args.B)

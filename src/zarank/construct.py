@@ -20,7 +20,6 @@ from .witness import WitnessConfig, WitnessResult, has_kxk_independent_set
 __all__ = [
     "MissProbability",
     "ConstructionCertificate",
-    "ConstructionError",
     "ConstructResult",
     "miss_probability_exact",
     "miss_probability_exact_fraction",
@@ -180,21 +179,10 @@ def random_family(
     return BicliqueFamily.from_index_lists(n, k, pairs)
 
 
-class ConstructionError(RuntimeError):
-    """All attempts produced a witness (or ran out of verification budget)."""
-
-    def __init__(self, attempts: int, family: BicliqueFamily, verification: WitnessResult):
-        self.attempts = attempts
-        self.family = family
-        self.verification = verification
-        if verification.found:
-            detail = f"last attempt has witness S={verification.S.indices()}, T={verification.T.indices()}"
-        else:
-            detail = "last attempt could not be verified within the node budget"
-        super().__init__(f"no verified family after {attempts} attempts; {detail}")
-
-
 class ConstructResult(NamedTuple):
+    """The verified family, or the last one drawn with the evidence against it
+    (a witness, or a spent node budget) when no attempt verified."""
+
     family: BicliqueFamily
     attempts: int
     verification: WitnessResult
@@ -213,18 +201,17 @@ def construct_until_verified(
     Each attempt derives its own stream from ``rng``, so reruns are identical
     and attempts could be farmed out in parallel. An attempt whose
     verification exceeds the node budget counts as unverified, not failed.
-    Raises ConstructionError (carrying the last family and its evidence)
-    after ``max_attempts``.
+    A failed construction is a result, not an error: after ``max_attempts``
+    the last family and its evidence are returned, so callers test
+    ``result.verification.found is False``.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     sizes = [(int(m), int(n2)) for m, n2 in sizes]
     config = witness_config or WitnessConfig()
-    family = None
-    verification = None
     for attempt in range(1, max_attempts + 1):
         family = random_family(n, k, sizes, rng.derive(attempt))
         verification = has_kxk_independent_set(union_of(family), k, config)
         if verification.found is False:
-            return ConstructResult(family, attempt, verification)
-    raise ConstructionError(max_attempts, family, verification)
+            break
+    return ConstructResult(family, attempt, verification)

@@ -1,4 +1,4 @@
-"""Bitset-backed data model: vertex sets, bicliques, bipartite and layered graphs.
+"""Bitset-backed data model: biclique families, bipartite and layered graphs.
 
 Vertices are dense integer indices 0..n-1 per side; sets of vertices are
 arbitrary-precision integer bitmasks, which keeps unions, intersections and
@@ -13,14 +13,10 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
-    "Side",
-    "VertexSet",
-    "Biclique",
     "BicliqueFamily",
     "BipartiteGraph",
     "LayeredGraph",
@@ -48,11 +44,6 @@ class SchemaError(ValueError):
     """A document does not satisfy the on-disk JSON schema."""
 
 
-class Side(str, Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
@@ -69,98 +60,46 @@ def bits(mask: int) -> Iterator[int]:
 
 
 @dataclass(frozen=True)
-class VertexSet:
-    """A subset of one side's vertices, stored as a bitmask over 0..n-1."""
-
-    side: Side
-    n: int
-    mask: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"ground-set size must be >= 0, got {self.n}")
-        if self.mask < 0 or self.mask >> self.n:
-            raise ValueError(
-                f"vertex set has members outside [0, {self.n}) on side {self.side.value}"
-            )
-
-    @classmethod
-    def from_indices(cls, side: Side, n: int, indices: Iterable[int]) -> "VertexSet":
-        return cls(side, n, mask_of(indices))
-
-    def cardinality(self) -> int:
-        return self.mask.bit_count()
-
-    def indices(self) -> list[int]:
-        return list(bits(self.mask))
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and bool(self.mask >> v & 1)
-
-
-@dataclass(frozen=True)
-class Biclique:
-    """A complete bipartite subgraph, given by its two vertex sets.
-
-    The edge set is implicitly left x right and is never materialized
-    edge by edge. Empty bicliques are legal.
-    """
-
-    left: VertexSet
-    right: VertexSet
-
-    def __post_init__(self) -> None:
-        if self.left.side is not Side.LEFT or self.right.side is not Side.RIGHT:
-            raise ValueError("biclique sides must be (LEFT, RIGHT)")
-
-    @property
-    def edge_count(self) -> int:
-        return self.left.cardinality() * self.right.cardinality()
-
-
-@dataclass(frozen=True)
 class BicliqueFamily:
-    """An ordered list of bicliques over two n-vertex sides, with a target k."""
+    """An ordered list of bicliques L_i x R_i over two n-vertex sides, with a
+    target k.
+
+    ``left[i]`` and ``right[i]`` are the side masks of biclique i over
+    0..n-1. Its edge set is left x right and is never materialized edge by
+    edge. Empty bicliques are legal.
+    """
 
     n: int
     k: int
-    bicliques: tuple[Biclique, ...] = ()
+    left: tuple[int, ...] = ()
+    right: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= self.n:
             raise ValueError(f"k must satisfy 1 <= k <= n, got k={self.k}, n={self.n}")
-        for idx, b in enumerate(self.bicliques):
-            if b.left.n != self.n or b.right.n != self.n:
-                raise ValueError(
-                    f"bicliques[{idx}] is over ground sets of size "
-                    f"({b.left.n}, {b.right.n}), expected {self.n}"
-                )
+        if len(self.left) != len(self.right):
+            raise ValueError(f"{len(self.left)} left sides but {len(self.right)} right sides")
+        for side, masks in (("left", self.left), ("right", self.right)):
+            for idx, mask in enumerate(masks):
+                if mask < 0 or mask >> self.n:
+                    raise ValueError(f"{side}[{idx}] has members outside [0, {self.n})")
 
     @classmethod
     def from_index_lists(
         cls, n: int, k: int, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]
     ) -> "BicliqueFamily":
-        bicliques = tuple(
-            Biclique(
-                VertexSet.from_indices(Side.LEFT, n, left),
-                VertexSet.from_indices(Side.RIGHT, n, right),
-            )
-            for left, right in pairs
-        )
-        return cls(n, k, bicliques)
+        left, right = [], []
+        for left_indices, right_indices in pairs:
+            left.append(mask_of(left_indices))
+            right.append(mask_of(right_indices))
+        return cls(n, k, tuple(left), tuple(right))
 
     @property
     def size(self) -> int:
-        return len(self.bicliques)
-
-    def left_masks(self) -> list[int]:
-        return [b.left.mask for b in self.bicliques]
-
-    def right_masks(self) -> list[int]:
-        return [b.right.mask for b in self.bicliques]
+        return len(self.left)
 
     def side_cardinalities(self) -> list[tuple[int, int]]:
-        return [(b.left.cardinality(), b.right.cardinality()) for b in self.bicliques]
+        return [(lm.bit_count(), rm.bit_count()) for lm, rm in zip(self.left, self.right)]
 
 
 @dataclass(frozen=True)
@@ -225,11 +164,10 @@ def union_of(family: BicliqueFamily) -> BipartiteGraph:
     """Union graph of a family: edge (v, w) present iff some biclique has v on
     the left and w on the right. Idempotent and order-independent."""
     rows = [0] * family.n
-    for b in family.bicliques:
-        right = b.right.mask
+    for left, right in zip(family.left, family.right):
         if not right:
             continue
-        for v in bits(b.left.mask):
+        for v in bits(left):
             rows[v] |= right
     return BipartiteGraph(family.n, family.n, tuple(rows))
 
@@ -414,7 +352,8 @@ def family_to_json(family: BicliqueFamily) -> dict:
         "n": family.n,
         "k": family.k,
         "bicliques": [
-            {"left": b.left.indices(), "right": b.right.indices()} for b in family.bicliques
+            {"left": list(bits(left)), "right": list(bits(right))}
+            for left, right in zip(family.left, family.right)
         ],
     }
 

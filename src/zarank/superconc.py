@@ -310,6 +310,8 @@ def verify_superconcentrator(
                         )
         return ScVerdict(True, None, tuple(ks), mode, pairs_checked)
 
+    if samples < 1:
+        raise ValueError(f"sampled verification needs samples >= 1, got {samples}")
     if rng is None:
         raise ValueError("sampled verification requires a random source")
     gen = rng.rng()

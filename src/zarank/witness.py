@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import BipartiteGraph, Side, VertexSet, bits, mask_of, transpose_masks
+from .core import BipartiteGraph, bits, mask_of, transpose_masks
 
 __all__ = [
     "WitnessConfig",
@@ -34,21 +34,24 @@ class WitnessConfig:
 
 @dataclass(frozen=True)
 class WitnessResult:
-    """Three-valued verdict: found True/False, or None when the budget ran out."""
+    """Three-valued verdict: found True/False, or None when the budget ran out.
+
+    A found witness is S x T with S on the left and T on the right, each a
+    sorted tuple of vertex indices.
+    """
 
     found: Optional[bool]
-    S: Optional[VertexSet]
-    T: Optional[VertexSet]
-    method: str
+    S: Optional[tuple[int, ...]]
+    T: Optional[tuple[int, ...]]
     nodes_explored: int
     complete: bool
 
     def to_json(self) -> dict:
         return {
             "found": self.found,
-            "S": self.S.indices() if self.S is not None else None,
-            "T": self.T.indices() if self.T is not None else None,
-            "method": self.method,
+            "S": list(self.S) if self.S is not None else None,
+            "T": list(self.T) if self.T is not None else None,
+            "method": "branch_bound",
             "nodes_explored": self.nodes_explored,
             "complete": self.complete,
         }
@@ -153,9 +156,9 @@ def has_kxk_independent_set(
     else:
         outcome = _branch_bound(list(g.adj), g.n_right, k, budget)
     if outcome == "budget":
-        return WitnessResult(None, None, None, "branch_bound", budget.nodes, False)
+        return WitnessResult(None, None, None, budget.nodes, False)
     if outcome is None:
-        return WitnessResult(False, None, None, "branch_bound", budget.nodes, True)
+        return WitnessResult(False, None, None, budget.nodes, True)
     common, chosen = outcome
     chosen_mask = mask_of(chosen)
     other_mask = mask_of(list(bits(common))[:k])
@@ -166,11 +169,4 @@ def has_kxk_independent_set(
 
     if not _verify_rectangle(g, s_mask, t_mask):
         raise AssertionError("internal error: witness failed re-verification")
-    return WitnessResult(
-        True,
-        VertexSet(Side.LEFT, g.n_left, s_mask),
-        VertexSet(Side.RIGHT, g.n_right, t_mask),
-        "branch_bound",
-        budget.nodes,
-        True,
-    )
+    return WitnessResult(True, tuple(bits(s_mask)), tuple(bits(t_mask)), budget.nodes, True)

@@ -157,6 +157,12 @@ class TestRunAttack:
         for v in bits(trace.v_prime_mask):
             assert trace.d_v_left[v] == 0.0
 
+    @pytest.mark.parametrize("fixed_d", [-900.0, -0.5, math.inf, -math.inf, math.nan])
+    def test_fixed_d_must_be_finite_and_non_negative(self, fixed_d):
+        # -900 used to overflow 2^-(d_left + d_right) in the kept-edge expectation.
+        with pytest.raises(ValueError, match="fixed_d"):
+            AttackConfig(mode="symmetric", rng=RandomSource(9), fixed_d=fixed_d)
+
 
 class TestSurvivalExactness:
     def test_per_vertex_survival_matches_two_to_minus_d(self):

@@ -126,6 +126,37 @@ class TestAttackCommand:
         assert rc == 2
         assert "--marked" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fixed_d", [None, "1100"])
+    def test_underflowing_d_exits_two(self, tmp_path, sparse_family_file, capsys, fixed_d):
+        # Either d is given, or it is the median exponent of a family whose
+        # every vertex lies in 1100 attacked bicliques; 2^-1100 underflows.
+        if fixed_d is None:
+            full = {"left": [0, 1, 2, 3], "right": [0, 1, 2, 3]}
+            family = write_json(tmp_path / "deep.json", {"n": 4, "k": 2, "bicliques": [full] * 1100})
+            extra = []
+        else:
+            family, extra = sparse_family_file, ["--fixed-d", fixed_d]
+        out = tmp_path / "attack.json"
+        rc = main(["attack", "--family", family, "--mode", "sym", "--seed", "1", "--json-out", str(out), *extra])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: d = 1100.0 ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["attack", "--mode", "sym", "--seed", "1", "--fixed-d", "nan"], "--fixed-d"),
+            (["bounds", "--A", "nan"], "--A"),
+            (["bounds", "--A", "inf"], "--A"),
+        ],
+    )
+    def test_non_finite_parameter_rejected(self, tmp_path, sparse_family_file, capsys, argv, flag):
+        out = tmp_path / "report.json"
+        assert main([*argv, "--family", sparse_family_file, "--json-out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBoundsCommand:
     def test_prints_table_and_writes_json(self, tmp_path, sparse_family_file, capsys):
@@ -157,6 +188,21 @@ class TestScCommands:
 
     def test_sc_verify_sampled_requires_seed(self, layered_file, capsys):
         assert main(["sc-verify", "--layered", layered_file, "--mode", "sampled"]) == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sc_verify_sampled_requires_samples(self, layered_file, capsys, samples):
+        argv = ["sc-verify", "--layered", layered_file, "--mode", "sampled", "--samples", samples, "--seed", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "samples >= 1" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--B", "--D"])
+    def test_sc_analyze_non_finite_constant_rejected(self, layered_file, tmp_path, capsys, flag):
+        out = tmp_path / "audit.json"
+        argv = ["sc-analyze", "--layered", layered_file, "--theorem", "7", flag, "nan", "--json-out", str(out)]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sc_verify_counterexample(self, tmp_path, capsys):
         doc = {
@@ -276,6 +322,9 @@ class TestSweep:
             ("attack", {"family": ["x.json"]}, {"mode": "both"}, "spec.params.mode"),
             ("construct", {"n": [60], "k": [8], "sizes": [[[8, 8]]]}, {"max_atempts": 3}, "spec.params.max_atempts"),
             ("verify", {"family": ["x.json"]}, {"mode": "exhaustive"}, "spec.params.mode"),
+            ("bounds", {"family": ["x.json"], "A": [float("nan")]}, {}, "spec.grid.A"),
+            ("bounds", {"family": ["x.json"]}, {"B": 10**400}, "spec.params.B"),  # beyond float range
+            ("attack", {"family": ["x.json"], "mode": ["sym"]}, {"fixed_d": float("inf")}, "spec.params.fixed_d"),
         ],
     )
     def test_malformed_spec_rejected(self, tmp_path, capsys, command, grid, params, field):

@@ -6,7 +6,6 @@ import pytest
 
 from oracles import decimal_certificate, enumerate_miss_probability
 from zarank.construct import (
-    ConstructionError,
     certify_union_bound,
     construct_until_verified,
     miss_probability,
@@ -139,8 +138,7 @@ class TestCertificate:
 class TestRandomFamily:
     def test_full_size_is_unique_subset(self):
         fam = random_family(5, 2, [(5, 5)], RandomSource(1))
-        assert fam.bicliques[0].left.indices() == list(range(5))
-        assert fam.bicliques[0].right.indices() == list(range(5))
+        assert fam.left[0] == fam.right[0] == (1 << 5) - 1
 
     def test_same_seed_identical(self):
         sizes = [(3, 4), (2, 2), (5, 1)]
@@ -156,7 +154,7 @@ class TestRandomFamily:
         # Each vertex lands in a 5-subset of 20 with probability 1/4.
         draws = 200_000
         fam = random_family(20, 4, [(5, 5)] * draws, RandomSource(123))
-        hits = sum(1 for b in fam.bicliques if 0 in b.left)
+        hits = sum(mask & 1 for mask in fam.left)
         sigma = math.sqrt(0.25 * 0.75 / draws)
         assert abs(hits / draws - 0.25) < 3 * sigma
 
@@ -172,15 +170,14 @@ class TestConstructUntilVerified:
         assert result.verification.found is False
 
     def test_empty_sizes_always_fail(self):
-        with pytest.raises(ConstructionError) as exc_info:
-            construct_until_verified(6, 3, [], RandomSource(2), 3)
-        err = exc_info.value
-        assert err.attempts == 3
-        assert err.verification.found
+        result = construct_until_verified(6, 3, [], RandomSource(2), 3)
+        assert result.attempts == 3
+        assert result.verification.found is True
+        assert len(result.verification.S) == len(result.verification.T) == 3
         # The witness is genuine evidence against the (empty) union graph.
-        g = union_of(err.family)
-        t_mask = sum(1 << w for w in err.verification.T.indices())
-        assert all(g.adj[v] & t_mask == 0 for v in err.verification.S.indices())
+        g = union_of(result.family)
+        t_mask = sum(1 << w for w in result.verification.T)
+        assert all(g.adj[v] & t_mask == 0 for v in result.verification.S)
 
     def test_certified_sizes_verify_quickly(self):
         sizes = [(8, 8)] * 70

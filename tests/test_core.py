@@ -10,9 +10,7 @@ from zarank.core import (
     LayeredGraph,
     RandomSource,
     SchemaError,
-    Side,
     SubsetSampler,
-    VertexSet,
     bits,
     family_from_json,
     family_to_json,
@@ -38,16 +36,38 @@ def random_graph(rng, n_left, n_right, p):
     return BipartiteGraph(n_left, n_right, tuple(rows))
 
 
-class TestVertexSet:
-    def test_cardinality_is_popcount(self):
-        vs = VertexSet.from_indices(Side.LEFT, 8, [0, 3, 7])
-        assert vs.cardinality() == 3
-        assert vs.indices() == [0, 3, 7]
-        assert 3 in vs and 4 not in vs
+class TestBicliqueFamily:
+    def test_side_counts_are_popcounts(self):
+        fam = BicliqueFamily.from_index_lists(8, 2, [([0, 3, 7], [1]), ([], [2, 5])])
+        assert fam.left == (0b10001001, 0) and fam.right == (0b10, 0b100100)
+        assert fam.side_cardinalities() == [(3, 1), (0, 2)]
+        assert fam.side_cardinalities() == [
+            (lm.bit_count(), rm.bit_count()) for lm, rm in zip(fam.left, fam.right)
+        ]
+        assert list(bits(fam.left[0])) == [0, 3, 7]
+        assert fam.left[0] >> 3 & 1 and not fam.left[0] >> 4 & 1
+        assert fam.size == 2
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            VertexSet(Side.LEFT, 4, 1 << 4)
+            BicliqueFamily(4, 2, (1 << 4,), (0,))
+        with pytest.raises(ValueError):
+            BicliqueFamily(4, 2, (0,), (1 << 4,))
+        with pytest.raises(ValueError):
+            BicliqueFamily.from_index_lists(4, 2, [([4], [0])])
+        BicliqueFamily(4, 2, ((1 << 4) - 1,), ((1 << 4) - 1,))  # bit n - 1 is in range
+
+    def test_negative_mask_rejected(self):
+        with pytest.raises(ValueError):
+            BicliqueFamily(4, 2, (-1,), (0,))
+        with pytest.raises(ValueError):
+            BicliqueFamily(4, 2, (0,), (-1,))
+
+    def test_mismatched_side_counts_rejected(self):
+        with pytest.raises(ValueError):
+            BicliqueFamily(4, 2, (1, 2), (1,))
+        with pytest.raises(ValueError):
+            BicliqueFamily(4, 2, (), (1,))
 
 
 class TestUnion:

@@ -241,8 +241,7 @@ class TestMiddleBicliques:
     def test_single_vertex(self):
         g = LayeredGraph.from_edge_lists(3, 1, [(0, 0), (1, 0)], [(0, 2)])
         fam = middle_bicliques(g, [0], k=1)
-        assert fam.bicliques[0].left.indices() == [0, 1]
-        assert fam.bicliques[0].right.indices() == [2]
+        assert fam.left == (0b11,) and fam.right == (0b100,)
 
     def test_empty_selection(self):
         g = complete_layered(4, 2)

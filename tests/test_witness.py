@@ -28,7 +28,7 @@ def first_combination_witness(g, k):
     right). Its vertices are sorted by (degree, index); the witness is the
     first ``combinations`` of sorted positions whose common non-neighbourhood
     has >= k vertices, together with the k smallest of those vertices.
-    Returns (S, T) as sorted index lists, or None.
+    Returns (S, T) as sorted index tuples, or None.
     """
     branch_right = g.edge_count / g.n_right <= g.edge_count / g.n_left
     if branch_right:
@@ -40,7 +40,7 @@ def first_combination_witness(g, k):
     for combo in combinations(order, k):
         common = [u for u in range(n_other) if not any(rows[v] >> u & 1 for v in combo)]
         if len(common) >= k:
-            chosen, other = sorted(combo), common[:k]
+            chosen, other = tuple(sorted(combo)), tuple(common[:k])
             return (other, chosen) if branch_right else (chosen, other)
     return None
 
@@ -48,7 +48,7 @@ def first_combination_witness(g, k):
 class TestHasKxk:
     def test_empty_graph_first_witness(self):
         res = has_kxk_independent_set(BipartiteGraph.empty(2, 2), 1)
-        assert res.found and res.S.indices() == [0] and res.T.indices() == [0]
+        assert res.found and res.S == (0,) and res.T == (0,)
 
     def test_complete_graph_none(self):
         g = BipartiteGraph(3, 3, tuple([0b111] * 3))
@@ -73,7 +73,7 @@ class TestHasKxk:
             assert res.complete
             assert res.found is (expect is not None)
             if res.found:
-                assert rectangle_is_independent(g, res.S.indices(), res.T.indices())
+                assert rectangle_is_independent(g, res.S, res.T)
 
     def test_oracle_equivalence_batch(self):
         rng = random.Random(17)
@@ -88,7 +88,7 @@ class TestHasKxk:
             assert res.complete
             assert res.found is (expect is not None)
             if res.found:
-                assert rectangle_is_independent(g, res.S.indices(), res.T.indices())
+                assert rectangle_is_independent(g, res.S, res.T)
 
     def test_transpose_invariance(self):
         rng = random.Random(29)
@@ -149,15 +149,15 @@ class TestHasKxk:
             res = has_kxk_independent_set(g, k)
             assert res.complete and res.found is (expect is not None)
             if res.found:
-                assert (res.S.indices(), res.T.indices()) == expect
+                assert (res.S, res.T) == expect
         assert sides == {True, False}  # both branch sides exercised
 
     def test_deep_k_needs_no_recursion(self):
         g = BipartiteGraph.empty(1200, 1200)
         res = has_kxk_independent_set(g, 1100)
         assert res.found is True and res.complete
-        assert len(res.S.indices()) == len(res.T.indices()) == 1100
-        assert rectangle_is_independent(g, res.S.indices(), res.T.indices())
+        assert len(res.S) == len(res.T) == 1100
+        assert rectangle_is_independent(g, res.S, res.T)
 
     def test_candidate_filter_cuts_absence_proof(self):
         # Seed-1 construct at (n, k, r) = (150, 10, 120): the search without
