@@ -50,6 +50,12 @@ class Constants:
     C: float = 2.0  # asymmetric sufficient
     D: float = 0.01  # asymmetric necessary
 
+    def __post_init__(self) -> None:
+        for name in "ABCD":
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"constant {name} must be positive, got {value!r}")
+
 
 class ConditionCheck(NamedTuple):
     lhs: float

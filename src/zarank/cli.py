@@ -4,7 +4,9 @@ Subcommands: bounds, construct, verify, attack, sc-verify, sc-analyze, sweep.
 Every randomized subcommand takes an explicit --seed; reruns with identical
 inputs, seed and version produce byte-identical reports. Exit codes: 0 for a
 clean run, 1 when the run found a refutation (a witness, a counterexample, or
-a failed construction), 2 for usage or validation errors.
+a failed construction), 2 for usage or validation errors, 3 for an internal
+error (any other exception, such as ``MemoryError`` or a witness that failed
+re-verification).
 
 The five sweepable commands share one layer. Each has a ``run_<command>``
 that takes checked parameters and returns ``(report_doc, refuted)``, and an
@@ -55,6 +57,7 @@ __all__ = ["main", "run_attack", "run_bounds", "run_construct", "run_sc_verify",
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _env_int(name: str, default: int) -> int:
@@ -464,8 +467,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sc_analyze(args: argparse.Namespace) -> int:
     for flag, value in (("--B", args.B), ("--D", args.D)):
-        if not math.isfinite(value):
-            raise SchemaError(f"{flag}: expected a finite number, got {value!r}")
+        if not (math.isfinite(value) and value > 0):
+            raise SchemaError(f"{flag}: expected a finite positive number, got {value!r}")
     g = layered_from_json(load_json(args.layered))
     if args.theorem == "7":
         report = edge_lower_bound_audit(g, args.B)
@@ -657,6 +660,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # never exit 1, which reads as "refuted"
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_min_over_subsets, naive_bipartite_witness
 from zarank.bounds import (
+    Constants,
     asymmetric_condition,
     asymmetric_value_at,
     binary_entropy,
@@ -256,6 +257,13 @@ class TestProfileFromFamily:
         # k = 2 < 100^0.1 * ... actually 100^0.1 ~ 1.58, so k=2 is inside; use alpha far out.
         fam2 = BicliqueFamily.from_index_lists(100, 10, [([0], [0])])
         assert not profile_from_family(fam2).in_theorem_regime
+
+
+class TestConstants:
+    @pytest.mark.parametrize("name, value", [("A", 0.0), ("B", -1.0), ("C", -0.5), ("D", math.nan)])
+    def test_non_positive_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"constant {name} must be positive"):
+            Constants(**{name: value})
 
 
 class TestBoundReport:

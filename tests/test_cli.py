@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
+from zarank import cli
 from zarank.cli import main
 from zarank.core import canonical_dumps, family_from_json, load_json, save_json, union_of
 from zarank.witness import has_kxk_independent_set
@@ -94,6 +96,19 @@ class TestVerifyCommand:
         assert witness["found"] is True and witness["complete"] is True
         assert len(set(witness["S"])) == len(set(witness["T"])) == 1100
 
+    def test_internal_error_exits_three(self, tmp_path, sparse_family_file, capsys, monkeypatch):
+        # An unexpected exception must not exit 1, which reads as "refuted".
+        def run_verify(params):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "verify", dataclasses.replace(cli.COMMANDS["verify"], run=run_verify))
+        out = tmp_path / "witness.json"
+        assert main(["verify", "--family", sparse_family_file, "--json-out", str(out)]) == cli.EXIT_INTERNAL == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError('boom')\n"
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
 
 class TestAttackCommand:
     def test_attack_writes_trace_and_summary(self, tmp_path, sparse_family_file, capsys):
@@ -168,6 +183,13 @@ class TestBoundsCommand:
         doc = load_json(out)
         assert doc["bounds"]["n"] == 8
 
+    @pytest.mark.parametrize("flag, value", [("--A", "0"), ("--B", "-1")])
+    def test_non_positive_constant_rejected(self, tmp_path, sparse_family_file, capsys, flag, value):
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--family", sparse_family_file, flag, value, "--json-out", str(out)]) == 2
+        assert f"constant {flag[2:]} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScCommands:
     @pytest.fixture
@@ -202,6 +224,13 @@ class TestScCommands:
         argv = ["sc-analyze", "--layered", layered_file, "--theorem", "7", flag, "nan", "--json-out", str(out)]
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sc_analyze_non_positive_constant_rejected(self, layered_file, tmp_path, capsys):
+        out = tmp_path / "audit.json"
+        argv = ["sc-analyze", "--layered", layered_file, "--theorem", "8", "--D", "0", "--json-out", str(out)]
+        assert main(argv) == 2
+        assert "--D: expected a finite positive number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sc_verify_counterexample(self, tmp_path, capsys):
@@ -337,6 +366,13 @@ class TestSweep:
         path = write_json(tmp_path / "spec.json", spec)
         assert main(["sweep", "--spec", path]) == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_non_positive_constant_rejected(self, tmp_path, sparse_family_file, capsys):
+        grid = {"family": [sparse_family_file], "seed": [1], "C": [1.0, 0]}
+        path = write_json(tmp_path / "spec.json", {"command": "bounds", "grid": grid, "output_csv": "out.csv"})
+        assert main(["sweep", "--spec", path]) == 2
+        assert "constant C must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     def test_witness_budget_env_reaches_sweeps(self, tmp_path, sparse_family_file, monkeypatch):

@@ -3,9 +3,10 @@ from itertools import combinations
 
 import pytest
 
+import zarank.witness
 from oracles import naive_bipartite_witness
 from zarank.construct import construct_until_verified
-from zarank.core import BipartiteGraph, RandomSource, transpose
+from zarank.core import BipartiteGraph, RandomSource, transpose, union_of
 from zarank.witness import WitnessConfig, has_kxk_independent_set
 
 
@@ -21,14 +22,15 @@ def rectangle_is_independent(g, s_indices, t_indices):
     return all(g.adj[v] & t_mask == 0 for v in s_indices)
 
 
-def first_combination_witness(g, k):
+def first_combination_witness(g, k, descending=False):
     """The witness the search must report, straight from its definition.
 
     The branch side is the one with the smaller average degree (ties to the
-    right). Its vertices are sorted by (degree, index); the witness is the
-    first ``combinations`` of sorted positions whose common non-neighbourhood
-    has >= k vertices, together with the k smallest of those vertices.
-    Returns (S, T) as sorted index tuples, or None.
+    right). Its vertices are sorted by (degree, index), or by (-degree, index)
+    when ``descending`` (the order of the search after its probe); the
+    witness is the first ``combinations`` of sorted positions whose common
+    non-neighbourhood has >= k vertices, together with the k smallest of
+    those vertices. Returns (S, T) as sorted index tuples, or None.
     """
     branch_right = g.edge_count / g.n_right <= g.edge_count / g.n_left
     if branch_right:
@@ -36,13 +38,23 @@ def first_combination_witness(g, k):
         n_other = g.n_left
     else:
         rows, n_other = list(g.adj), g.n_right
-    order = sorted(range(len(rows)), key=lambda v: (bin(rows[v]).count("1"), v))
+    sign = -1 if descending else 1
+    order = sorted(range(len(rows)), key=lambda v: (sign * bin(rows[v]).count("1"), v))
     for combo in combinations(order, k):
         common = [u for u in range(n_other) if not any(rows[v] >> u & 1 for v in combo)]
         if len(common) >= k:
             chosen, other = tuple(sorted(combo)), tuple(common[:k])
             return (other, chosen) if branch_right else (chosen, other)
     return None
+
+
+@pytest.fixture(scope="module")
+def union150():
+    """The seed-1 (n, k, r) = (150, 10, 120) union: no 10 x 10 independent set,
+    and the ascending-order probe runs out before it proves that."""
+    result = construct_until_verified(150, 10, [(15, 15)] * 120, RandomSource(1), 4)
+    assert result.attempts == 1 and result.verification.found is False
+    return union_of(result.family)
 
 
 class TestHasKxk:
@@ -152,6 +164,26 @@ class TestHasKxk:
                 assert (res.S, res.T) == expect
         assert sides == {True, False}  # both branch sides exercised
 
+    def test_fallback_order_matches_definition(self, monkeypatch):
+        # With a one-node probe every search that is not settled at the root
+        # falls back to descending-degree order; its witness is pinned on the
+        # same graphs as the probe's.
+        monkeypatch.setattr(zarank.witness, "_PROBE_NODES", 1)
+        rng = random.Random(41)
+        orders_differ = 0
+        for _ in range(300):
+            n_left, n_right = rng.randint(2, 9), rng.randint(2, 9)
+            g = random_graph(rng, n_left, n_right, rng.choice([0.1, 0.3, 0.5, 0.7]))
+            k = rng.randint(1, min(3, n_left, n_right))
+            expect = first_combination_witness(g, k, descending=True)
+            res = has_kxk_independent_set(g, k)
+            assert res.complete and res.found is (expect is not None)
+            assert res.found is (naive_bipartite_witness(g.adj, n_left, n_right, k) is not None)
+            if res.found:
+                assert (res.S, res.T) == expect
+                orders_differ += expect != first_combination_witness(g, k)
+        assert orders_differ > 0  # the two orders are told apart
+
     def test_deep_k_needs_no_recursion(self):
         g = BipartiteGraph.empty(1200, 1200)
         res = has_kxk_independent_set(g, 1100)
@@ -165,6 +197,24 @@ class TestHasKxk:
         result = construct_until_verified(150, 10, [(15, 15)] * 120, RandomSource(1), 4)
         assert result.attempts == 1 and result.verification.found is False
         assert result.verification.nodes_explored < 270_045
+
+    def test_fail_first_proof_cuts_absence_proof(self, union150):
+        # The ascending-order search alone needs 151,632 nodes here.
+        res = has_kxk_independent_set(union150, 10)
+        assert res.found is False and res.complete
+        assert res.nodes_explored < 100_000
+
+    def test_one_budget_spans_probe_and_proof(self, union150):
+        cap = zarank.witness._PROBE_NODES
+        # A budget within the probe's cap never reaches the proof.
+        res = has_kxk_independent_set(union150, 10, WitnessConfig(node_budget=cap))
+        assert res.found is None and not res.complete
+        assert res.nodes_explored == cap + 1
+        # Just above the cap, the proof gets what the probe left over.
+        budget = cap + 500
+        res = has_kxk_independent_set(union150, 10, WitnessConfig(node_budget=budget))
+        assert res.found is None and not res.complete
+        assert cap < res.nodes_explored <= budget + 1
 
     def test_budget_exhaustion_is_unknown(self):
         g = BipartiteGraph(12, 12, tuple([1] * 12))  # all left -> right 0
