@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .bounds import NormalizedProfile, asymmetric_condition, profile_from_family
-from .core import BicliqueFamily, BipartiteGraph, RandomSource, bits, union_of
+from .core import BicliqueFamily, BipartiteGraph, RandomSource, bits, jsonable, union_of
 from .witness import WitnessConfig, has_kxk_independent_set
 
 __all__ = [
@@ -87,7 +87,7 @@ def classify(
 
 @dataclass(frozen=True)
 class DeletionTrace:
-    """Full record of one deletion trial."""
+    """Full record of one deletion trial; vertex sets are sorted index tuples."""
 
     mode: str
     truncation: str
@@ -106,10 +106,10 @@ class DeletionTrace:
     d_v_right: tuple[float, ...]
     s_v_left: tuple[int, ...]
     s_v_right: tuple[int, ...]
-    v_prime_mask: int
-    w_prime_mask: int
-    x_surv_mask: int
-    y_surv_mask: int
+    v_prime: tuple[int, ...]
+    w_prime: tuple[int, ...]
+    x_surv: tuple[int, ...]
+    y_surv: tuple[int, ...]
     attacked_edge_pairs_surviving: int
     kept_edge_sum_surviving: int
     kept_union_edges_surviving: int
@@ -119,36 +119,7 @@ class DeletionTrace:
     found: bool
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "truncation": self.truncation,
-            "trial": self.trial,
-            "seed": self.seed,
-            "stream_id": self.stream_id,
-            "n": self.n,
-            "k": self.k,
-            "marked": list(self.marked) if self.marked is not None else None,
-            "attacked": list(self.attacked),
-            "kept": list(self.kept),
-            "deleted_side": list(self.deleted_side),
-            "d_left": self.d_left,
-            "d_right": self.d_right,
-            "d_v_left": list(self.d_v_left),
-            "d_v_right": list(self.d_v_right),
-            "s_v_left": list(self.s_v_left),
-            "s_v_right": list(self.s_v_right),
-            "v_prime": list(bits(self.v_prime_mask)),
-            "w_prime": list(bits(self.w_prime_mask)),
-            "x_surv": list(bits(self.x_surv_mask)),
-            "y_surv": list(bits(self.y_surv_mask)),
-            "attacked_edge_pairs_surviving": self.attacked_edge_pairs_surviving,
-            "kept_edge_sum_surviving": self.kept_edge_sum_surviving,
-            "kept_union_edges_surviving": self.kept_union_edges_surviving,
-            "kept_edge_sum_expectation": self.kept_edge_sum_expectation,
-            "witness": [list(self.witness[0]), list(self.witness[1])] if self.witness else None,
-            "witness_search_complete": self.witness_search_complete,
-            "found": self.found,
-        }
+        return jsonable(self)
 
 
 class _AttackPlan:
@@ -332,10 +303,10 @@ def _run_trial(plan: _AttackPlan, trial: int) -> DeletionTrace:
         d_v_right=plan.d_v_right,
         s_v_left=plan.s_v_left,
         s_v_right=plan.s_v_right,
-        v_prime_mask=plan.v_prime_mask,
-        w_prime_mask=plan.w_prime_mask,
-        x_surv_mask=x_surv,
-        y_surv_mask=y_surv,
+        v_prime=tuple(plan.v_prime),
+        w_prime=tuple(plan.w_prime),
+        x_surv=tuple(left_ids),
+        y_surv=tuple(right_ids),
         attacked_edge_pairs_surviving=attacked_pairs,
         kept_edge_sum_surviving=kept_edge_sum,
         kept_union_edges_surviving=kept_union_edges,
@@ -385,22 +356,7 @@ class SurvivorStatistics:
     kept_edge_sum_expectation: float
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "found_count": self.found_count,
-            "d_left": self.d_left,
-            "d_right": self.d_right,
-            "mean_ratio_left": self.mean_ratio_left,
-            "mean_ratio_right": self.mean_ratio_right,
-            "min_ratio_left": self.min_ratio_left,
-            "min_ratio_right": self.min_ratio_right,
-            "frac_ratio_ge_quarter_left": self.frac_ratio_ge_quarter_left,
-            "frac_ratio_ge_quarter_right": self.frac_ratio_ge_quarter_right,
-            "survival_freq_left": {str(v): f for v, f in sorted(self.survival_freq_left.items())},
-            "survival_freq_right": {str(v): f for v, f in sorted(self.survival_freq_right.items())},
-            "mean_kept_edge_sum": self.mean_kept_edge_sum,
-            "kept_edge_sum_expectation": self.kept_edge_sum_expectation,
-        }
+        return jsonable(self)
 
 
 def survivor_statistics(traces: Sequence[DeletionTrace]) -> SurvivorStatistics:
@@ -413,8 +369,8 @@ def survivor_statistics(traces: Sequence[DeletionTrace]) -> SurvivorStatistics:
     if any(t.truncation != "exact" for t in traces):
         raise ValueError("survivor statistics requires exact truncation traces")
     if any(
-        (t.d_left, t.d_right, t.n, t.v_prime_mask, t.w_prime_mask)
-        != (first.d_left, first.d_right, first.n, first.v_prime_mask, first.w_prime_mask)
+        (t.d_left, t.d_right, t.n, t.v_prime, t.w_prime)
+        != (first.d_left, first.d_right, first.n, first.v_prime, first.w_prime)
         for t in traces
     ):
         raise ValueError("traces must come from a single family and configuration")
@@ -427,16 +383,16 @@ def survivor_statistics(traces: Sequence[DeletionTrace]) -> SurvivorStatistics:
         raise ValueError(
             f"d = {d} is too large: n * 2^-d underflows to 0, so survivor ratios are undefined"
         )
-    ratios_left = [t.x_surv_mask.bit_count() / denom_left for t in traces]
-    ratios_right = [t.y_surv_mask.bit_count() / denom_right for t in traces]
+    ratios_left = [len(t.x_surv) / denom_left for t in traces]
+    ratios_right = [len(t.y_surv) / denom_right for t in traces]
     trials = len(traces)
 
-    counts_left = {v: 0 for v in bits(first.v_prime_mask)}
-    counts_right = {w: 0 for w in bits(first.w_prime_mask)}
+    counts_left = {v: 0 for v in first.v_prime}
+    counts_right = {w: 0 for w in first.w_prime}
     for t in traces:
-        for v in bits(t.x_surv_mask):
+        for v in t.x_surv:
             counts_left[v] += 1
-        for w in bits(t.y_surv_mask):
+        for w in t.y_surv:
             counts_right[w] += 1
 
     return SurvivorStatistics(

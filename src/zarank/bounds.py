@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .core import BicliqueFamily, BipartiteGraph, union_of
+from .core import BicliqueFamily, BipartiteGraph, jsonable, union_of
 
 __all__ = [
     "Constants",
@@ -308,12 +308,7 @@ class BoundReport:
             "asymmetric_min": self.asymmetric_min,
             "asymmetric_argmin_x": list(self.asymmetric_argmin_x),
             "rhs_unit": self.rhs_unit,
-            "constants": {
-                "A": self.constants.A,
-                "B": self.constants.B,
-                "C": self.constants.C,
-                "D": self.constants.D,
-            },
+            "constants": jsonable(self.constants),
             "thresholds": {
                 name: getattr(self.constants, name) * self.rhs_unit
                 for name in ("A", "B", "C", "D")

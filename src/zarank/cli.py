@@ -8,11 +8,12 @@ a failed construction), 2 for usage or validation errors, 3 for an internal
 error (any other exception, such as ``MemoryError`` or a witness that failed
 re-verification).
 
-The five sweepable commands share one layer. Each has a ``run_<command>``
-that takes checked parameters and returns ``(report_doc, refuted)``, and an
-entry in ``COMMANDS`` that states every parameter once. The CLI flags, the
-keys a sweep spec accepts and the parameter checks all come from that entry,
-and a sweep's CSV row is a projection of the same report the command writes.
+Every command but ``sweep`` is sweepable, and all of them share one layer.
+Each has a ``run_<command>`` that takes checked parameters and returns
+``(report_doc, refuted)``, and an entry in ``COMMANDS`` that states every
+parameter once. The CLI flags, the keys a sweep spec accepts and the
+parameter checks all come from that entry, and a sweep's CSV row is a
+projection of the same report the command writes.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from .construct import certify_union_bound, construct_until_verified
 from .core import (
     RandomSource,
     SchemaError,
-    canonical_dumps,
     family_from_json,
     family_to_json,
     graph_from_json,
     layered_from_json,
     load_json,
+    save_json,
     union_of,
 )
 from .superconc import (
@@ -52,7 +53,15 @@ from .superconc import (
 )
 from .witness import DEFAULT_NODE_BUDGET, WitnessConfig, has_kxk_independent_set
 
-__all__ = ["main", "run_attack", "run_bounds", "run_construct", "run_sc_verify", "run_verify"]
+__all__ = [
+    "main",
+    "run_attack",
+    "run_bounds",
+    "run_construct",
+    "run_sc_analyze",
+    "run_sc_verify",
+    "run_verify",
+]
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -70,13 +79,14 @@ def _env_int(name: str, default: int) -> int:
         raise SchemaError(f"environment variable {name}={raw!r} is not an integer") from exc
 
 
-def _write_json(path: str, doc: object, force: bool) -> None:
+def _output_path(path, force: bool) -> Path:
+    """``path`` as a Path whose directory exists; refused if the file exists
+    and ``force`` is not set."""
     target = Path(path)
     if target.exists() and not force:
         raise SchemaError(f"refusing to overwrite {path} (use --force)")
     target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_dumps(doc))
+    return target
 
 
 def _load_family(path: str):
@@ -276,6 +286,17 @@ def run_sc_verify(p: dict) -> tuple[dict, bool]:
     return {"version": __version__, "verdict": verdict.to_json()}, not verdict.is_superconcentrator
 
 
+def run_sc_analyze(p: dict) -> tuple[dict, bool]:
+    constants = Constants(B=p["B"], D=p["D"])
+    g = layered_from_json(load_json(p["layered"]))
+    if p["theorem"] == 7:
+        report = edge_lower_bound_audit(g, constants.B)
+        return {"version": __version__, "theorem": 7, "report": report.to_json()}, False
+    normalized, flipped = normalize_for_tradeoff(g)
+    report = tradeoff_audit(normalized, constants.D)
+    return {"version": __version__, "theorem": 8, "flipped": flipped, "report": report.to_json()}, False
+
+
 # ---------------------------------------------------------------------------
 # What each command prints
 # ---------------------------------------------------------------------------
@@ -341,6 +362,22 @@ def _show_sc_verify(doc: dict) -> None:
         print(f"superconcentrator verified exhaustively ({verdict['pairs_checked']} pairs)")
     else:
         print(f"no counterexample in {verdict['pairs_checked']} sampled pairs (not a certificate)")
+
+
+def _show_sc_analyze(doc: dict) -> None:
+    r = doc["report"]
+    if doc["theorem"] == 7:
+        print(
+            f"ladder {r['ladder']} (need >= {r['ladder_min_required']}), "
+            f"bands disjoint={r['bands_disjoint']}, "
+            f"total edges {r['total_edges']} vs target {r['total_edge_target']:.4g}"
+        )
+    else:
+        print(
+            f"a={r['a']:.4g} b={r['b']:.4g} L={r['ladder_length']} k0={r['k0']} "
+            f"pigeonhole_exact={r['pigeonhole_exact']} "
+            f"lhs={r['tradeoff_lhs']:.4g} vs {r['constant']}*(log2 n)^2={r['constant'] * r['rhs_scale']:.4g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -444,6 +481,20 @@ COMMANDS = {
             "pairs_checked=verdict.pairs_checked", "counterexample_k=verdict.counterexample.k",
         ),
     ),
+    "sc-analyze": Command(
+        "degree-decomposition audits",
+        run_sc_analyze,
+        _show_sc_analyze,
+        (
+            Param("layered", Path, required=True),
+            Param("theorem", int, required=True, choices=(7, 8)),
+            *(Param(name, float, getattr(Constants, name)) for name in "BD"),
+        ),
+        (
+            "layered", "theorem", "B", "D", "seed", "n=report.n", "m=report.m",
+            "constant=report.constant", "rungs=#report.ladder",
+        ),
+    ),
 }
 
 
@@ -458,38 +509,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     family = doc.pop("family", None)
     command.show(doc)
     if getattr(args, "out_family", None):
-        _write_json(args.out_family, family, args.force)
+        save_json(_output_path(args.out_family, args.force), family)
     report_path = getattr(args, "json_out", None) or getattr(args, "out_cert", None)
     if report_path:
-        _write_json(report_path, doc, args.force)
+        save_json(_output_path(report_path, args.force), doc)
     return EXIT_REFUTED if refuted else EXIT_OK
-
-
-def _cmd_sc_analyze(args: argparse.Namespace) -> int:
-    for flag, value in (("--B", args.B), ("--D", args.D)):
-        if not (math.isfinite(value) and value > 0):
-            raise SchemaError(f"{flag}: expected a finite positive number, got {value!r}")
-    g = layered_from_json(load_json(args.layered))
-    if args.theorem == "7":
-        report = edge_lower_bound_audit(g, args.B)
-        doc = {"version": __version__, "theorem": 7, "report": report.to_json()}
-        print(
-            f"ladder {list(report.ladder)} (need >= {report.ladder_min_required}), "
-            f"bands disjoint={report.bands_disjoint}, "
-            f"total edges {report.total_edges} vs target {report.total_edge_target:.4g}"
-        )
-    else:
-        normalized, flipped = normalize_for_tradeoff(g)
-        report = tradeoff_audit(normalized, args.D)
-        doc = {"version": __version__, "theorem": 8, "flipped": flipped, "report": report.to_json()}
-        print(
-            f"a={report.a:.4g} b={report.b:.4g} L={report.ladder_length} k0={report.k0} "
-            f"pigeonhole_exact={report.pigeonhole_exact} "
-            f"lhs={report.tradeoff_lhs:.4g} vs {report.constant}*(log2 n)^2={report.constant * report.rhs_scale:.4g}"
-        )
-    if args.json_out:
-        _write_json(args.json_out, doc, args.force)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +612,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         results = [_sweep_point(task) for task in tasks]
 
-    out_path = base_dir / output_csv
-    if out_path.exists() and not args.force:
-        raise SchemaError(f"refusing to overwrite {out_path} (use --force)")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _output_path(base_dir / output_csv, args.force)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "command", "version"] + [c.partition("=")[0] for c in command.columns])
@@ -633,15 +654,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--json-out")
         p.add_argument("--force", action="store_true")
         p.set_defaults(handler=_cmd_run)
-
-    p = sub.add_parser("sc-analyze", help="degree-decomposition audits")
-    p.add_argument("--layered", required=True)
-    p.add_argument("--theorem", choices=["7", "8"], required=True)
-    p.add_argument("--B", type=float, default=0.01)
-    p.add_argument("--D", type=float, default=0.01)
-    p.add_argument("--json-out")
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(handler=_cmd_sc_analyze)
 
     p = sub.add_parser("sweep", help="run a parameter grid and emit a CSV")
     p.add_argument("--spec", required=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import BicliqueFamily, RandomSource, SubsetSampler, union_of
+from .core import BicliqueFamily, RandomSource, SubsetSampler, jsonable, union_of
 from .witness import WitnessConfig, WitnessResult, has_kxk_independent_set
 
 __all__ = [
@@ -119,14 +119,7 @@ class ConstructionCertificate:
     certified: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "mode": self.mode,
-            "per_index_log2_miss": list(self.per_index_log2_miss),
-            "log2_failure_bound": self.log2_failure_bound,
-            "certified": self.certified,
-        }
+        return jsonable(self)
 
 
 def _check_sizes(n: int, sizes: Sequence[tuple[int, int]]) -> None:

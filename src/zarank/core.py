@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -34,6 +34,7 @@ __all__ = [
     "graph_from_json",
     "layered_to_json",
     "layered_from_json",
+    "jsonable",
     "canonical_dumps",
     "save_json",
     "load_json",
@@ -410,6 +411,25 @@ def layered_from_json(doc: object) -> LayeredGraph:
     edges_vm = _edge_list(doc.get("edges_vm"), n, m, "layered.edges_vm")
     edges_mw = _edge_list(doc.get("edges_mw"), m, n, "layered.edges_mw")
     return LayeredGraph.from_edge_lists(n, m, edges_vm, edges_mw)
+
+
+_LEAVES = (int, float, str, type(None))  # JSON scalars; bool is an int
+
+
+def jsonable(obj: object) -> object:
+    """The JSON document of a report: a dataclass becomes {field name: value},
+    a tuple or list a list and a dict one with str keys, recursively; any
+    other value is returned as it is. Unlike ``dataclasses.asdict`` it copies
+    nothing it returns unchanged and turns tuples into lists, so the document
+    equals what ``json.load`` reads back. Scalars are passed through without
+    a call, which keeps long float and index tuples cheap."""
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {str(key): value if isinstance(value, _LEAVES) else jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [value if isinstance(value, _LEAVES) else jsonable(value) for value in obj]
+    return obj
 
 
 def canonical_dumps(obj: object) -> str:

@@ -33,6 +33,7 @@ from .core import (
     RandomSource,
     SubsetSampler,
     bits,
+    jsonable,
     mask_of,
     transpose_masks,
 )
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_PAIR_BUDGET = 2_000_000
+_MAX_RUNGS = 512  # cap on threshold_ladder's length
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +207,10 @@ class ScVerdict:
         return self.is_superconcentrator and self.mode == "exhaustive"
 
     def to_json(self) -> dict:
-        ce = None
-        if self.counterexample is not None:
-            k, s, t, flow = self.counterexample
-            ce = {"k": k, "S": list(s), "T": list(t), "max_flow": flow}
-        return {
-            "is_superconcentrator": self.is_superconcentrator,
-            "certified": self.certified,
-            "counterexample": ce,
-            "k_checked": list(self.k_checked),
-            "mode": self.mode,
-            "pairs_checked": self.pairs_checked,
-            "seed": self.seed,
-            "stream_id": self.stream_id,
-        }
+        doc = jsonable(self)
+        if doc["counterexample"] is not None:
+            doc["counterexample"] = dict(zip(("k", "S", "T", "max_flow"), doc["counterexample"]))
+        return {**doc, "certified": self.certified}
 
 
 def _union_over(masks: Sequence[int], combo: Sequence[int]) -> int:
@@ -372,21 +364,6 @@ class MiddleDecomposition:
     medium_edges_w: int
     low_edges_v: int
     low_edges_w: int
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "threshold_base": self.threshold_base,
-            "degree_basis": self.degree_basis,
-            "high": list(self.high),
-            "medium": list(self.medium),
-            "low": list(self.low),
-            "edges": {
-                "high": [self.high_edges_v, self.high_edges_w],
-                "medium": [self.medium_edges_v, self.medium_edges_w],
-                "low": [self.low_edges_v, self.low_edges_w],
-            },
-        }
 
 
 def decompose(
@@ -549,7 +526,7 @@ def medium_band(n: int, k: int, threshold_base: float) -> tuple[float, float]:
     return (n / k) / threshold_base, (n / k) * threshold_base
 
 
-def threshold_ladder(n: int, threshold_base: float, max_rungs: int = 512) -> list[int]:
+def threshold_ladder(n: int, threshold_base: float) -> list[int]:
     """Integer k values spanning [n^{1/4}, n^{3/4}] whose Medium bands are
     pairwise disjoint.
 
@@ -566,7 +543,7 @@ def threshold_ladder(n: int, threshold_base: float, max_rungs: int = 512) -> lis
     hi = math.floor(n ** 0.75)
     rungs: list[int] = []
     k = lo
-    while k <= hi and len(rungs) < max_rungs:
+    while k <= hi and len(rungs) < _MAX_RUNGS:
         rungs.append(k)
         nxt = max(math.ceil(k * t * t), k + 1)
         # Guard against float rounding: the next band's upper end must not
@@ -604,23 +581,7 @@ class EdgeAuditReport:
     total_edges_ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "constant": self.constant,
-            "threshold_base": self.threshold_base,
-            "ladder": list(self.ladder),
-            "ladder_min_required": self.ladder_min_required,
-            "ladder_long_enough": self.ladder_long_enough,
-            "bands": [list(band) for band in self.bands],
-            "bands_disjoint": self.bands_disjoint,
-            "medium_sets_disjoint": self.medium_sets_disjoint,
-            "per_k": list(self.per_k),
-            "total_edges": self.total_edges,
-            "total_edges_balanced": self.total_edges_balanced,
-            "total_edge_target": self.total_edge_target,
-            "total_edges_ok": self.total_edges_ok,
-        }
+        return jsonable(self)
 
 
 def edge_lower_bound_audit(g: LayeredGraph, constant: float) -> EdgeAuditReport:
@@ -730,30 +691,7 @@ class TradeoffReport:
     tradeoff_ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "constant": self.constant,
-            "a": self.a,
-            "b": self.b,
-            "ladder": list(self.ladder),
-            "ladder_length": self.ladder_length,
-            "per_k_medium_v_edges": list(self.per_k_medium_v_edges),
-            "k0": self.k0,
-            "k0_v_edges": self.k0_v_edges,
-            "pigeonhole_bound": self.pigeonhole_bound,
-            "pigeonhole_exact": self.pigeonhole_exact,
-            "high_count_k0": self.high_count_k0,
-            "high_premise_ok": self.high_premise_ok,
-            "medium_sets_disjoint": self.medium_sets_disjoint,
-            "asymmetric_min": self.asymmetric_min,
-            "asymmetric_argmin": list(self.asymmetric_argmin),
-            "value_at_low": self.value_at_low,
-            "condition_rhs": self.condition_rhs,
-            "tradeoff_lhs": self.tradeoff_lhs,
-            "rhs_scale": self.rhs_scale,
-            "tradeoff_ok": self.tradeoff_ok,
-        }
+        return jsonable(self)
 
 
 def tradeoff_audit(g: LayeredGraph, constant: float) -> TradeoffReport:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import BipartiteGraph, bits, mask_of, transpose_masks
+from .core import BipartiteGraph, bits, jsonable, mask_of, transpose_masks
 
 __all__ = [
     "WitnessConfig",
@@ -55,14 +55,7 @@ class WitnessResult:
     complete: bool
 
     def to_json(self) -> dict:
-        return {
-            "found": self.found,
-            "S": list(self.S) if self.S is not None else None,
-            "T": list(self.T) if self.T is not None else None,
-            "method": "branch_bound",
-            "nodes_explored": self.nodes_explored,
-            "complete": self.complete,
-        }
+        return {**jsonable(self), "method": "branch_bound"}
 
 
 def _verify_rectangle(g: BipartiteGraph, s_mask: int, t_mask: int) -> bool:

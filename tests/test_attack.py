@@ -12,7 +12,7 @@ from zarank.attack import (
     survivor_statistics,
 )
 from zarank.bounds import profile_from_family, profile_from_normalized
-from zarank.core import BicliqueFamily, RandomSource, bits, union_of
+from zarank.core import BicliqueFamily, RandomSource, union_of
 from zarank.witness import WitnessConfig, has_kxk_independent_set
 
 
@@ -70,7 +70,7 @@ class TestRunAttack:
         assert not any(t.found for t in traces)
         # One side of the lone attacked biclique is always wiped out.
         for t in traces:
-            assert t.x_surv_mask == 0 or t.y_surv_mask == 0
+            assert t.x_surv == () or t.y_surv == ()
 
     def test_attacked_bicliques_never_bridge_survivors(self):
         fam = only_large_family(48, 6, 7, 9, seed=5)
@@ -99,8 +99,10 @@ class TestRunAttack:
         fam = only_large_family(32, 4, 5, 9, seed=9)
         config = AttackConfig(mode="symmetric", rng=RandomSource(13), trials=20)
         for trace in run_attack_trials(fam, config):
-            assert trace.x_surv_mask & ~trace.v_prime_mask == 0
-            assert trace.y_surv_mask & ~trace.w_prime_mask == 0
+            assert set(trace.x_surv) <= set(trace.v_prime)
+            assert set(trace.y_surv) <= set(trace.w_prime)
+            for side in (trace.v_prime, trace.w_prime, trace.x_surv, trace.y_surv):
+                assert list(side) == sorted(set(side))
 
     def test_symmetric_equals_asymmetric_with_half_probabilities(self):
         # Equal sizes on both sides; marking exactly the small indices makes
@@ -120,8 +122,8 @@ class TestRunAttack:
         for a, b in zip(sym_traces, asym_traces):
             assert a.attacked == b.attacked
             assert a.deleted_side == b.deleted_side
-            assert a.x_surv_mask == b.x_surv_mask
-            assert a.y_surv_mask == b.y_surv_mask
+            assert a.x_surv == b.x_surv
+            assert a.y_surv == b.y_surv
             assert a.witness == b.witness
 
     def test_asymmetric_deletion_weights(self):
@@ -154,7 +156,7 @@ class TestRunAttack:
         )
         trace = run_attack_trials(fam, config)[0]
         assert trace.d_left == 0.0
-        for v in bits(trace.v_prime_mask):
+        for v in trace.v_prime:
             assert trace.d_v_left[v] == 0.0
 
     @pytest.mark.parametrize("fixed_d", [-900.0, -0.5, math.inf, -math.inf, math.nan])
@@ -198,7 +200,7 @@ class TestSurvivorStatistics:
         traces = run_attack_trials(fam, config)
         stats = survivor_statistics(traces)
         assert stats.d_left == 1.0
-        ratios = [t.x_surv_mask.bit_count() / (n * 0.5) for t in traces]
+        ratios = [len(t.x_surv) / (n * 0.5) for t in traces]
         sigma_mean = statistics.pstdev(ratios) / math.sqrt(trials)
         assert abs(stats.mean_ratio_left - 0.5) < 3 * sigma_mean + 1e-9
 

@@ -230,7 +230,7 @@ class TestScCommands:
         out = tmp_path / "audit.json"
         argv = ["sc-analyze", "--layered", layered_file, "--theorem", "8", "--D", "0", "--json-out", str(out)]
         assert main(argv) == 2
-        assert "--D: expected a finite positive number" in capsys.readouterr().err
+        assert "constant D must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sc_verify_counterexample(self, tmp_path, capsys):
@@ -460,6 +460,11 @@ EXPECTED_ROW = {
         "pairs_checked": doc["verdict"]["pairs_checked"],
         "counterexample_k": (doc["verdict"]["counterexample"] or {}).get("k"),
     },
+    "sc-analyze": lambda doc, point: {
+        "layered": point["layered"], "theorem": doc["theorem"], "B": point.get("B", 0.01),
+        "D": point.get("D", 0.01), "seed": point["seed"], "n": doc["report"]["n"], "m": doc["report"]["m"],
+        "constant": doc["report"]["constant"], "rungs": len(doc["report"]["ladder"]),
+    },
 }
 
 
@@ -498,6 +503,7 @@ class TestSweepParity:
             "attack": (4, {"family": fam, "mode": "asym", "marked": "0,1", "trials": 3, "fixed_d": 1.0}),
             "bounds": (0, {"family": fam, "A": 3.0}),
             "sc-verify": (2, {"layered": layered, "mode": "sampled", "samples": 5, "stream": 1}),
+            "sc-analyze": (1, {"layered": layered, "theorem": 8, "D": 0.02}),
         }[command]
         argv = [command]
         for key, value in params.items():

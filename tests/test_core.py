@@ -1,4 +1,7 @@
+import json
 import random
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from zarank.core import (
     family_to_json,
     graph_from_json,
     graph_to_json,
+    jsonable,
     layered_from_json,
     layered_to_json,
     mask_of,
@@ -193,6 +197,35 @@ class TestSerialization:
         doc = {"n_left": 2, "n_right": 2, "edges": [[0, 0], [1, 2]]}
         with pytest.raises(SchemaError, match=r"edges\[1\]"):
             graph_from_json(doc)
+
+    def test_jsonable_encodes_fields_recursively(self):
+        class Pair(NamedTuple):
+            lhs: float
+            rhs: float
+
+        @dataclass(frozen=True)
+        class Inner:
+            freq: dict
+            pair: Pair
+
+        @dataclass(frozen=True)
+        class Outer:
+            flag: bool
+            missing: Optional[int]
+            ids: tuple
+            inner: Inner
+
+        report = Outer(True, None, ((1, 2), ()), Inner({10: 0.5, 2: 1.0}, Pair(0.25, 3.0)))
+        doc = jsonable(report)
+        expected = {
+            "flag": True,
+            "missing": None,
+            "ids": [[1, 2], []],
+            "inner": {"freq": {"10": 0.5, "2": 1.0}, "pair": [0.25, 3.0]},
+        }
+        assert doc == expected  # a tuple never equals a list, so none is left
+        assert json.loads(json.dumps(doc)) == doc  # nor an int key
+        assert doc["flag"] is True
 
     def test_non_integer_index_rejected(self):
         doc = {"n": 4, "k": 1, "bicliques": [{"left": [True], "right": []}]}
