@@ -66,7 +66,6 @@ from .core import (
     load_json,
     mask_of,
     save_json,
-    transpose,
     union_of,
 )
 from .superconc import (

@@ -6,10 +6,11 @@ One trial deletes a uniformly chosen side of every attacked biclique
 ones with side probabilities p_i and 1 - p_i), keeps the half of each side
 whose deletion exponent d_v is smallest, optionally rebalances survival so
 every kept vertex survives with probability exactly 2^-d, and then searches
-the surviving rectangle for a witness against the kept bicliques only. Any
-witness found is re-verified against the full union graph before it is
-reported: an attacked biclique has a deleted side disjoint from the
-survivors, so it cannot contribute an edge between them.
+the surviving rectangle for a witness against the kept bicliques only: the kept
+union graph is built once per attack, and each trial searches it restricted
+to its survivors. Any witness found is re-verified against every biclique of
+the family before it is reported: an attacked biclique has a deleted side
+disjoint from the survivors, so it cannot contribute an edge between them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .bounds import NormalizedProfile, asymmetric_condition, profile_from_family
-from .core import BicliqueFamily, BipartiteGraph, RandomSource, bits, jsonable, union_of
+from .core import BicliqueFamily, RandomSource, bits, jsonable, mask_of, union_of
 from .witness import WitnessConfig, has_kxk_independent_set
 
 __all__ = [
@@ -189,20 +190,21 @@ class _AttackPlan:
         self.v_prime_mask = sum(1 << v for v in self.v_prime)
         self.w_prime_mask = sum(1 << w for w in self.w_prime)
 
-        self.full_adj = union_of(family).adj
+        # The kept bicliques' union, rows and columns, shared by every trial:
+        # a trial searches it restricted to its survivors.
+        kept_family = BicliqueFamily(
+            n,
+            family.k,
+            tuple(self.left_masks[i] for i in self.kept),
+            tuple(self.right_masks[i] for i in self.kept),
+        )
+        self.kept_graph = union_of(kept_family)
         self.kept_edge_sum_expectation = sum(
             self.left_masks[i].bit_count()
             * self.right_masks[i].bit_count()
             * 2.0 ** -(self.d_left + self.d_right)
             for i in self.kept
         )
-
-
-def _compress(mask: int, positions: dict[int, int]) -> int:
-    out = 0
-    for v in bits(mask):
-        out |= 1 << positions[v]
-    return out
 
 
 def _run_trial(plan: _AttackPlan, trial: int) -> DeletionTrace:
@@ -255,35 +257,22 @@ def _run_trial(plan: _AttackPlan, trial: int) -> DeletionTrace:
             plan.right_masks[i] & y_surv
         ).bit_count()
 
-    left_ids = list(bits(x_surv))
-    right_ids = list(bits(y_surv))
     witness = None
     search_complete = True
     kept_union_edges = 0
-    if len(left_ids) >= k and len(right_ids) >= k:
-        left_pos = {v: idx for idx, v in enumerate(left_ids)}
-        right_pos = {w: idx for idx, w in enumerate(right_ids)}
-        rows = [0] * len(left_ids)
-        for i in plan.kept:
-            sub_right = _compress(plan.right_masks[i] & y_surv, right_pos)
-            if not sub_right:
-                continue
-            for v in bits(plan.left_masks[i] & x_surv):
-                rows[left_pos[v]] |= sub_right
-        kept_union_edges = sum(row.bit_count() for row in rows)
-        sub_graph = BipartiteGraph(len(left_ids), len(right_ids), tuple(rows))
-        result = has_kxk_independent_set(sub_graph, k, config.witness_config)
+    if x_surv.bit_count() >= k and y_surv.bit_count() >= k:
+        graph = plan.kept_graph
+        kept_union_edges = sum((graph.adj[v] & y_surv).bit_count() for v in bits(x_surv))
+        result = has_kxk_independent_set(graph, k, config.witness_config, x_surv, y_surv)
         search_complete = result.complete
         if result.found:
-            s = tuple(left_ids[i] for i in result.S)
-            t = tuple(right_ids[j] for j in result.T)
-            t_mask = sum(1 << w for w in t)
-            for v in s:
-                if plan.full_adj[v] & t_mask:
+            s_mask, t_mask = mask_of(result.S), mask_of(result.T)
+            for left, right in zip(plan.left_masks, plan.right_masks):
+                if left & s_mask and right & t_mask:
                     raise AssertionError(
                         "internal error: witness not independent in the full union graph"
                     )
-            witness = (s, t)
+            witness = (result.S, result.T)
 
     return DeletionTrace(
         mode=config.mode,
@@ -305,8 +294,8 @@ def _run_trial(plan: _AttackPlan, trial: int) -> DeletionTrace:
         s_v_right=plan.s_v_right,
         v_prime=tuple(plan.v_prime),
         w_prime=tuple(plan.w_prime),
-        x_surv=tuple(left_ids),
-        y_surv=tuple(right_ids),
+        x_surv=tuple(bits(x_surv)),
+        y_surv=tuple(bits(y_surv)),
         attacked_edge_pairs_surviving=attacked_pairs,
         kept_edge_sum_surviving=kept_edge_sum,
         kept_union_edges_surviving=kept_union_edges,

@@ -69,14 +69,24 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
+def _at_least_one(value: int, where: str) -> int:
+    if value < 1:
+        raise SchemaError(f"{where}: expected an integer >= 1, got {value!r}")
+    return value
+
+
+def _budget(given: Optional[int], env: str, default: int) -> int:
+    """A budget: the one given, else the environment's, else ``default``."""
+    if given is not None:
+        return given
+    raw = os.environ.get(env)
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
-        raise SchemaError(f"environment variable {name}={raw!r} is not an integer") from exc
+        raise SchemaError(f"environment variable {env}={raw!r} is not an integer") from exc
+    return _at_least_one(value, f"environment variable {env}")
 
 
 def _output_path(path, force: bool) -> Path:
@@ -197,8 +207,8 @@ def _check_params(params: tuple[Param, ...], given: dict, where: Callable[[str],
     return checked
 
 
-def _witness_config(budget: int) -> WitnessConfig:
-    return WitnessConfig(node_budget=budget or _env_int("ZARANK_WITNESS_BUDGET", DEFAULT_NODE_BUDGET))
+def _witness_config(budget: Optional[int]) -> WitnessConfig:
+    return WitnessConfig(node_budget=_budget(budget, "ZARANK_WITNESS_BUDGET", DEFAULT_NODE_BUDGET))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +289,7 @@ def run_sc_verify(p: dict) -> tuple[dict, bool]:
         if p["seed"] is None:
             raise SchemaError("a seed is required in sampled mode")
         rng = RandomSource(p["seed"], p["stream"])
-    budget = p["pair_budget"] or _env_int("ZARANK_PAIR_BUDGET", DEFAULT_PAIR_BUDGET)
+    budget = _budget(p["pair_budget"], "ZARANK_PAIR_BUDGET", DEFAULT_PAIR_BUDGET)
     verdict = verify_superconcentrator(
         g, ks, mode=p["mode"], samples=p["samples"], rng=rng, pair_budget=budget
     )
@@ -393,7 +403,7 @@ class Command:
 
 
 _FAMILY = Param("family", Path, required=True)
-_WITNESS_BUDGET = Param("budget", int, 0, help="witness search node budget")
+_WITNESS_BUDGET = Param("budget", int, help="witness search node budget", parse=_at_least_one)
 _STREAM = Param("stream", int, 0)
 
 COMMANDS = {
@@ -473,7 +483,7 @@ COMMANDS = {
             Param("samples", int, 100),
             Param("seed", int),
             _STREAM,
-            Param("pair_budget", int, 0),
+            Param("pair_budget", int, parse=_at_least_one),
         ),
         (
             "layered", "k_range", "mode", "samples", "seed",

@@ -26,7 +26,6 @@ __all__ = [
     "mask_of",
     "bits",
     "union_of",
-    "transpose",
     "transpose_masks",
     "family_to_json",
     "family_from_json",
@@ -105,7 +104,12 @@ class BicliqueFamily:
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Dense bipartite graph: one right-neighbor bitmask per left vertex."""
+    """Dense bipartite graph: one right-neighbor bitmask per left vertex.
+
+    ``cols`` is the column view, one left-neighbor bitmask per right vertex.
+    It is computed once per graph, or filled by whoever built the rows, and
+    takes no part in ``==`` or ``hash``.
+    """
 
     n_left: int
     n_right: int
@@ -138,13 +142,14 @@ class BipartiteGraph:
     def has_edge(self, v: int, w: int) -> bool:
         return bool(self.adj[v] >> w & 1)
 
-    def degrees(self) -> list[int]:
-        return [row.bit_count() for row in self.adj]
-
     def average_degree(self) -> float:
         if self.n_left == 0:
             return 0.0
         return self.edge_count / self.n_left
+
+    @cached_property
+    def cols(self) -> tuple[int, ...]:
+        return tuple(transpose_masks(self.adj, self.n_right))
 
 
 def transpose_masks(rows: Sequence[int], n_cols: int) -> list[int]:
@@ -165,16 +170,17 @@ def union_of(family: BicliqueFamily) -> BipartiteGraph:
     """Union graph of a family: edge (v, w) present iff some biclique has v on
     the left and w on the right. Idempotent and order-independent."""
     rows = [0] * family.n
+    cols = [0] * family.n
     for left, right in zip(family.left, family.right):
-        if not right:
+        if not (left and right):
             continue
         for v in bits(left):
             rows[v] |= right
-    return BipartiteGraph(family.n, family.n, tuple(rows))
-
-
-def transpose(g: BipartiteGraph) -> BipartiteGraph:
-    return BipartiteGraph(g.n_right, g.n_left, tuple(transpose_masks(g.adj, g.n_right)))
+        for w in bits(right):
+            cols[w] |= left
+    g = BipartiteGraph(family.n, family.n, tuple(rows))
+    g.__dict__["cols"] = tuple(cols)  # fills the cached column view
+    return g
 
 
 @dataclass(frozen=True)
@@ -318,34 +324,42 @@ def _require_int(doc: dict, key: str, where: str) -> int:
     return value
 
 
+def _all_indices(values: Sequence[object], n: int) -> bool:
+    """True iff every value is a plain int in [0, n); checked at C level."""
+    return set(map(type, values)) == {int} and 0 <= min(values) and max(values) < n
+
+
 def _index_list(raw: object, n: int, where: str) -> list[int]:
     if not isinstance(raw, list):
         raise SchemaError(f"{where}: expected a list of vertex indices")
-    out = []
-    for pos, value in enumerate(raw):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise SchemaError(f"{where}[{pos}]: expected an integer, got {value!r}")
-        if not 0 <= value < n:
-            raise SchemaError(f"{where}[{pos}]: vertex index {value} out of range for n={n}")
-        out.append(value)
-    return out
+    if raw and not _all_indices(raw, n):
+        # The slow path only words the first error.
+        for pos, value in enumerate(raw):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise SchemaError(f"{where}[{pos}]: expected an integer, got {value!r}")
+            if not 0 <= value < n:
+                raise SchemaError(f"{where}[{pos}]: vertex index {value} out of range for n={n}")
+    return raw
 
 
-def _edge_list(raw: object, n_from: int, n_to: int, where: str) -> list[tuple[int, int]]:
+def _edge_list(raw: object, n_from: int, n_to: int, where: str) -> list[list[int]]:
     if not isinstance(raw, list):
         raise SchemaError(f"{where}: expected a list of [from, to] pairs")
-    out = []
-    for pos, pair in enumerate(raw):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise SchemaError(f"{where}[{pos}]: expected a [from, to] pair")
-        a, b = pair
-        for name, value, bound in (("from", a, n_from), ("to", b, n_to)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise SchemaError(f"{where}[{pos}].{name}: expected an integer, got {value!r}")
-            if not 0 <= value < bound:
-                raise SchemaError(f"{where}[{pos}].{name}: index {value} out of range for size {bound}")
-        out.append((a, b))
-    return out
+    if raw and not (
+        set(map(type, raw)) == {list}
+        and set(map(len, raw)) == {2}
+        and all(map(_all_indices, zip(*raw), (n_from, n_to)))
+    ):
+        # The slow path only words the first error.
+        for pos, pair in enumerate(raw):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise SchemaError(f"{where}[{pos}]: expected a [from, to] pair")
+            for name, value, bound in (("from", pair[0], n_from), ("to", pair[1], n_to)):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise SchemaError(f"{where}[{pos}].{name}: expected an integer, got {value!r}")
+                if not 0 <= value < bound:
+                    raise SchemaError(f"{where}[{pos}].{name}: index {value} out of range for size {bound}")
+    return raw
 
 
 def family_to_json(family: BicliqueFamily) -> dict:

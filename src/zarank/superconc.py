@@ -344,8 +344,8 @@ def middle_bicliques(
     order = sorted(set(restrict))
     if any(u < 0 or u >= g.m for u in order):
         raise ValueError(f"middle selection outside [0, {g.m})")
-    pairs = [(list(bits(in_masks[u])), list(bits(g.adj_mw[u]))) for u in order]
-    return BicliqueFamily.from_index_lists(g.n, k, pairs)
+    left = tuple(in_masks[u] for u in order)
+    return BicliqueFamily(g.n, k, left, tuple(g.adj_mw[u] for u in order))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import BipartiteGraph, bits, jsonable, mask_of, transpose_masks
+# transpose_masks is unused here; bench/tests checks the tracer wraps this binding.
+from .core import BipartiteGraph, bits, jsonable, mask_of, transpose_masks  # noqa: F401
 
 __all__ = [
     "WitnessConfig",
@@ -79,24 +80,20 @@ class _Budget:
 
 
 def _branch_bound(
-    adj_t: Sequence[int],
-    n_other: int,
-    k: int,
-    budget: _Budget,
-    order: Sequence[int],
+    non_nbrs: Sequence[int], domain: int, k: int, budget: _Budget
 ) -> Optional[tuple[int, list[int]]] | str:
     """Search k-subsets of the branch side for a common non-neighborhood of
     size >= k on the other side.
 
-    ``adj_t`` maps each branch-side vertex to its other-side neighbor mask,
-    and ``order`` lists the branch-side vertices in the order they are tried.
-    The returned witness is the first k-subset of positions in ``order``, in
+    ``non_nbrs`` lists, in the order the branch-side vertices are tried, each
+    one's non-neighbor mask within ``domain``, the other side's domain. The
+    returned witness is the first k-subset of positions in that order, in
     ``itertools.combinations`` order, whose common non-neighborhood has >= k
     bits (which need not be the globally lexicographically least witness).
     The probe passes ascending (degree, index) order and the proof
     descending-degree order, ``(-degree, index)``; a search that stays within
     the probe's cap reports the probe's witness, any other the proof's.
-    Returns (non_neighbor_mask, chosen_vertices), None when the search space
+    Returns (non_neighbor_mask, chosen positions), None when the search space
     is exhausted, or "budget".
 
     Each node carries its live candidates: the later positions that keep the
@@ -104,16 +101,12 @@ def _branch_bound(
     with fewer live candidates than picks still needed has no completion. The
     search runs on an explicit stack, so its depth is bounded by k only.
     """
-    n_branch = len(adj_t)
-    full_other = (1 << n_other) - 1
-    non_nbrs = [full_other & ~adj_t[w] for w in order]
-
     if not budget.tick():
         return "budget"
-    live = [pos for pos in range(n_branch) if non_nbrs[pos].bit_count() >= k]
+    live = [pos for pos in range(len(non_nbrs)) if non_nbrs[pos].bit_count() >= k]
     chosen: list[int] = []
     # One frame per depth: [common mask, live candidates, next candidate index].
-    stack: list[list] = [[full_other, live, 0]]
+    stack: list[list] = [[domain, live, 0]]
     while stack:
         frame = stack[-1]
         common, live, i = frame
@@ -130,7 +123,7 @@ def _branch_bound(
             return "budget"
         if need == 1:
             chosen.append(pos)
-            return shrunk, [order[p] for p in chosen]
+            return shrunk, chosen
         rest = [p for p in live[i + 1 :] if (shrunk & non_nbrs[p]).bit_count() >= k]
         if len(rest) >= need - 1:
             chosen.append(pos)
@@ -139,41 +132,56 @@ def _branch_bound(
 
 
 def has_kxk_independent_set(
-    g: BipartiteGraph, k: int, config: WitnessConfig | None = None
+    g: BipartiteGraph,
+    k: int,
+    config: WitnessConfig | None = None,
+    left: int | None = None,
+    right: int | None = None,
 ) -> WitnessResult:
-    """Complete search for a k x k independent set.
+    """Complete search for a k x k independent set of ``g`` restricted to the
+    vertex domains ``left`` and ``right`` (bitmasks; default: the whole side).
 
-    Branches over the side with smaller average degree (ties to the right
-    side), maintaining the intersection of the chosen vertices' non-neighbor
-    masks and the branch-side candidates that keep it at k or more, and
-    pruning once too few candidates remain. An ascending-degree probe of at
-    most ``_PROBE_NODES`` nodes runs first; if it stops at its cap, a
-    descending-degree search runs to completion within what is left of
-    ``config.node_budget``. ``nodes_explored`` counts the nodes of both.
+    Branches over the larger domain (ties to the right side), the one with
+    the smaller average degree, maintaining the intersection of the chosen
+    vertices' non-neighbor masks and the branch-side candidates that keep it
+    at k or more, and pruning once too few candidates remain. Degrees count
+    in-domain neighbors only, so the search takes the same steps as on the
+    domains' induced subgraph with its vertices renumbered in order. An
+    ascending-degree probe of at most ``_PROBE_NODES`` nodes runs first; if
+    it stops at its cap, a descending-degree search runs to completion within
+    what is left of ``config.node_budget``. ``nodes_explored`` counts the
+    nodes of both. A domain with fewer than k vertices holds no witness and
+    costs no node.
     """
     config = config or WitnessConfig()
     if k < 1 or k > min(g.n_left, g.n_right):
         raise ValueError(f"k={k} does not fit a {g.n_left}x{g.n_right} graph")
+    left = (1 << g.n_left) - 1 if left is None else left
+    right = (1 << g.n_right) - 1 if right is None else right
+    if left < 0 or left >> g.n_left or right < 0 or right >> g.n_right:
+        raise ValueError(f"domain masks must lie within the {g.n_left}x{g.n_right} graph")
+    if min(left.bit_count(), right.bit_count()) < k:
+        return WitnessResult(False, None, None, 0, True)
 
-    branch_right = g.edge_count / g.n_right <= g.edge_count / g.n_left
+    branch_right = left.bit_count() <= right.bit_count()
     if branch_right:
-        adj_t, n_other = transpose_masks(g.adj, g.n_right), g.n_left  # right vertex -> left nbrs
+        rows, branch, other = g.cols, right, left  # right vertex -> left nbrs
     else:
-        adj_t, n_other = g.adj, g.n_right
-    degree = [row.bit_count() for row in adj_t]
-    ascending = sorted(range(len(adj_t)), key=lambda w: (degree[w], w))
+        rows, branch, other = g.adj, left, right
+    keyed = sorted(((rows[w] & other).bit_count(), w) for w in bits(branch))
+    order = [w for _, w in keyed]
     budget = _Budget(min(config.node_budget, _PROBE_NODES))
-    outcome = _branch_bound(adj_t, n_other, k, budget, ascending)
+    outcome = _branch_bound([other & ~rows[w] for w in order], other, k, budget)
     if outcome == "budget" and budget.limit < config.node_budget:
         budget.limit = config.node_budget
-        descending = sorted(range(len(adj_t)), key=lambda w: (-degree[w], w))
-        outcome = _branch_bound(adj_t, n_other, k, budget, descending)
+        order = [w for _, w in sorted(keyed, key=lambda dw: (-dw[0], dw[1]))]
+        outcome = _branch_bound([other & ~rows[w] for w in order], other, k, budget)
     if outcome == "budget":
         return WitnessResult(None, None, None, budget.nodes, False)
     if outcome is None:
         return WitnessResult(False, None, None, budget.nodes, True)
     common, chosen = outcome
-    chosen_mask = mask_of(chosen)
+    chosen_mask = mask_of(order[p] for p in chosen)
     other_mask = mask_of(list(bits(common))[:k])
     if branch_right:
         s_mask, t_mask = other_mask, chosen_mask

@@ -3,7 +3,9 @@
 Everything here is written straight from definitions (full enumeration,
 exact rational arithmetic, high-precision decimals) and deliberately shares
 no code path with the library, so the tests can pin expected values against
-a second opinion.
+a second opinion. The one exception, ``compressed_domain_search``, checks
+only the domain restriction of the witness search, so it calls that search
+on a renumbered copy.
 """
 
 from __future__ import annotations
@@ -34,6 +36,29 @@ def naive_bipartite_witness(
             if not (union & t_mask):
                 return s_combo, t_combo
     return None
+
+
+def compressed_domain_search(g, k: int, left: int, right: int, config=None):
+    """The witness search restricted to vertex domains, by definition: build
+    the subgraph the two domain masks induce, with its vertices renumbered in
+    ascending order, search all of it, and map the witness back. A domain
+    with fewer than k vertices holds no witness, and no search runs."""
+    from zarank.core import BipartiteGraph
+    from zarank.witness import WitnessResult, has_kxk_independent_set
+
+    left_ids = [v for v in range(g.n_left) if left >> v & 1]
+    right_ids = [w for w in range(g.n_right) if right >> w & 1]
+    if min(len(left_ids), len(right_ids)) < k:
+        return WitnessResult(False, None, None, 0, True)
+    rows = tuple(
+        sum(1 << j for j, w in enumerate(right_ids) if g.adj[v] >> w & 1) for v in left_ids
+    )
+    result = has_kxk_independent_set(BipartiteGraph(len(left_ids), len(right_ids), rows), k, config)
+    if not result.found:
+        return result
+    s = tuple(left_ids[i] for i in result.S)
+    t = tuple(right_ids[j] for j in result.T)
+    return WitnessResult(True, s, t, result.nodes_explored, result.complete)
 
 
 def naive_general_independent_set(

@@ -4,6 +4,8 @@ import statistics
 
 import pytest
 
+import zarank.attack
+from oracles import compressed_domain_search
 from zarank.attack import (
     AttackConfig,
     classify,
@@ -164,6 +166,49 @@ class TestRunAttack:
         # -900 used to overflow 2^-(d_left + d_right) in the kept-edge expectation.
         with pytest.raises(ValueError, match="fixed_d"):
             AttackConfig(mode="symmetric", rng=RandomSource(9), fixed_d=fixed_d)
+
+
+class TestDomainSearch:
+    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("truncation", ["exact", "none"])
+    def test_trials_search_like_compressed_copies(self, monkeypatch, mode, truncation):
+        # Each trial searches the kept union on its survivors; every result
+        # equals the search of the compressed survivor subgraph.
+        n, k = 48, 3
+        rng = random.Random(11)
+        shapes = [(24, 16)] * 6 + [(6, 6)] * 20  # the six large ones are attacked
+        pairs = [(rng.sample(range(n), a), rng.sample(range(n), b)) for a, b in shapes]
+        fam = BicliqueFamily.from_index_lists(n, k, pairs)
+        searches = []
+        real_search = zarank.attack.has_kxk_independent_set
+
+        def spy(g, k, config, left, right):
+            result = real_search(g, k, config, left, right)
+            searches.append((g, left, right, result))
+            assert result == compressed_domain_search(g, k, left, right, config)
+            return result
+
+        monkeypatch.setattr(zarank.attack, "has_kxk_independent_set", spy)
+        config = AttackConfig(
+            mode=mode, rng=RandomSource(5), trials=40, truncation=truncation,
+            marked=frozenset(range(6, 26)) if mode == "asymmetric" else None,
+            witness_config=WitnessConfig(node_budget=10),
+        )
+        traces = run_attack_trials(fam, config)
+        kept_rows = [0] * n
+        for i in traces[0].kept:
+            for v in pairs[i][0]:
+                kept_rows[v] |= sum(1 << w for w in pairs[i][1])
+        searched = [t for t in traces if min(len(t.x_surv), len(t.y_surv)) >= k]
+        assert len(searches) == len(searched)
+        for trace, (g, left, right, result) in zip(searched, searches):
+            assert g.adj == tuple(kept_rows)
+            assert (left, right) == (sum(1 << v for v in trace.x_surv), sum(1 << w for w in trace.y_surv))
+            assert trace.witness == ((result.S, result.T) if result.found else None)
+            assert trace.witness_search_complete == result.complete
+            edges = sum((kept_rows[v] >> w) & 1 for v in trace.x_surv for w in trace.y_surv)
+            assert trace.kept_union_edges_surviving == edges
+        assert {result.found for *_, result in searches} == {True, False}
 
 
 class TestSurvivalExactness:

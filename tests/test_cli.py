@@ -110,6 +110,37 @@ class TestVerifyCommand:
         assert not out.exists()
 
 
+class TestBudgets:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("verify", "--budget", "0"),
+            ("attack", "--budget", "-3"),
+            ("sc-verify", "--pair-budget", "0"),
+            ("sc-verify", "--pair-budget", "-1"),
+        ],
+    )
+    def test_budget_below_one_rejected(self, tmp_path, sparse_family_file, capsys, command, flag, value):
+        # Not "use the default", and not accepted where no pair is budgeted.
+        layered = write_json(tmp_path / "layered.json", {"n": 2, "m": 1, "edges_vm": [[0, 0]], "edges_mw": [[0, 1]]})
+        argv = {
+            "verify": ["verify", "--family", sparse_family_file],
+            "attack": ["attack", "--family", sparse_family_file, "--mode", "sym", "--seed", "1"],
+            "sc-verify": ["sc-verify", "--layered", layered, "--mode", "sampled", "--seed", "1"],
+        }[command]
+        assert main(argv + [flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag}: expected an integer >= 1, got {value}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("raw", ["0", "-1"])
+    def test_environment_budget_below_one_rejected(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("ZARANK_PAIR_BUDGET", raw)
+        layered = write_json(tmp_path / "layered.json", {"n": 2, "m": 1, "edges_vm": [[0, 0]], "edges_mw": [[0, 1]]})
+        assert main(["sc-verify", "--layered", layered, "--mode", "sampled", "--seed", "1"]) == 2
+        assert "ZARANK_PAIR_BUDGET: expected an integer >= 1" in capsys.readouterr().err
+
+
 class TestAttackCommand:
     def test_attack_writes_trace_and_summary(self, tmp_path, sparse_family_file, capsys):
         out = tmp_path / "attack.json"
@@ -354,6 +385,8 @@ class TestSweep:
             ("bounds", {"family": ["x.json"], "A": [float("nan")]}, {}, "spec.grid.A"),
             ("bounds", {"family": ["x.json"]}, {"B": 10**400}, "spec.params.B"),  # beyond float range
             ("attack", {"family": ["x.json"], "mode": ["sym"]}, {"fixed_d": float("inf")}, "spec.params.fixed_d"),
+            ("verify", {"family": ["x.json"]}, {"budget": 0}, "spec.params.budget"),
+            ("sc-verify", {"layered": ["x.json"], "pair_budget": [5, -1]}, {}, "spec.grid.pair_budget"),
         ],
     )
     def test_malformed_spec_rejected(self, tmp_path, capsys, command, grid, params, field):

@@ -1,6 +1,6 @@
 """Exit-code fuzzing: malformed family and layered documents and odd flag
-values reach every loading command, which must exit 0, 1 or 2 and never
-print a traceback.
+values reach every loading command, and malformed sweep specs reach
+``sweep``; each must exit 0, 1 or 2 and never print a traceback.
 
 Sizes and indices stay in [-1, 12] and budgets stay small, because a loader
 allocates O(n) and an exhaustive check grows with C(n, k)^2.
@@ -89,7 +89,7 @@ def _flag(flag: str, good: list, bad: list | tuple = ()) -> st.SearchStrategy:
 
 
 _CONSTANT = ([0.01, 0.5, 3], [-1, 0, "nan"])
-_BUDGET = ([0, 1, 50, 1000], [-1])
+_BUDGET = ([1, 50, 1000], [-1, 0])
 _ARGS = {
     "verify": st.tuples(_flag("--k", [1, 2, 3], [-1, 0, 12]), _flag("--budget", *_BUDGET)),
     "bounds": st.tuples(*(_flag(f"--{name}", *_CONSTANT) for name in "ABCD")),
@@ -103,7 +103,7 @@ _ARGS = {
     ),
     "sc-verify": st.tuples(
         _flag("--k-range", ["all", "1", "2..3"], ["0", "3..1", "x", "13"]),
-        st.sampled_from([1, 50, 3000]).map(lambda budget: ["--pair-budget", str(budget)]),
+        st.sampled_from([1, 50, 3000, 0, -1]).map(lambda budget: ["--pair-budget", str(budget)]),
         st.sampled_from([[], ["--mode", "sampled", "--seed", "1"]]),
         _flag("--samples", [1, 4], [-1, 0]),
     ),
@@ -125,6 +125,81 @@ _CASES = st.sampled_from(sorted(_ARGS)).flatmap(
 )
 
 
+# Sweep axes per command: parameter -> (good values, bad values). The
+# parameters in _ALWAYS are set in every spec, which keeps exhaustive
+# sc-verify within a small pair budget.
+_AXES = {
+    "verify": {"k": ([1, 2, 3], [-1, 0, 12, "2"]), "budget": ([1, 50, 1000], [-1, 0, 2.5])},
+    "bounds": {name: ([0.01, 0.5, 3], [-1, 0, "nan", None]) for name in "ABCD"},
+    "attack": {
+        "mode": (["sym", "asym"], ["x", 1]),
+        "trials": ([1, 2, 3], [-1, 0, True]),
+        "marked": (["", "0", "0,1"], ["x", 7]),
+        "truncation": (["exact", "none"], ["x"]),
+        "budget": ([1, 50, 1000], [-1, 0, "9"]),
+    },
+    "sc-verify": {
+        "pair_budget": ([1, 50, 3000], [-1, 0]),
+        "mode": (["exhaustive", "sampled"], ["x"]),
+        "samples": ([1, 4], [-1, 0]),
+        "k_range": (["all", "1", "2..3"], ["0", "x", 3]),
+    },
+    "sc-analyze": {"theorem": ([7, 8], [6, "7"]), "B": ([0.01, 3], [-1, 0]), "D": ([0.01, 3], [-1, 0])},
+}
+_ALWAYS = {"mode", "pair_budget", "theorem"}
+_BREAKS = [None, None, None, "grid scalar", "grid empty", "grid object", "params list", "no seed",
+           "unknown key", "command", "output_csv"]
+
+
+@st.composite
+def _sweep_case(draw) -> tuple[dict, dict]:
+    """An input document and a sweep spec over it: well typed, with bad
+    values on its axes, or broken at one drawn place."""
+    command = draw(st.sampled_from(sorted(_AXES)))
+    flag, documents = _INPUT[command]
+    build = _family if flag == "--family" else _layered
+    documents = st.one_of(build(st.none()), build(st.none()), documents)
+    grid, params = {"seed": [1]}, {flag[2:]: "input.json"}
+    for name, (good, bad) in _AXES[command].items():
+        if name not in _ALWAYS and draw(st.booleans()):
+            continue
+        pick = st.one_of(st.sampled_from(good), st.sampled_from(good), st.sampled_from([*good, *bad]))
+        values = draw(st.lists(pick, min_size=1, max_size=2))
+        if draw(st.booleans()):
+            grid[name] = values
+        else:
+            params[name] = values[0]
+    spec = {"command": command, "grid": grid, "params": params, "output_csv": "out.csv"}
+    broken = draw(st.sampled_from(_BREAKS))
+    if broken == "grid scalar":
+        grid["seed"] = 1
+    elif broken == "grid empty":
+        grid["seed"] = []
+    elif broken == "grid object":
+        spec["grid"] = [grid]
+    elif broken == "params list":
+        spec["params"] = list(params)
+    elif broken == "no seed":
+        del grid["seed"]
+    elif broken == "unknown key":
+        grid["colour"] = ["red"]
+    elif broken == "command":
+        spec["command"] = draw(st.sampled_from(["sweep", "nope", 3, None]))
+    elif broken == "output_csv":
+        spec["output_csv"] = draw(_ODD)
+    return draw(documents), spec
+
+
+def _exit_code(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value
+            rc = exc.code
+    return rc, err.getvalue()
+
+
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_CASES)
 def test_malformed_input_exits_cleanly(tmp_path, case):
@@ -132,11 +207,17 @@ def test_malformed_input_exits_cleanly(tmp_path, case):
     path = tmp_path / "input.json"
     save_json(path, doc)
     argv = [command, _INPUT[command][0], str(path), *itertools.chain.from_iterable(extra)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = main(argv)
-        except SystemExit as exc:  # argparse rejects a flag value
-            rc = exc.code
-    assert rc in (0, 1, 2), (argv, doc, err.getvalue())
-    assert "Traceback" not in err.getvalue(), (argv, doc)
+    rc, err = _exit_code(argv)
+    assert rc in (0, 1, 2), (argv, doc, err)
+    assert "Traceback" not in err, (argv, doc)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_sweep_case())
+def test_malformed_sweep_spec_exits_cleanly(tmp_path, case):
+    doc, spec = case
+    save_json(tmp_path / "input.json", doc)
+    save_json(tmp_path / "spec.json", spec)
+    rc, err = _exit_code(["sweep", "--spec", str(tmp_path / "spec.json"), "--force"])
+    assert rc in (0, 1, 2), (spec, doc, err)
+    assert "Traceback" not in err, (spec, doc)

@@ -23,7 +23,6 @@ from zarank.core import (
     layered_from_json,
     layered_to_json,
     mask_of,
-    transpose,
     transpose_masks,
     union_of,
 )
@@ -121,22 +120,27 @@ class TestUnion:
             assert base.adj[v] & ~bigger.adj[v] == 0
 
 
+def flipped(g):
+    """The transposed graph, built from the column view."""
+    return BipartiteGraph(g.n_right, g.n_left, g.cols)
+
+
 class TestTranspose:
     def test_empty(self):
         g = BipartiteGraph.empty(3, 2)
-        t = transpose(g)
+        t = flipped(g)
         assert (t.n_left, t.n_right, t.edge_count) == (2, 3, 0)
 
     def test_single_edge(self):
         g = BipartiteGraph.from_edges(2, 2, [(0, 1)])
-        assert transpose(g).has_edge(1, 0)
-        assert transpose(g).edge_count == 1
+        assert flipped(g).has_edge(1, 0)
+        assert flipped(g).edge_count == 1
 
     def test_involution_random(self):
         rng = random.Random(5)
         for _ in range(20):
             g = random_graph(rng, 8, 8, 0.4)
-            assert transpose(transpose(g)) == g
+            assert flipped(flipped(g)) == g
 
     def test_masks_match_has_bit_reference(self):
         def reference(rows, n_cols):
@@ -160,6 +164,28 @@ class TestTranspose:
             assert cols == reference(rows, n_cols), (rows, n_cols)
             if n_rows:
                 assert transpose_masks(cols, n_rows) == rows
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_union_columns_are_the_transpose(self, data):
+        n = data.draw(st.integers(1, 9))
+        side = st.lists(st.integers(0, n - 1), max_size=n)
+        pairs = data.draw(st.lists(st.tuples(side, side), max_size=5))
+        g = union_of(BicliqueFamily.from_index_lists(n, 1, pairs))
+        assert list(g.cols) == transpose_masks(g.adj, n)
+        assert flipped(flipped(g)) == g
+
+    def test_columns_take_no_part_in_equality(self):
+        rows = (0b01, 0b11, 0b10)
+        fresh, computed = BipartiteGraph(3, 2, rows), BipartiteGraph(3, 2, rows)
+        assert computed.cols == (0b011, 0b110)
+        assert "cols" in vars(computed) and "cols" not in vars(fresh)
+        assert fresh == computed and hash(fresh) == hash(computed)
+        fam = BicliqueFamily.from_index_lists(2, 1, [([0, 1], [0]), ([1], [1])])
+        filled = union_of(fam)
+        assert "cols" in vars(filled)
+        assert filled == BipartiteGraph(2, 2, filled.adj)
+        assert hash(filled) == hash(BipartiteGraph(2, 2, filled.adj))
 
     def test_middle_in_masks_cached_and_immutable(self):
         g = LayeredGraph.from_edge_lists(3, 2, [(0, 1), (2, 1), (1, 0)], [(0, 0)])
@@ -231,6 +257,50 @@ class TestSerialization:
         doc = {"n": 4, "k": 1, "bicliques": [{"left": [True], "right": []}]}
         with pytest.raises(SchemaError):
             family_from_json(doc)
+
+
+def _family_doc(left):
+    return {"n": 4, "k": 2, "bicliques": [{"left": [0, 1], "right": [2]}, {"left": left, "right": [0]}]}
+
+
+def _graph_doc(pair):
+    return {"n_left": 3, "n_right": 2, "edges": [[0, 1], [2, 0], pair]}
+
+
+class TestLoaderMessages:
+    """The loaders validate at C level and word errors on a slow path; these
+    texts pin the wording, one case per malformed shape."""
+
+    @pytest.mark.parametrize(
+        "load, doc, message",
+        [
+            (family_from_json, _family_doc([0, True]), "family.bicliques[1].left[1]: expected an integer, got True"),
+            (family_from_json, _family_doc([1, -1]), "family.bicliques[1].left[1]: vertex index -1 out of range for n=4"),
+            (family_from_json, _family_doc([3, 4]), "family.bicliques[1].left[1]: vertex index 4 out of range for n=4"),
+            (family_from_json, _family_doc([2.0]), "family.bicliques[1].left[0]: expected an integer, got 2.0"),
+            (family_from_json, _family_doc("0,1"), "family.bicliques[1].left: expected a list of vertex indices"),
+            (graph_from_json, _graph_doc([1, 1, 0]), "graph.edges[2]: expected a [from, to] pair"),
+            (graph_from_json, _graph_doc({"from": 1, "to": 1}), "graph.edges[2]: expected a [from, to] pair"),
+            (graph_from_json, _graph_doc([1, False]), "graph.edges[2].to: expected an integer, got False"),
+            (graph_from_json, _graph_doc([-1, 0]), "graph.edges[2].from: index -1 out of range for size 3"),
+            (graph_from_json, _graph_doc([1, 2]), "graph.edges[2].to: index 2 out of range for size 2"),
+            (graph_from_json, _graph_doc([1.0, 0]), "graph.edges[2].from: expected an integer, got 1.0"),
+            (
+                layered_from_json,
+                {"n": 3, "m": 2, "edges_vm": "edges", "edges_mw": []},
+                "layered.edges_vm: expected a list of [from, to] pairs",
+            ),
+            (
+                layered_from_json,
+                {"n": 3, "m": 2, "edges_vm": [[0, 0]], "edges_mw": [[1, 2], [2, 0]]},
+                "layered.edges_mw[1].from: index 2 out of range for size 2",
+            ),
+        ],
+    )
+    def test_exact_message(self, load, doc, message):
+        with pytest.raises(SchemaError) as info:
+            load(doc)
+        assert str(info.value) == message
 
 
 class TestRandomSource:

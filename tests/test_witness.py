@@ -1,12 +1,15 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zarank.witness
-from oracles import naive_bipartite_witness
+from oracles import compressed_domain_search, naive_bipartite_witness
 from zarank.construct import construct_until_verified
-from zarank.core import BipartiteGraph, RandomSource, transpose, union_of
+from zarank.core import BipartiteGraph, RandomSource, union_of
 from zarank.witness import WitnessConfig, has_kxk_independent_set
 
 
@@ -111,7 +114,7 @@ class TestHasKxk:
                 continue
             assert (
                 has_kxk_independent_set(g, k).found
-                == has_kxk_independent_set(transpose(g), k).found
+                == has_kxk_independent_set(BipartiteGraph(g.n_right, g.n_left, g.cols), k).found
             )
 
     def test_monotone_under_edge_addition(self):
@@ -232,3 +235,44 @@ class TestHasKxk:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             has_kxk_independent_set(BipartiteGraph.empty(3, 3), 4)
+
+
+class TestDomains:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_domain_search_matches_compressed_copy(self, data):
+        # Same witness, node count and completeness as searching the induced
+        # subgraph renumbered, in both phases and under tight budgets; the
+        # domains include empty ones and ones smaller than k.
+        n_left, n_right = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        rows = tuple(data.draw(st.lists(st.integers(0, (1 << n_right) - 1), min_size=n_left, max_size=n_left)))
+        g = BipartiteGraph(n_left, n_right, rows)
+        k = data.draw(st.integers(1, min(3, n_left, n_right)))
+        left = data.draw(st.integers(0, (1 << n_left) - 1))
+        right = data.draw(st.integers(0, (1 << n_right) - 1))
+        config = WitnessConfig(node_budget=data.draw(st.sampled_from([1, 3, 10_000_000])))
+        with mock.patch.object(zarank.witness, "_PROBE_NODES", data.draw(st.sampled_from([1, 20_000]))):
+            got = has_kxk_independent_set(g, k, config, left, right)
+            assert got == compressed_domain_search(g, k, left, right, config)
+        if got.found:
+            assert all(left >> v & 1 for v in got.S) and all(right >> w & 1 for w in got.T)
+
+    def test_full_domains_are_the_default(self):
+        rng = random.Random(43)
+        for _ in range(50):
+            g = random_graph(rng, rng.randint(2, 9), rng.randint(2, 9), rng.choice([0.2, 0.5]))
+            k = rng.randint(1, 2)
+            full = (1 << g.n_left) - 1, (1 << g.n_right) - 1
+            assert has_kxk_independent_set(g, k, None, *full) == has_kxk_independent_set(g, k)
+
+    def test_small_domain_holds_no_witness(self):
+        g = BipartiteGraph.empty(5, 5)
+        for left, right in ((0, 0b11111), (0b11111, 0), (0b11, 0b11111)):
+            res = has_kxk_independent_set(g, 3, None, left, right)
+            assert (res.found, res.S, res.T, res.nodes_explored, res.complete) == (False, None, None, 0, True)
+
+    def test_domain_outside_graph_rejected(self):
+        g = BipartiteGraph.empty(3, 3)
+        for left, right in ((0b1000, 0b111), (0b111, -1)):
+            with pytest.raises(ValueError, match="domain"):
+                has_kxk_independent_set(g, 1, None, left, right)
