@@ -317,15 +317,9 @@ class BoundReport:
         return doc
 
 
-def bound_report(
-    family: BicliqueFamily,
-    graph: BipartiteGraph | None = None,
-    constants: Constants = Constants(),
-) -> BoundReport:
-    if graph is None:
-        graph = union_of(family)
+def bound_report(family: BicliqueFamily, constants: Constants = Constants()) -> BoundReport:
     profile = profile_from_family(family)
-    kst = kst_check(graph, family.k)
+    kst = kst_check(union_of(family), family.k)
     if family.k >= 2:
         degree = kst_degree_lower_bound(family.n, family.k)
         hansel = hansel_check(

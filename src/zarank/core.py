@@ -128,12 +128,7 @@ class BipartiteGraph:
 
     @classmethod
     def from_edges(cls, n_left: int, n_right: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        rows = [0] * n_left
-        for v, w in edges:
-            if not 0 <= v < n_left or not 0 <= w < n_right:
-                raise ValueError(f"edge ({v}, {w}) outside {n_left}x{n_right}")
-            rows[v] |= 1 << w
-        return cls(n_left, n_right, tuple(rows))
+        return cls(n_left, n_right, _checked_rows(edges, n_left, n_right, "edge"))
 
     @property
     def edge_count(self) -> int:
@@ -185,7 +180,14 @@ def union_of(family: BicliqueFamily) -> BipartiteGraph:
 
 @dataclass(frozen=True)
 class LayeredGraph:
-    """Tripartite V-M-W graph; all edges go V->M or M->W. |V| = |W| = n."""
+    """Tripartite V-M-W graph; all edges go V->M or M->W. |V| = |W| = n.
+
+    ``middle_in`` (per middle vertex, its V in-neighbours) and ``into_w`` (per
+    W vertex, the middles reaching it) are the column views of ``adj_vm`` and
+    ``adj_mw``. Like ``BipartiteGraph.cols`` each is computed once per graph,
+    or filled by whoever built the rows, and takes no part in ``==`` or
+    ``hash``.
+    """
 
     n: int
     m: int
@@ -212,30 +214,23 @@ class LayeredGraph:
         edges_vm: Iterable[tuple[int, int]],
         edges_mw: Iterable[tuple[int, int]],
     ) -> "LayeredGraph":
-        vm = [0] * n
-        for v, u in edges_vm:
-            if not 0 <= v < n or not 0 <= u < m:
-                raise ValueError(f"V->M edge ({v}, {u}) outside {n}x{m}")
-            vm[v] |= 1 << u
-        mw = [0] * m
-        for u, w in edges_mw:
-            if not 0 <= u < m or not 0 <= w < n:
-                raise ValueError(f"M->W edge ({u}, {w}) outside {m}x{n}")
-            mw[u] |= 1 << w
-        return cls(n, m, tuple(vm), tuple(mw))
+        return cls(
+            n,
+            m,
+            _checked_rows(edges_vm, n, m, "V->M edge"),
+            _checked_rows(edges_mw, m, n, "M->W edge"),
+        )
 
     @cached_property
-    def _middle_in(self) -> tuple[int, ...]:
+    def middle_in(self) -> tuple[int, ...]:
         return tuple(transpose_masks(self.adj_vm, self.m))
 
-    def middle_in_masks(self) -> tuple[int, ...]:
-        """Per middle vertex, the bitmask of its V-side in-neighbors.
-
-        Computed once per graph; a tuple, so callers copy before writing."""
-        return self._middle_in
+    @cached_property
+    def into_w(self) -> tuple[int, ...]:
+        return tuple(transpose_masks(self.adj_mw, self.n))
 
     def in_degrees(self) -> list[int]:
-        return [mask.bit_count() for mask in self.middle_in_masks()]
+        return [mask.bit_count() for mask in self.middle_in]
 
     def out_degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj_mw]
@@ -342,14 +337,36 @@ def _index_list(raw: object, n: int, where: str) -> list[int]:
     return raw
 
 
+def _all_pairs(pairs: Sequence[Sequence[object]], n_from: int, n_to: int) -> bool:
+    """True iff every pair is two plain ints in [0, n_from) x [0, n_to);
+    checked at C level."""
+    return not pairs or (
+        set(map(len, pairs)) == {2} and all(map(_all_indices, zip(*pairs), (n_from, n_to)))
+    )
+
+
+def _rows(pairs: Iterable[Sequence[int]], n_rows: int) -> tuple[int, ...]:
+    """One target mask per source vertex of an already checked edge list."""
+    rows = [0] * n_rows
+    for v, w in pairs:
+        rows[v] |= 1 << w
+    return tuple(rows)
+
+
+def _checked_rows(edges: Iterable[Sequence[int]], n_from: int, n_to: int, what: str) -> tuple[int, ...]:
+    """``_rows`` of an edge list from a caller; the first bad edge raises
+    ``ValueError``."""
+    pairs = list(map(tuple, edges))
+    if not _all_pairs(pairs, n_from, n_to):
+        bad = next(pair for pair in pairs if not _all_pairs([pair], n_from, n_to))
+        raise ValueError(f"{what} {bad} outside {n_from}x{n_to}")
+    return _rows(pairs, n_from)
+
+
 def _edge_list(raw: object, n_from: int, n_to: int, where: str) -> list[list[int]]:
     if not isinstance(raw, list):
         raise SchemaError(f"{where}: expected a list of [from, to] pairs")
-    if raw and not (
-        set(map(type, raw)) == {list}
-        and set(map(len, raw)) == {2}
-        and all(map(_all_indices, zip(*raw), (n_from, n_to)))
-    ):
+    if not (set(map(type, raw)) <= {list} and _all_pairs(raw, n_from, n_to)):
         # The slow path only words the first error.
         for pos, pair in enumerate(raw):
             if not (isinstance(pair, list) and len(pair) == 2):
@@ -406,7 +423,7 @@ def graph_from_json(doc: object) -> BipartiteGraph:
     if n_left < 0 or n_right < 0:
         raise SchemaError("graph: side sizes must be >= 0")
     edges = _edge_list(doc.get("edges"), n_left, n_right, "graph.edges")
-    return BipartiteGraph.from_edges(n_left, n_right, edges)
+    return BipartiteGraph(n_left, n_right, _rows(edges, n_left))
 
 
 def layered_to_json(g: LayeredGraph) -> dict:
@@ -424,7 +441,7 @@ def layered_from_json(doc: object) -> LayeredGraph:
         raise SchemaError("layered: layer sizes must be >= 0")
     edges_vm = _edge_list(doc.get("edges_vm"), n, m, "layered.edges_vm")
     edges_mw = _edge_list(doc.get("edges_mw"), m, n, "layered.edges_mw")
-    return LayeredGraph.from_edge_lists(n, m, edges_vm, edges_mw)
+    return LayeredGraph(n, m, _rows(edges_vm, n), _rows(edges_mw, m))
 
 
 _LEAVES = (int, float, str, type(None))  # JSON scalars; bool is an int

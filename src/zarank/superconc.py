@@ -2,15 +2,15 @@
 
 A (S, T, k) query is a unit-capacity flow problem with split middle vertices,
 so the flow value is the maximum number of vertex disjoint V-M-W paths.
-Exhaustive verification of every k in 1..b needs no flow at all: by Menger's
-theorem it reduces to the Hall-type condition |N(S) & N(T)| >= |S| over
-equal-size S, T with bitmask neighbourhoods, and a max-flow runs only to
-report a counterexample's flow value. Other k lists (a range starting above
-1, or one with gaps), sampled verification and ``max_disjoint_paths`` still
-run a max-flow per pair. The audits reproduce the bookkeeping of the two lower
-bound arguments at instance scale: degree balancing, the High/Medium/Low split
-against (n/k) times a threshold, the disjoint ladder of k values, and the
-entropy condition on the middle-vertex profile.
+Exhaustive verification scans (k, S, T) in lex order. Once every smaller k
+has passed, Menger's theorem reduces a k to the Hall-type condition
+|N(S) & N(T)| >= k over bitmask neighbourhoods, so a prefix 1..b of k values
+needs no flow at all; a k reached past a gap in the list runs a max-flow per
+pair, and a counterexample's flow is computed once, for the report. Sampled
+verification runs a max-flow per pair. The audits reproduce the bookkeeping
+of the two lower bound arguments at instance scale: degree balancing, the
+High/Medium/Low split against (n/k) times a threshold, the disjoint ladder of
+k values, and the entropy condition on the middle-vertex profile.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .bounds import (
+    NormalizedProfile,
     asymmetric_condition,
     asymmetric_value_at,
     profile_from_family,
@@ -187,7 +188,10 @@ def _depth_two_flow(
 
 def max_disjoint_paths(g: LayeredGraph, sources: Iterable[int], sinks: Iterable[int]) -> int:
     """Maximum number of vertex-disjoint V->M->W paths from S to T."""
-    return _depth_two_flow(g.adj_vm, g.adj_mw, sorted(set(sources)), mask_of(sinks))
+    s_list, t_list = sorted(set(sources)), sorted(set(sinks))
+    if any(ends and not 0 <= ends[0] <= ends[-1] < g.n for ends in (s_list, t_list)):
+        raise ValueError(f"sources and sinks must lie in [0, {g.n})")
+    return _depth_two_flow(g.adj_vm, g.adj_mw, s_list, mask_of(t_list))
 
 
 @dataclass(frozen=True)
@@ -220,35 +224,39 @@ def _union_over(masks: Sequence[int], combo: Sequence[int]) -> int:
     return acc
 
 
-def _hall_scan(g: LayeredGraph, ks: list[int]) -> ScVerdict:
-    """Exhaustive verification of k = 1..b without per-pair flow.
+def _exhaustive_scan(g: LayeredGraph, ks: list[int]) -> ScVerdict:
+    """Every (k, S, T) in lex order, up to the first pair with fewer than k
+    disjoint paths.
 
     By Menger's theorem a pair of k-sets S, T has fewer than k disjoint paths
     iff some A in S, B in T have |N(A) & N(B)| < |A| + |B| - k; trimming the
     larger of A, B then gives a pair of size min(|A|, |B|) with
-    |N(A) & N(B)| < min(|A|, |B|). So the smallest failing k is the smallest
-    j with a Hall violation |N(S) & N(T)| < j, |S| = |T| = j, and at that j
-    the failing pairs are exactly the violating pairs. Scanning (j, S, T) in
-    lex order therefore meets the same first counterexample, after the same
-    number of pairs, as the per-pair flow; the flow runs once, to compute the
-    reported max_flow and confirm the deficit.
+    |N(A) & N(B)| < min(|A|, |B|). So when every smaller k has passed, the
+    failing pairs of k-sets are exactly the Hall violations |N(S) & N(T)| < k:
+    one AND and one popcount decide a pair, and a violation's flow runs once,
+    to report its max_flow and confirm the deficit. That holds at the k in
+    position k - 1 of the sorted list; at any other k the Hall cutoff is set
+    above every popcount, so each pair runs a max-flow.
     """
     n = g.n
-    into_w = transpose_masks(g.adj_mw, n)  # per W vertex: middles reaching it
     pairs_before = 0
-    for j in ks:
-        combos = list(combinations(range(n), j))
-        t_unions = [_union_over(into_w, c) for c in combos]
+    for pos, k in enumerate(ks):
+        hall = k == pos + 1
+        cutoff = k if hall else g.m + 1
+        combos = list(combinations(range(n), k))
+        t_unions = [_union_over(g.into_w, c) for c in combos]
         for si, s_combo in enumerate(combos):
             s_union = _union_over(g.adj_vm, s_combo)
             for ti, t_union in enumerate(t_unions):
-                if (s_union & t_union).bit_count() < j:
-                    t_combo = combos[ti]
-                    flow = max_disjoint_paths(g, s_combo, t_combo)
-                    if flow >= j:
-                        raise AssertionError("internal error: Hall violation without a flow deficit")
+                if (s_union & t_union).bit_count() >= cutoff:
+                    continue
+                t_combo = combos[ti]
+                flow = max_disjoint_paths(g, s_combo, t_combo)
+                if flow < k:
                     pairs = pairs_before + si * len(combos) + ti + 1
-                    return ScVerdict(False, (j, s_combo, t_combo, flow), tuple(ks), "exhaustive", pairs)
+                    return ScVerdict(False, (k, s_combo, t_combo, flow), tuple(ks), "exhaustive", pairs)
+                if hall:
+                    raise AssertionError("internal error: Hall violation without a flow deficit")
         pairs_before += len(combos) ** 2
     return ScVerdict(True, None, tuple(ks), "exhaustive", pairs_before)
 
@@ -263,14 +271,14 @@ def verify_superconcentrator(
 ) -> ScVerdict:
     """Check k disjoint paths for every (or a sampled set of) S, T pairs.
 
-    Exhaustive mode covers all C(n,k)^2 pairs per k and is complete. When the
-    k values are a prefix 1..b (``"all"`` included) it runs a Hall-type scan,
-    one AND and one popcount per pair, and computes a max-flow only for the
-    counterexample it reports; other k lists run a max-flow per pair. Either
-    way the verdict, the first counterexample in (k, S, T) lex order and
-    ``pairs_checked`` are the same, and ``pair_budget`` caps the pair count.
-    Sampled mode draws ``samples`` uniform pairs per k, runs a max-flow on
-    each, and can only refute.
+    Exhaustive mode covers all C(n,k)^2 pairs per k and is complete. It scans
+    (k, S, T) in lex order and stops at the first counterexample; a k whose
+    smaller k values are all in the list is decided by a Hall-type test, one
+    AND and one popcount per pair, and any other k by a max-flow per pair.
+    ``pairs_checked`` counts the pairs up to and including the counterexample,
+    and ``pair_budget`` caps the total pair count. Sampled mode draws
+    ``samples`` uniform pairs per k, runs a max-flow on each, and can only
+    refute.
     """
     n = g.n
     if k_values == "all":
@@ -279,28 +287,18 @@ def verify_superconcentrator(
         ks = sorted(set(int(k) for k in k_values))
         if any(k < 1 or k > n for k in ks):
             raise ValueError(f"k values must lie in [1, {n}]")
+    if not ks:
+        raise ValueError("no k values to check")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown verification mode {mode!r}")
 
-    pairs_checked = 0
     if mode == "exhaustive":
         total = sum(math.comb(n, k) ** 2 for k in ks)
         if total > pair_budget:
             raise ValueError(
                 f"exhaustive verification needs {total} pair checks, budget is {pair_budget}"
             )
-        if ks == list(range(1, len(ks) + 1)):
-            return _hall_scan(g, ks)
-        for k in ks:
-            for s_combo in combinations(range(n), k):
-                for t_combo in combinations(range(n), k):
-                    pairs_checked += 1
-                    flow = max_disjoint_paths(g, s_combo, t_combo)
-                    if flow < k:
-                        return ScVerdict(
-                            False, (k, s_combo, t_combo, flow), tuple(ks), mode, pairs_checked
-                        )
-        return ScVerdict(True, None, tuple(ks), mode, pairs_checked)
+        return _exhaustive_scan(g, ks)
 
     if samples < 1:
         raise ValueError(f"sampled verification needs samples >= 1, got {samples}")
@@ -308,6 +306,7 @@ def verify_superconcentrator(
         raise ValueError("sampled verification requires a random source")
     gen = rng.rng()
     sampler = SubsetSampler(n, gen)
+    pairs_checked = 0
     for k in ks:
         for _ in range(samples):
             s_combo = tuple(sorted(sampler.draw_list(k)))
@@ -340,11 +339,10 @@ def middle_bicliques(
     Bicliques appear in ascending middle-vertex order, so callers can map
     family indices back to middle ids by sorting their selection.
     """
-    in_masks = g.middle_in_masks()
     order = sorted(set(restrict))
     if any(u < 0 or u >= g.m for u in order):
         raise ValueError(f"middle selection outside [0, {g.m})")
-    left = tuple(in_masks[u] for u in order)
+    left = tuple(g.middle_in[u] for u in order)
     return BicliqueFamily(g.n, k, left, tuple(g.adj_mw[u] for u in order))
 
 
@@ -354,46 +352,34 @@ class MiddleDecomposition:
 
     k: int
     threshold_base: float
-    degree_basis: str  # "balanced" | "v" | "w"
+    degree_basis: str  # "balanced" | "w"
     high: tuple[int, ...]
     medium: tuple[int, ...]
     low: tuple[int, ...]
-    high_edges_v: int
-    high_edges_w: int
     medium_edges_v: int
-    medium_edges_w: int
-    low_edges_v: int
-    low_edges_w: int
 
 
 def decompose(
     g: LayeredGraph, k: int, threshold_base: float, degree: str = "balanced"
 ) -> MiddleDecomposition:
-    """Partition middle vertices into High/Medium/Low by degree against
-    (n/k) * threshold_base and (n/k) / threshold_base."""
+    """Partition middle vertices into High/Medium/Low by degree against the
+    ``medium_band`` cuts (n/k) / threshold_base and (n/k) * threshold_base."""
     if not 1 <= k <= g.n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}")
     if threshold_base <= 1.0:
         raise ValueError(f"threshold base must exceed 1, got {threshold_base}")
-    if degree not in ("balanced", "v", "w"):
+    if degree not in ("balanced", "w"):
         raise ValueError(f"unknown degree basis {degree!r}")
     in_deg = g.in_degrees()
-    out_deg = g.out_degrees()
-    if degree == "balanced":
-        for u in range(g.m):
-            if in_deg[u] != out_deg[u]:
-                raise ValueError(
-                    f"middle vertex {u} has degrees ({in_deg[u]}, {out_deg[u]}); "
-                    "balance the graph first or pick an explicit degree basis"
-                )
-        deg = in_deg
-    elif degree == "v":
-        deg = in_deg
-    else:
-        deg = out_deg
+    deg = g.out_degrees()
+    if degree == "balanced" and in_deg != deg:
+        u = next(u for u in range(g.m) if in_deg[u] != deg[u])
+        raise ValueError(
+            f"middle vertex {u} has degrees ({in_deg[u]}, {deg[u]}); "
+            "balance the graph first or pick an explicit degree basis"
+        )
 
-    hi_cut = (g.n / k) * threshold_base
-    lo_cut = (g.n / k) / threshold_base
+    lo_cut, hi_cut = medium_band(g.n, k, threshold_base)
     high, medium, low = [], [], []
     for u in range(g.m):
         if deg[u] >= hi_cut:
@@ -402,13 +388,6 @@ def decompose(
             low.append(u)
         else:
             medium.append(u)
-
-    def tally(selection: list[int]) -> tuple[int, int]:
-        return sum(in_deg[u] for u in selection), sum(out_deg[u] for u in selection)
-
-    hv, hw = tally(high)
-    mv, mw = tally(medium)
-    lv, lw = tally(low)
     return MiddleDecomposition(
         k=k,
         threshold_base=threshold_base,
@@ -416,12 +395,7 @@ def decompose(
         high=tuple(high),
         medium=tuple(medium),
         low=tuple(low),
-        high_edges_v=hv,
-        high_edges_w=hw,
-        medium_edges_v=mv,
-        medium_edges_w=mw,
-        low_edges_v=lv,
-        low_edges_w=lw,
+        medium_edges_v=sum(in_deg[u] for u in medium),
     )
 
 
@@ -445,7 +419,7 @@ def balance_degrees(g: LayeredGraph, a: float | int = 1, b: float | int = 1) -> 
         raise ValueError(f"target ratio parts must be positive, got ({a}, {b})")
     ratio = Fraction(a) / Fraction(b)
     n, m = g.n, g.m
-    in_masks = g.middle_in_masks()
+    in_masks = g.middle_in
     out_masks = list(g.adj_mw)
     full = (1 << n) - 1
     half = Fraction(1, 2)
@@ -485,9 +459,8 @@ def balance_degrees(g: LayeredGraph, a: float | int = 1, b: float | int = 1) -> 
                 raise ValueError(f"middle vertex {u} needs out-degree {y} > n={n}")
             out_masks[u] |= extra
 
-    balanced = LayeredGraph(
-        n, m, tuple(transpose_masks(new_in, n)), tuple(out_masks)
-    )
+    balanced = LayeredGraph(n, m, tuple(transpose_masks(new_in, n)), tuple(out_masks))
+    balanced.__dict__["middle_in"] = tuple(new_in)  # fills the cached view
     before = g.vm_edge_count + g.mw_edge_count
     after = balanced.vm_edge_count + balanced.mw_edge_count
     if before and after > 2 * before + m:
@@ -499,10 +472,11 @@ def balance_degrees(g: LayeredGraph, a: float | int = 1, b: float | int = 1) -> 
 
 
 def layered_flip(g: LayeredGraph) -> LayeredGraph:
-    """Swap the roles of V and W (reverse every edge)."""
-    new_vm = transpose_masks(g.adj_mw, g.n)  # per old-W vertex: middles reaching it
-    new_mw = transpose_masks(g.adj_vm, g.m)  # per middle: old-V vertices feeding it
-    return LayeredGraph(g.n, g.m, tuple(new_vm), tuple(new_mw))
+    """Swap the roles of V and W (reverse every edge). The flip's rows are
+    the input's column views and its column views the input's rows."""
+    flipped = LayeredGraph(g.n, g.m, g.into_w, g.middle_in)
+    flipped.__dict__.update(middle_in=g.adj_mw, into_w=g.adj_vm)  # fills the cached views
+    return flipped
 
 
 def normalize_for_tradeoff(g: LayeredGraph) -> tuple[LayeredGraph, bool]:
@@ -554,10 +528,18 @@ def threshold_ladder(n: int, threshold_base: float) -> list[int]:
     return rungs
 
 
-def _ladder_disjointness(n: int, ladder: Sequence[int], t: float) -> bool:
-    bands = [medium_band(n, k, t) for k in ladder]
-    # k ascending means bands descending; adjacent half-open bands may touch.
-    return all(bands[i + 1][1] <= bands[i][0] for i in range(len(bands) - 1))
+def _mediums_disjoint(decs: Sequence[MiddleDecomposition]) -> bool:
+    """True iff no middle vertex is Medium at two rungs."""
+    mediums = [dec.medium for dec in decs]
+    return len(set().union(*mediums)) == sum(map(len, mediums))
+
+
+def _live_profile(g: LayeredGraph, dec: MiddleDecomposition) -> tuple[list[int], NormalizedProfile, set[int]]:
+    """The Medium and Low middles in ascending order, the profile of their
+    bicliques at ``dec.k`` (entry i belongs to middle i of the list), and the
+    Low set."""
+    selection = sorted(dec.medium + dec.low)
+    return selection, profile_from_family(middle_bicliques(g, selection, dec.k)), set(dec.low)
 
 
 @dataclass(frozen=True)
@@ -605,20 +587,14 @@ def edge_lower_bound_audit(g: LayeredGraph, constant: float) -> EdgeAuditReport:
     loglog = math.log2(log_n) if log_n > 1 else 0.0
     min_required = math.floor(0.1 * log_n / loglog) if loglog > 0 else 0
 
+    decs = [decompose(balanced, k, t) for k in ladder]
     per_k = []
-    medium_sets = []
-    for k in ladder:
-        dec = decompose(balanced, k, t, degree="balanced")
-        medium_sets.append(set(dec.medium))
-        selection = sorted(dec.medium + dec.low)
-        fam = middle_bicliques(balanced, selection, k)
-        profile = profile_from_family(fam)
+    for k, dec in zip(ladder, decs):
+        selection, profile, low_set = _live_profile(balanced, dec)
         sym_lhs = symmetric_condition(profile, 0.0).lhs
-        low_set = set(dec.low)
         fixedk_lhs = 0.0
-        for idx, u in enumerate(selection):
-            alpha = profile.entries[idx].alpha
-            fixedk_lhs += alpha * alpha if u in low_set else alpha
+        for u, entry in zip(selection, profile.entries):
+            fixedk_lhs += entry.alpha * entry.alpha if u in low_set else entry.alpha
         medium_edges = dec.medium_edges_v  # balanced: V side equals W side
         target = 0.5 * constant * n * log_n
         per_k.append(
@@ -637,11 +613,6 @@ def edge_lower_bound_audit(g: LayeredGraph, constant: float) -> EdgeAuditReport:
             }
         )
 
-    disjoint = all(
-        not (medium_sets[i] & medium_sets[j])
-        for i in range(len(medium_sets))
-        for j in range(i + 1, len(medium_sets))
-    )
     total = g.vm_edge_count + g.mw_edge_count
     target_total = (constant / 20.0) * n * log_n ** 2 / loglog if loglog > 0 else 0.0
     return EdgeAuditReport(
@@ -653,8 +624,9 @@ def edge_lower_bound_audit(g: LayeredGraph, constant: float) -> EdgeAuditReport:
         ladder_min_required=min_required,
         ladder_long_enough=len(ladder) >= min_required,
         bands=bands,
-        bands_disjoint=_ladder_disjointness(n, ladder, t),
-        medium_sets_disjoint=disjoint,
+        # k ascending means bands descending; adjacent half-open bands may touch.
+        bands_disjoint=all(nxt[1] <= prev[0] for prev, nxt in zip(bands, bands[1:])),
+        medium_sets_disjoint=_mediums_disjoint(decs),
         per_k=tuple(per_k),
         total_edges=total,
         total_edges_balanced=balanced.vm_edge_count + balanced.mw_edge_count,
@@ -739,17 +711,7 @@ def tradeoff_audit(g: LayeredGraph, constant: float) -> TradeoffReport:
     # min * L <= total V->M edges, exactly, because the Medium sets are disjoint.
     pigeonhole_exact = medium_v_edges[best] * length <= evm
 
-    medium_sets = [set(dec.medium) for dec in decs]
-    disjoint = all(
-        not (medium_sets[i] & medium_sets[j])
-        for i in range(len(medium_sets))
-        for j in range(i + 1, len(medium_sets))
-    )
-
-    selection = sorted(dec0.medium + dec0.low)
-    fam = middle_bicliques(g, selection, k0)
-    profile = profile_from_family(fam)
-    low_set = set(dec0.low)
+    selection, profile, low_set = _live_profile(g, dec0)
     asym = asymmetric_condition(profile, constant)
     value_at_low = asymmetric_value_at(
         profile, [i for i, u in enumerate(selection) if u in low_set]
@@ -773,7 +735,7 @@ def tradeoff_audit(g: LayeredGraph, constant: float) -> TradeoffReport:
         pigeonhole_exact=pigeonhole_exact,
         high_count_k0=len(dec0.high),
         high_premise_ok=len(dec0.high) < k0,
-        medium_sets_disjoint=disjoint,
+        medium_sets_disjoint=_mediums_disjoint(decs),
         asymmetric_min=asym.min_over_x,
         asymmetric_argmin=tuple(sorted(selection[i] for i in asym.argmin_x)),
         value_at_low=value_at_low,

@@ -21,7 +21,7 @@ from zarank.bounds import (
     profile_from_normalized,
     symmetric_condition,
 )
-from zarank.core import BicliqueFamily, BipartiteGraph, union_of
+from zarank.core import BicliqueFamily, BipartiteGraph
 
 
 class TestBinaryEntropy:
@@ -271,7 +271,7 @@ class TestBoundReport:
         fam = BicliqueFamily.from_index_lists(
             12, 3, [(list(range(6)), list(range(6))), ([6, 7], [8, 9])]
         )
-        report = bound_report(fam, union_of(fam))
+        report = bound_report(fam)
         doc = report.to_json()
         assert doc["n"] == 12 and doc["k"] == 3 and doc["r"] == 2
         assert set(doc["thresholds"]) == {"A", "B", "C", "D"}

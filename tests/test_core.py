@@ -26,6 +26,7 @@ from zarank.core import (
     transpose_masks,
     union_of,
 )
+from zarank.superconc import balance_degrees
 
 
 def random_graph(rng, n_left, n_right, p):
@@ -187,12 +188,32 @@ class TestTranspose:
         assert filled == BipartiteGraph(2, 2, filled.adj)
         assert hash(filled) == hash(BipartiteGraph(2, 2, filled.adj))
 
-    def test_middle_in_masks_cached_and_immutable(self):
-        g = LayeredGraph.from_edge_lists(3, 2, [(0, 1), (2, 1), (1, 0)], [(0, 0)])
-        masks = g.middle_in_masks()
+    def test_layer_views_cached_and_immutable(self):
+        g = LayeredGraph.from_edge_lists(3, 2, [(0, 1), (2, 1), (1, 0)], [(0, 0), (1, 2)])
+        masks = g.middle_in
         assert masks == (0b010, 0b101)
-        assert g.middle_in_masks() is masks
+        assert g.middle_in is masks
+        assert g.into_w == (0b01, 0, 0b10) and g.into_w is g.into_w
         assert g.in_degrees() == [1, 2]
+        fresh = LayeredGraph(g.n, g.m, g.adj_vm, g.adj_mw)
+        assert "middle_in" not in vars(fresh) and "into_w" not in vars(fresh)
+        assert fresh == g and hash(fresh) == hash(g)
+        # balance_degrees fills its result's middle_in from the rows it built.
+        rng = random.Random(43)
+        for _ in range(30):
+            n, m = rng.randint(1, 9), rng.randint(0, 9)
+            vm = tuple(rng.getrandbits(m) if m else 0 for _ in range(n))
+            mw = tuple(rng.getrandbits(n) for _ in range(m))
+            g = LayeredGraph(n, m, vm, mw)
+            if g.vm_edge_count == 0 or g.mw_edge_count == 0:
+                continue
+            for a, b in ((1, 1), (g.vm_edge_count, g.mw_edge_count)):
+                try:
+                    balanced = balance_degrees(g, a, b)
+                except ValueError:
+                    continue
+                assert "middle_in" in vars(balanced)
+                assert list(balanced.middle_in) == transpose_masks(balanced.adj_vm, m)
 
 
 class TestSerialization:
@@ -223,6 +244,28 @@ class TestSerialization:
         doc = {"n_left": 2, "n_right": 2, "edges": [[0, 0], [1, 2]]}
         with pytest.raises(SchemaError, match=r"edges\[1\]"):
             graph_from_json(doc)
+
+    def test_edge_constructors_name_the_first_bad_edge(self):
+        cases = [
+            (lambda: BipartiteGraph.from_edges(2, 3, [(0, 2), (2, 0), (-1, 0)]), "edge (2, 0) outside 2x3"),
+            (lambda: BipartiteGraph.from_edges(2, 3, [[0, 2], [1, -1]]), "edge (1, -1) outside 2x3"),
+            (lambda: BipartiteGraph.from_edges(2, 3, [(0, 1.0)]), "edge (0, 1.0) outside 2x3"),
+            (lambda: BipartiteGraph.from_edges(2, 3, [(0, 1), (0, 1, 2)]), "edge (0, 1, 2) outside 2x3"),
+            (lambda: LayeredGraph.from_edge_lists(3, 2, [(2, 1), (3, 0)], []), "V->M edge (3, 0) outside 3x2"),
+            (lambda: LayeredGraph.from_edge_lists(3, 2, [(0, 0)], [(1, 2), (2, 0)]), "M->W edge (2, 0) outside 2x3"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_edge_constructors_accept_any_iterable(self):
+        g = BipartiteGraph.from_edges(3, 2, ((v, v % 2) for v in range(3)))
+        assert g.adj == (0b01, 0b10, 0b01)
+        assert BipartiteGraph.from_edges(3, 2, [[2, 1]]) == BipartiteGraph.from_edges(3, 2, {(2, 1)})
+        assert BipartiteGraph.from_edges(3, 2, []) == BipartiteGraph.empty(3, 2)
+        g = LayeredGraph.from_edge_lists(2, 2, zip([0, 1], [1, 1]), iter([[1, 0], (1, 1)]))
+        assert g.adj_vm == (0b10, 0b10) and g.adj_mw == (0, 0b11)
 
     def test_jsonable_encodes_fields_recursively(self):
         class Pair(NamedTuple):

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from oracles import brute_max_two_paths
-from zarank.core import LayeredGraph, RandomSource
+from zarank.core import LayeredGraph, RandomSource, transpose_masks
 from zarank.superconc import (
     balance_degrees,
     decompose,
@@ -49,6 +49,13 @@ class TestFlow:
     def test_no_middle_no_paths(self):
         g = LayeredGraph(2, 0, (0, 0), ())
         assert max_disjoint_paths(g, [0], [1]) == 0
+
+    def test_ends_outside_the_graph_rejected(self):
+        g = LayeredGraph(2, 1, (0, 1), (1,))
+        assert max_disjoint_paths(g, [1], [0]) == 1 and max_disjoint_paths(g, [], []) == 0
+        for sources, sinks in [([-1], [0]), ([2], [0]), ([1], [-1]), ([1], [2]), ([0, 1, 5], [0])]:
+            with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
+                max_disjoint_paths(g, sources, sinks)
 
     def test_matches_exhaustive_oracle(self):
         # Sources and sinks come unsorted and with repeats.
@@ -122,6 +129,13 @@ class TestVerify:
         k, s, t, flow = bad.counterexample
         assert k == n and flow == n - 1
 
+    def test_empty_k_list_rejected(self):
+        for g in (complete_layered(3, 3), LayeredGraph(3, 0, (0, 0, 0), ())):
+            with pytest.raises(ValueError, match="no k values"):
+                verify_superconcentrator(g, [])
+            with pytest.raises(ValueError, match="no k values"):
+                verify_superconcentrator(g, [], mode="sampled", samples=2, rng=RandomSource(1))
+
     def test_empty_middle_fails_at_k1(self):
         g = LayeredGraph(3, 0, (0, 0, 0), ())
         verdict = verify_superconcentrator(g, [1])
@@ -163,11 +177,11 @@ class TestVerify:
             ((4, (0, 1, 2, 4), (2, 3, 5, 6), 3), 33),
             ((5, (0, 1, 2, 3, 5), (1, 2, 4, 5, 6), 4), 43),
         ]
-        hall = verify_superconcentrator(g, "all")  # the Hall scan
+        hall = verify_superconcentrator(g, "all")  # decided by the Hall test
         assert (hall.counterexample, hall.pairs_checked) == (
             (4, (0, 1, 2, 3), (0, 1, 2, 3), 3), 3985
         )
-        above = verify_superconcentrator(g, range(5, 9))  # the per-pair flow
+        above = verify_superconcentrator(g, range(5, 9))  # decided by the flow
         assert above.counterexample == (5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4), 3)
         for verdict in sampled + [hall, above]:
             _, S, T, flow = verdict.counterexample
@@ -224,8 +238,10 @@ class TestHallScan:
             lists = [("all", range(1, n + 1)), (range(1, b + 1), range(1, b + 1))]
             if n >= 2:
                 a = rng.randint(2, n)
-                above = range(a, rng.randint(a, n) + 1)  # runs the per-pair flow
+                above = range(a, rng.randint(a, n) + 1)  # decided by the flow
                 lists.append((above, above))
+            # Gaps: Hall-decided levels before the first gap, flow-decided after.
+            lists += [(gaps, gaps) for gaps in ([1, 3], [2, 4], [1, 2, 4]) if gaps[-1] <= n]
             for k_values, ks in lists:
                 verdict = verify_superconcentrator(g, k_values)
                 expect = reference_verdict(g, ks, flow)
@@ -235,6 +251,15 @@ class TestHallScan:
                 refuted += not verdict.is_superconcentrator
                 certified += verdict.certified
         assert refuted > 100 and certified > 100
+
+    def test_level_after_a_gap_is_decided_by_the_flow(self):
+        # V0 and V1 reach only middle 0, so k = 2 fails. At k = 3 all three
+        # middles are in N(V) & N(W), yet the flow is 2.
+        g = LayeredGraph(3, 3, (0b001, 0b001, 0b110), (0b111,) * 3)
+        verdict = verify_superconcentrator(g, [1, 3])
+        assert (verdict.counterexample, verdict.pairs_checked) == ((3, (0, 1, 2), (0, 1, 2), 2), 10)
+        verdict = verify_superconcentrator(g, "all")
+        assert (verdict.counterexample, verdict.pairs_checked) == ((2, (0, 1), (0, 1), 1), 10)
 
 
 class TestMiddleBicliques:
@@ -284,7 +309,7 @@ class TestDecompose:
         rng = random.Random(7)
         for _ in range(20):
             g = random_layered(rng, 10, 8, 0.4, 0.4)
-            dec = decompose(g, 3, 1.5, degree="v")
+            dec = decompose(g, 3, 1.5, degree="w")
             cells = [set(dec.high), set(dec.medium), set(dec.low)]
             assert not (cells[0] & cells[1] or cells[0] & cells[2] or cells[1] & cells[2])
             assert cells[0] | cells[1] | cells[2] == set(range(8))
@@ -303,10 +328,10 @@ class TestDecompose:
 class TestBalance:
     def test_input_graph_unchanged(self):
         g = LayeredGraph.from_edge_lists(4, 2, [(0, 0)], [(0, 0), (0, 1), (1, 2)])
-        before = g.middle_in_masks()
+        before = g.middle_in
         balanced = balance_degrees(g, 1, 1)
         assert balanced.in_degrees() == [2, 1]
-        assert g.middle_in_masks() == before == (0b0001, 0)
+        assert g.middle_in == before == (0b0001, 0)
 
     def test_already_balanced_identity(self):
         g = complete_layered(4, 3)
@@ -332,7 +357,7 @@ class TestBalance:
             [(0, w) for w in (0, 2, 3, 6, 7, 8, 9, 1)] + [(1, 1), (1, 4), (1, 8)] + [(2, 0), (2, 5)],
         )
         balanced = balance_degrees(g, 1, 1)
-        assert balanced.middle_in_masks() == (0b1001111111, 0b1111001101, 0b0010001000)
+        assert balanced.middle_in == (0b1001111111, 0b1111001101, 0b0010001000)
         assert balanced.adj_mw == (0b1111001111, 0b0100111111, 0b0000100001)
 
     def test_never_removes_and_at_most_doubles_per_layer(self):
@@ -473,7 +498,12 @@ class TestLayeredFlip:
         rng = random.Random(31)
         for _ in range(10):
             g = random_layered(rng, 6, 5, 0.5, 0.5)
-            assert layered_flip(layered_flip(g)) == g
+            f = layered_flip(g)
+            assert layered_flip(f) == g
+            # The flip's views are filled, and each is the transpose of its rows.
+            assert "middle_in" in vars(f) and "into_w" in vars(f)
+            assert list(f.middle_in) == transpose_masks(f.adj_vm, f.m)
+            assert list(f.into_w) == transpose_masks(f.adj_mw, f.n)
 
     def test_edge_reversal(self):
         g = LayeredGraph.from_edge_lists(3, 2, [(0, 1)], [(1, 2)])
