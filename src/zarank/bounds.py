@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .core import BicliqueFamily, BipartiteGraph, jsonable, union_of
+from .core import BicliqueFamily, BipartiteGraph, _union_rows, jsonable
 
 __all__ = [
     "Constants",
@@ -319,7 +319,8 @@ class BoundReport:
 
 def bound_report(family: BicliqueFamily, constants: Constants = Constants()) -> BoundReport:
     profile = profile_from_family(family)
-    kst = kst_check(union_of(family), family.k)
+    union = BipartiteGraph(family.n, family.n, _union_rows(family.left, family.right, family.n))
+    kst = kst_check(union, family.k)
     if family.k >= 2:
         degree = kst_degree_lower_bound(family.n, family.k)
         hansel = hansel_check(

@@ -161,20 +161,22 @@ def transpose_masks(rows: Sequence[int], n_cols: int) -> list[int]:
     return [int("".join(col)[::-1], 2) for col in zip(*strings)]
 
 
+def _union_rows(left: Sequence[int], right: Sequence[int], n: int) -> tuple[int, ...]:
+    """Per vertex v of the left sides, the union of the right sides of the
+    bicliques with v on the left."""
+    rows = [0] * n
+    for left_mask, right_mask in zip(left, right):
+        if right_mask:
+            for v in bits(left_mask):
+                rows[v] |= right_mask
+    return tuple(rows)
+
+
 def union_of(family: BicliqueFamily) -> BipartiteGraph:
     """Union graph of a family: edge (v, w) present iff some biclique has v on
     the left and w on the right. Idempotent and order-independent."""
-    rows = [0] * family.n
-    cols = [0] * family.n
-    for left, right in zip(family.left, family.right):
-        if not (left and right):
-            continue
-        for v in bits(left):
-            rows[v] |= right
-        for w in bits(right):
-            cols[w] |= left
-    g = BipartiteGraph(family.n, family.n, tuple(rows))
-    g.__dict__["cols"] = tuple(cols)  # fills the cached column view
+    g = BipartiteGraph(family.n, family.n, _union_rows(family.left, family.right, family.n))
+    g.__dict__["cols"] = _union_rows(family.right, family.left, family.n)  # fills the cached column view
     return g
 
 
@@ -354,13 +356,20 @@ def _rows(pairs: Iterable[Sequence[int]], n_rows: int) -> tuple[int, ...]:
 
 
 def _checked_rows(edges: Iterable[Sequence[int]], n_from: int, n_to: int, what: str) -> tuple[int, ...]:
-    """``_rows`` of an edge list from a caller; the first bad edge raises
+    """``_rows`` of an edge list from a caller, checked in the same pass: the
+    first edge that is not two plain ints in [0, n_from) x [0, n_to) raises
     ``ValueError``."""
-    pairs = list(map(tuple, edges))
-    if not _all_pairs(pairs, n_from, n_to):
-        bad = next(pair for pair in pairs if not _all_pairs([pair], n_from, n_to))
-        raise ValueError(f"{what} {bad} outside {n_from}x{n_to}")
-    return _rows(pairs, n_from)
+    rows = [0] * n_from
+    for edge in edges:
+        try:
+            v, w = edge
+        except (TypeError, ValueError):
+            v = None
+        if type(v) is int is type(w) and 0 <= v < n_from and 0 <= w < n_to:
+            rows[v] |= 1 << w
+        else:
+            raise ValueError(f"{what} {tuple(edge)} outside {n_from}x{n_to}")
+    return tuple(rows)
 
 
 def _edge_list(raw: object, n_from: int, n_to: int, where: str) -> list[list[int]]:

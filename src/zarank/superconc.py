@@ -5,12 +5,15 @@ so the flow value is the maximum number of vertex disjoint V-M-W paths.
 Exhaustive verification scans (k, S, T) in lex order. Once every smaller k
 has passed, Menger's theorem reduces a k to the Hall-type condition
 |N(S) & N(T)| >= k over bitmask neighbourhoods, so a prefix 1..b of k values
-needs no flow at all; a k reached past a gap in the list runs a max-flow per
-pair, and a counterexample's flow is computed once, for the report. Sampled
-verification runs a max-flow per pair. The audits reproduce the bookkeeping
-of the two lower bound arguments at instance scale: degree balancing, the
-High/Medium/Low split against (n/k) times a threshold, the disjoint ladder of
-k values, and the entropy condition on the middle-vertex profile.
+needs no flow at all. Since N(.) only grows with its argument, a depth-first
+search over S-prefixes and T-prefixes skips every extension of a prefix that
+already decides the outcome. A k reached past a gap in the list runs a
+max-flow per pair, and a counterexample's flow is computed once, for the
+report. Sampled verification runs a max-flow per pair. The audits reproduce
+the bookkeeping of the two lower bound arguments at instance scale: degree
+balancing, the High/Medium/Low split against (n/k) times a threshold, the
+disjoint ladder of k values, and the entropy condition on the middle-vertex
+profile.
 """
 
 from __future__ import annotations
@@ -217,11 +220,79 @@ class ScVerdict:
         return {**doc, "certified": self.certified}
 
 
-def _union_over(masks: Sequence[int], combo: Sequence[int]) -> int:
-    acc = 0
-    for v in combo:
-        acc |= masks[v]
-    return acc
+def _lex_rank(combo: Sequence[int], n: int) -> int:
+    """Position of the sorted k-subset ``combo`` of range(n) in
+    ``itertools.combinations`` order."""
+    k = len(combo)
+    rank = 0
+    start = 0
+    for i, c in enumerate(combo):
+        for x in range(start, c):
+            rank += math.comb(n - 1 - x, k - 1 - i)
+        start = c + 1
+    return rank
+
+
+def _first_violating_t(x: int, into_w: Sequence[int], k: int) -> Optional[tuple[int, ...]]:
+    """The lex-first k-set T of W with |x & N(T)| < k, or None.
+
+    Depth-first over T-prefixes in lex order. |x & N(T')| only grows as a
+    prefix T' is extended, so once it reaches k every extension passes and
+    the prefix is not extended.
+    """
+    n = len(into_w)
+    chosen: list[int] = []
+    # One frame per depth: [x & N(prefix), next W vertex to try].
+    stack: list[list[int]] = [[0, 0]]
+    while stack:
+        frame = stack[-1]
+        acc, w = frame
+        if w > n - k + len(chosen):
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        frame[1] = w + 1
+        grown = acc | (x & into_w[w])
+        if grown.bit_count() >= k:
+            continue
+        chosen.append(w)
+        if len(chosen) == k:
+            return tuple(chosen)
+        stack.append([grown, w + 1])
+    return None
+
+
+def _first_hall_violation(g: LayeredGraph, k: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The lex-first pair of k-sets (S, T) with |N(S) & N(T)| < k, or None.
+
+    Depth-first over S-prefixes P in lex order. Every S extending P has
+    N(S) >= N(P), so when no k-set T violates against N(P), no extension of
+    P is visited. At a full S the same T search yields the lex-first T.
+    """
+    n = g.n
+    adj_vm, into_w = g.adj_vm, g.into_w
+    chosen: list[int] = []
+    # One frame per depth: [N(prefix), next V vertex to try].
+    stack: list[list[int]] = [[0, 0]]
+    while stack:
+        frame = stack[-1]
+        acc, v = frame
+        if v > n - k + len(chosen):
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        frame[1] = v + 1
+        grown = acc | adj_vm[v]
+        t_combo = _first_violating_t(grown, into_w, k)
+        if t_combo is None:
+            continue
+        chosen.append(v)
+        if len(chosen) == k:
+            return tuple(chosen), t_combo
+        stack.append([grown, v + 1])
+    return None
 
 
 def _exhaustive_scan(g: LayeredGraph, ks: list[int]) -> ScVerdict:
@@ -232,32 +303,36 @@ def _exhaustive_scan(g: LayeredGraph, ks: list[int]) -> ScVerdict:
     iff some A in S, B in T have |N(A) & N(B)| < |A| + |B| - k; trimming the
     larger of A, B then gives a pair of size min(|A|, |B|) with
     |N(A) & N(B)| < min(|A|, |B|). So when every smaller k has passed, the
-    failing pairs of k-sets are exactly the Hall violations |N(S) & N(T)| < k:
-    one AND and one popcount decide a pair, and a violation's flow runs once,
-    to report its max_flow and confirm the deficit. That holds at the k in
-    position k - 1 of the sorted list; at any other k the Hall cutoff is set
-    above every popcount, so each pair runs a max-flow.
+    failing pairs of k-sets are exactly the Hall violations |N(S) & N(T)| < k,
+    and ``_first_hall_violation`` finds the lex-first one with two pruned
+    depth-first searches instead of visiting every pair. A violation's flow
+    runs once, to report its max_flow and confirm the deficit. That holds at
+    the k in position k - 1 of the sorted list; any other k runs a max-flow
+    per pair. ``pairs_checked`` is the lex rank of the counterexample either
+    way, counting every pair of the earlier levels.
     """
     n = g.n
     pairs_before = 0
     for pos, k in enumerate(ks):
-        hall = k == pos + 1
-        cutoff = k if hall else g.m + 1
-        combos = list(combinations(range(n), k))
-        t_unions = [_union_over(g.into_w, c) for c in combos]
-        for si, s_combo in enumerate(combos):
-            s_union = _union_over(g.adj_vm, s_combo)
-            for ti, t_union in enumerate(t_unions):
-                if (s_union & t_union).bit_count() >= cutoff:
-                    continue
-                t_combo = combos[ti]
+        size = math.comb(n, k)
+        if k == pos + 1:
+            found = _first_hall_violation(g, k)
+            if found is not None:
+                s_combo, t_combo = found
                 flow = max_disjoint_paths(g, s_combo, t_combo)
-                if flow < k:
-                    pairs = pairs_before + si * len(combos) + ti + 1
-                    return ScVerdict(False, (k, s_combo, t_combo, flow), tuple(ks), "exhaustive", pairs)
-                if hall:
+                if flow >= k:
                     raise AssertionError("internal error: Hall violation without a flow deficit")
-        pairs_before += len(combos) ** 2
+                pairs = pairs_before + _lex_rank(s_combo, n) * size + _lex_rank(t_combo, n) + 1
+                return ScVerdict(False, (k, s_combo, t_combo, flow), tuple(ks), "exhaustive", pairs)
+        else:
+            combos = list(combinations(range(n), k))
+            for si, s_combo in enumerate(combos):
+                for ti, t_combo in enumerate(combos):
+                    flow = max_disjoint_paths(g, s_combo, t_combo)
+                    if flow < k:
+                        pairs = pairs_before + si * size + ti + 1
+                        return ScVerdict(False, (k, s_combo, t_combo, flow), tuple(ks), "exhaustive", pairs)
+        pairs_before += size ** 2
     return ScVerdict(True, None, tuple(ks), "exhaustive", pairs_before)
 
 
@@ -273,10 +348,11 @@ def verify_superconcentrator(
 
     Exhaustive mode covers all C(n,k)^2 pairs per k and is complete. It scans
     (k, S, T) in lex order and stops at the first counterexample; a k whose
-    smaller k values are all in the list is decided by a Hall-type test, one
-    AND and one popcount per pair, and any other k by a max-flow per pair.
+    smaller k values are all in the list is decided by a pruned search for a
+    Hall-type violation, and any other k by a max-flow per pair.
     ``pairs_checked`` counts the pairs up to and including the counterexample,
-    and ``pair_budget`` caps the total pair count. Sampled mode draws
+    as a pair-by-pair scan would, and ``pair_budget`` caps that total pair
+    count before any work starts. k values must be plain ints. Sampled mode draws
     ``samples`` uniform pairs per k, runs a max-flow on each, and can only
     refute.
     """
@@ -284,7 +360,11 @@ def verify_superconcentrator(
     if k_values == "all":
         ks = list(range(1, n + 1))
     else:
-        ks = sorted(set(int(k) for k in k_values))
+        ks = list(k_values)
+        for k in ks:
+            if type(k) is not int:
+                raise ValueError(f"k values must be integers, got {k!r}")
+        ks = sorted(set(ks))
         if any(k < 1 or k > n for k in ks):
             raise ValueError(f"k values must lie in [1, {n}]")
     if not ks:

@@ -277,6 +277,20 @@ class TestBoundReport:
         assert set(doc["thresholds"]) == {"A", "B", "C", "D"}
         assert doc["symmetric_lhs"] is not None
 
+    def test_counting_check_reads_the_union_graph(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            n, k = rng.randint(2, 12), 2
+            pairs = [
+                (rng.sample(range(n), rng.randint(0, n)), rng.sample(range(n), rng.randint(0, n)))
+                for _ in range(rng.randint(0, 6))
+            ]
+            fam = BicliqueFamily.from_index_lists(n, k, pairs)
+            edges = {(v, w) for left, right in pairs for v in left for w in right}
+            check = kst_check(BipartiteGraph.from_edges(n, n, edges), k)
+            report = bound_report(fam)
+            assert (report.kst_lhs, report.kst_rhs, report.kst_satisfied) == tuple(check)
+
     def test_asymmetric_family_has_no_symmetric_lhs(self):
         fam = BicliqueFamily.from_index_lists(12, 3, [([0, 1], [2, 3, 4])])
         assert bound_report(fam).symmetric_lhs is None

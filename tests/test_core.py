@@ -251,6 +251,9 @@ class TestSerialization:
             (lambda: BipartiteGraph.from_edges(2, 3, [[0, 2], [1, -1]]), "edge (1, -1) outside 2x3"),
             (lambda: BipartiteGraph.from_edges(2, 3, [(0, 1.0)]), "edge (0, 1.0) outside 2x3"),
             (lambda: BipartiteGraph.from_edges(2, 3, [(0, 1), (0, 1, 2)]), "edge (0, 1, 2) outside 2x3"),
+            (lambda: BipartiteGraph.from_edges(2, 3, [(0, 1), [1]]), "edge (1,) outside 2x3"),
+            (lambda: BipartiteGraph.from_edges(2, 3, [(True, 0)]), "edge (True, 0) outside 2x3"),
+            (lambda: BipartiteGraph.from_edges(2, 3, [(1, False)]), "edge (1, False) outside 2x3"),
             (lambda: LayeredGraph.from_edge_lists(3, 2, [(2, 1), (3, 0)], []), "V->M edge (3, 0) outside 3x2"),
             (lambda: LayeredGraph.from_edge_lists(3, 2, [(0, 0)], [(1, 2), (2, 0)]), "M->W edge (2, 0) outside 2x3"),
         ]

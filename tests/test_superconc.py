@@ -136,6 +136,15 @@ class TestVerify:
             with pytest.raises(ValueError, match="no k values"):
                 verify_superconcentrator(g, [], mode="sampled", samples=2, rng=RandomSource(1))
 
+    def test_non_integer_k_rejected(self):
+        g = LayeredGraph(2, 1, (1, 1), (3,))
+        for k_values in ([1.9], ["2"], [True], [1, 2.0], [None]):
+            with pytest.raises(ValueError, match="k values must be integers"):
+                verify_superconcentrator(g, k_values)
+            with pytest.raises(ValueError, match="k values must be integers"):
+                verify_superconcentrator(g, k_values, mode="sampled", samples=2, rng=RandomSource(1))
+        assert verify_superconcentrator(g, (k for k in [2, 1, 2])).k_checked == (1, 2)
+
     def test_empty_middle_fails_at_k1(self):
         g = LayeredGraph(3, 0, (0, 0, 0), ())
         verdict = verify_superconcentrator(g, [1])
@@ -221,17 +230,22 @@ def reference_verdict(g, ks, flow):
 
 class TestHallScan:
     def test_matches_per_pair_oracle(self):
+        # Up to n = 5 the per-pair flow is the brute-force oracle; at n = 6-7
+        # it is max_disjoint_paths, itself checked against that oracle above.
         rng = random.Random(59)
-        refuted = certified = 0
-        for _ in range(300):
-            n = rng.randint(1, 5)
-            m = rng.randint(0, 7)
+        refuted = certified = certified_large = 0
+        for _ in range(360):
+            n = rng.randint(1, 7)
+            m = rng.randint(0, n + 2)
             g = random_layered(rng, n, m, rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0))
             cache = {}
 
             def flow(s, t):
                 if (s, t) not in cache:
-                    cache[s, t] = brute_max_two_paths(g.adj_vm, g.adj_mw, s, t)
+                    if g.n <= 5:
+                        cache[s, t] = brute_max_two_paths(g.adj_vm, g.adj_mw, s, t)
+                    else:
+                        cache[s, t] = max_disjoint_paths(g, s, t)
                 return cache[s, t]
 
             b = rng.randint(1, n)
@@ -250,7 +264,8 @@ class TestHallScan:
                 assert verdict.k_checked == tuple(ks)
                 refuted += not verdict.is_superconcentrator
                 certified += verdict.certified
-        assert refuted > 100 and certified > 100
+                certified_large += verdict.certified and n >= 6
+        assert refuted > 100 and certified > 100 and certified_large > 50
 
     def test_level_after_a_gap_is_decided_by_the_flow(self):
         # V0 and V1 reach only middle 0, so k = 2 fails. At k = 3 all three
@@ -260,6 +275,75 @@ class TestHallScan:
         assert (verdict.counterexample, verdict.pairs_checked) == ((3, (0, 1, 2), (0, 1, 2), 2), 10)
         verdict = verify_superconcentrator(g, "all")
         assert (verdict.counterexample, verdict.pairs_checked) == ((2, (0, 1), (0, 1), 1), 10)
+
+
+def relabelled(g, perm_v, perm_m, perm_w):
+    """g with V vertex v renamed perm_v[v], and likewise for M and W."""
+    def moved(mask, perm):
+        return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+    vm, mw = [0] * g.n, [0] * g.m
+    for v in range(g.n):
+        vm[perm_v[v]] = moved(g.adj_vm[v], perm_m)
+    for u in range(g.m):
+        mw[perm_m[u]] = moved(g.adj_mw[u], perm_w)
+    return LayeredGraph(g.n, g.m, tuple(vm), tuple(mw))
+
+
+def planted_superconcentrator(rng, n, extra_middles, p):
+    """Middles 0..n-1 receive every V vertex and each sends to one W vertex
+    of a random perfect matching, so any k-sets S, T have k disjoint paths;
+    random edges and ``extra_middles`` more middles come on top."""
+    g = random_layered(rng, n, n + extra_middles, p, p)
+    match = rng.sample(range(n), n)
+    vm = tuple(row | ((1 << n) - 1) for row in g.adj_vm)
+    mw = tuple(row | (1 << match[u]) if u < n else row for u, row in enumerate(g.adj_mw))
+    return LayeredGraph(g.n, g.m, vm, mw)
+
+
+class TestMetamorphic:
+    def test_relabelling_and_flip_keep_the_verdict(self):
+        rng = random.Random(71)
+        verdicts = set()
+        for _ in range(120):
+            n = rng.randint(2, 7)
+            m = rng.randint(1, n + 2)
+            g = random_layered(rng, n, m, rng.uniform(0.4, 1.0), rng.uniform(0.4, 1.0))
+            expect = verify_superconcentrator(g, "all").is_superconcentrator
+            identity_v, identity_m = list(range(n)), list(range(m))
+            for variant in (
+                relabelled(g, rng.sample(range(n), n), identity_m, identity_v),
+                relabelled(g, identity_v, rng.sample(range(m), m), identity_v),
+                relabelled(g, identity_v, identity_m, rng.sample(range(n), n)),
+                layered_flip(g),
+            ):
+                assert verify_superconcentrator(variant, "all").is_superconcentrator == expect, g
+            verdicts.add(expect)
+        assert verdicts == {True, False}
+
+    def test_adding_edges_keeps_a_certified_graph_certified(self):
+        rng = random.Random(73)
+        checked = 0
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            m = rng.randint(1, n + 2)
+            g = random_layered(rng, n, m, rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0))
+            if not verify_superconcentrator(g, "all").certified:
+                continue
+            vm, mw = list(g.adj_vm), list(g.adj_mw)
+            for _ in range(rng.randint(1, 4)):
+                vm[rng.randrange(n)] |= 1 << rng.randrange(m)
+                mw[rng.randrange(m)] |= 1 << rng.randrange(n)
+            assert verify_superconcentrator(LayeredGraph(n, m, tuple(vm), tuple(mw)), "all").certified
+            checked += 1
+        assert checked > 30
+
+    def test_planted_n14_certified_past_the_default_budget(self):
+        g = planted_superconcentrator(random.Random(14), 14, 2, 0.1)
+        with pytest.raises(ValueError, match="budget"):
+            verify_superconcentrator(g, "all")
+        verdict = verify_superconcentrator(g, "all", pair_budget=math.comb(28, 14))
+        assert verdict.certified and verdict.pairs_checked == math.comb(28, 14) - 1
 
 
 class TestMiddleBicliques:
