@@ -233,65 +233,53 @@ def _lex_rank(combo: Sequence[int], n: int) -> int:
     return rank
 
 
-def _first_violating_t(x: int, into_w: Sequence[int], k: int) -> Optional[tuple[int, ...]]:
-    """The lex-first k-set T of W with |x & N(T)| < k, or None.
+def _first_kset(rows: Sequence[int], k: int, cols: Optional[Sequence[int]] = None):
+    """The lex-first k-subset of range(len(rows)) that a depth-first search
+    over its prefixes reaches, or None; with ``cols``, as a pair with the
+    lex-first T that violates against it.
 
-    Depth-first over T-prefixes in lex order. |x & N(T')| only grows as a
-    prefix T' is extended, so once it reaches k every extension passes and
-    the prefix is not extended.
+    A prefix P is extended while it can still lead to a Hall violation.
+    Without ``cols`` (the T side, rows already cut to N(S)) that is while the
+    union of its rows has fewer than k bits. With ``cols`` (the S side) it is
+    while some k-set T violates against the union N(P): every T when
+    |N(P)| < k, the first being 0..k-1, and otherwise the T-side search on
+    the rows ``N(P) & cols[w]`` finds one, run once per distinct N(P).
+    Unions only grow as a prefix is extended, so no extension of a prefix
+    that fails passes either. The search pays off when these prunes fire
+    well above depth k; where they fire only near it, the search can take
+    longer than visiting every pair (README, Performance).
     """
-    n = len(into_w)
+    n = len(rows)
     chosen: list[int] = []
-    # One frame per depth: [x & N(prefix), next W vertex to try].
-    stack: list[list[int]] = [[0, 0]]
+    t_combo = first_t = tuple(range(k))
+    t_of: dict[int, object] = {}  # S side: the T search's result per N(P)
+    # One frame per depth: the union of the prefix's rows and an iterator
+    # over the indices left to try after it.
+    stack = [(0, iter(range(n - k + 1)))]
     while stack:
-        frame = stack[-1]
-        acc, w = frame
-        if w > n - k + len(chosen):
+        acc, untried = stack[-1]
+        for i in untried:
+            grown = acc | rows[i]
+            if cols is None:
+                if grown.bit_count() >= k:
+                    continue
+            elif grown.bit_count() < k:
+                t_combo = first_t  # every T violates against N(P)
+            else:
+                if grown not in t_of:
+                    t_of[grown] = _first_kset([grown & col for col in cols], k)
+                t_combo = t_of[grown]
+                if t_combo is None:
+                    continue
+            chosen.append(i)
+            if len(chosen) == k:
+                return tuple(chosen) if cols is None else (tuple(chosen), t_combo)
+            stack.append((grown, iter(range(i + 1, n - k + len(chosen) + 1))))
+            break
+        else:
             stack.pop()
             if chosen:
                 chosen.pop()
-            continue
-        frame[1] = w + 1
-        grown = acc | (x & into_w[w])
-        if grown.bit_count() >= k:
-            continue
-        chosen.append(w)
-        if len(chosen) == k:
-            return tuple(chosen)
-        stack.append([grown, w + 1])
-    return None
-
-
-def _first_hall_violation(g: LayeredGraph, k: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The lex-first pair of k-sets (S, T) with |N(S) & N(T)| < k, or None.
-
-    Depth-first over S-prefixes P in lex order. Every S extending P has
-    N(S) >= N(P), so when no k-set T violates against N(P), no extension of
-    P is visited. At a full S the same T search yields the lex-first T.
-    """
-    n = g.n
-    adj_vm, into_w = g.adj_vm, g.into_w
-    chosen: list[int] = []
-    # One frame per depth: [N(prefix), next V vertex to try].
-    stack: list[list[int]] = [[0, 0]]
-    while stack:
-        frame = stack[-1]
-        acc, v = frame
-        if v > n - k + len(chosen):
-            stack.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        frame[1] = v + 1
-        grown = acc | adj_vm[v]
-        t_combo = _first_violating_t(grown, into_w, k)
-        if t_combo is None:
-            continue
-        chosen.append(v)
-        if len(chosen) == k:
-            return tuple(chosen), t_combo
-        stack.append([grown, v + 1])
     return None
 
 
@@ -304,9 +292,9 @@ def _exhaustive_scan(g: LayeredGraph, ks: list[int]) -> ScVerdict:
     larger of A, B then gives a pair of size min(|A|, |B|) with
     |N(A) & N(B)| < min(|A|, |B|). So when every smaller k has passed, the
     failing pairs of k-sets are exactly the Hall violations |N(S) & N(T)| < k,
-    and ``_first_hall_violation`` finds the lex-first one with two pruned
-    depth-first searches instead of visiting every pair. A violation's flow
-    runs once, to report its max_flow and confirm the deficit. That holds at
+    and ``_first_kset`` finds the lex-first one with two pruned depth-first
+    searches instead of visiting every pair. A violation's flow runs once,
+    to report its max_flow and confirm the deficit. That holds at
     the k in position k - 1 of the sorted list; any other k runs a max-flow
     per pair. ``pairs_checked`` is the lex rank of the counterexample either
     way, counting every pair of the earlier levels.
@@ -316,7 +304,7 @@ def _exhaustive_scan(g: LayeredGraph, ks: list[int]) -> ScVerdict:
     for pos, k in enumerate(ks):
         size = math.comb(n, k)
         if k == pos + 1:
-            found = _first_hall_violation(g, k)
+            found = _first_kset(g.adj_vm, k, g.into_w)
             if found is not None:
                 s_combo, t_combo = found
                 flow = max_disjoint_paths(g, s_combo, t_combo)
