@@ -597,6 +597,8 @@ def _sweep_point(task: tuple) -> tuple[list, bool]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise SchemaError(f"--jobs: expected an integer >= 1, got {args.jobs}")
     spec_path = Path(args.spec)
     doc = load_json(spec_path)
     if not isinstance(doc, dict):
@@ -616,8 +618,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for index, point in enumerate(_sweep_points(name, grid, params)):
         resolved = {k: str(base_dir / point[k]) for k in paths if point[k] is not None}
         tasks.append((index, name, point, {**point, **resolved}))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, len(tasks))  # the executor starts every worker up front
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(task) for task in tasks]

@@ -12,10 +12,24 @@ hundred nodes, and stops after ``_PROBE_NODES`` nodes. Only if the probe
 stops does the search restart in descending-degree order (fewest
 non-neighbours first), which proves absence with 2-3x fewer nodes, and run it
 to completion. One node budget spans both phases.
+
+The proof runs on every CPU this process may use. Its top-level branches
+(pick the i-th live candidate first, then search what remains after it)
+share no state, since there is no incumbent, so once the first branches
+have taken ``_SERIAL_NODES`` nodes in process, each remaining branch is one
+task for a pool of forked workers. The parent reads the results in branch
+order and adds up their node counts, and stops at the first witness or
+once the sum passes the budget; verdict, witness and ``nodes_explored`` are
+exactly the serial ones, and every worker is stopped before the search
+returns. A worker that exits without a result makes the search raise. The
+proof stays serial on one CPU, where ``fork`` is unavailable, in a process
+that runs other threads, and inside a multiprocessing child (such as a
+``sweep --jobs`` worker). The probe is always serial.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,6 +44,7 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 10_000_000
 _PROBE_NODES = 20_000  # node cap of the ascending-order probe
+_SERIAL_NODES = 2_000  # proof nodes run in process before the rest is split
 
 
 @dataclass(frozen=True)
@@ -80,7 +95,7 @@ class _Budget:
 
 
 def _branch_bound(
-    non_nbrs: Sequence[int], domain: int, k: int, budget: _Budget
+    non_nbrs: Sequence[int], domain: int, k: int, budget: _Budget, workers: int = 1
 ) -> Optional[tuple[int, list[int]]] | str:
     """Search k-subsets of the branch side for a common non-neighborhood of
     size >= k on the other side.
@@ -96,22 +111,48 @@ def _branch_bound(
     Returns (non_neighbor_mask, chosen positions), None when the search space
     is exhausted, or "budget".
 
-    Each node carries its live candidates: the later positions that keep the
-    common non-neighborhood at >= k bits. Common masks only shrink, so a node
-    with fewer live candidates than picks still needed has no completion. The
-    search runs on an explicit stack, so its depth is bounded by k only.
+    With ``workers`` > 1 the top-level branches left after the first
+    ``_SERIAL_NODES`` nodes run on up to that many forked processes
+    (``_split_search``), with the same outcome and node count.
     """
     if not budget.tick():
         return "budget"
     live = [pos for pos in range(len(non_nbrs)) if non_nbrs[pos].bit_count() >= k]
+    branches = len(live) - k + 1
+    first = 0
+    if workers > 1:
+        # Starting workers costs milliseconds, so the first branches run here
+        # until they have taken _SERIAL_NODES nodes; only the rest is split.
+        start = budget.nodes
+        while first < branches - 1 and budget.nodes - start < _SERIAL_NODES:
+            outcome = _search(non_nbrs, domain, k, budget, live, first, first + 1)
+            if outcome is not None:
+                return outcome
+            first += 1
+        if first < branches - 1:
+            return _split_search(non_nbrs, domain, k, budget, live, range(first, branches), workers)
+    return _search(non_nbrs, domain, k, budget, live, first, branches)
+
+
+def _search(
+    non_nbrs: Sequence[int], domain: int, k: int, budget: _Budget, live: list[int], first: int, stop: int
+) -> Optional[tuple[int, list[int]]] | str:
+    """The top-level branches of ``_branch_bound`` that pick ``live[first]``
+    up to ``live[stop - 1]`` first, searched in order.
+
+    Each node carries its live candidates: the later positions that keep the
+    common non-neighborhood at >= k bits. Common masks only shrink, so a node
+    with fewer live candidates than picks still needed has no completion; a
+    frame's stop index is the first candidate with too few after it. The
+    search runs on an explicit stack, so its depth is bounded by k only.
+    """
     chosen: list[int] = []
-    # One frame per depth: [common mask, live candidates, next candidate index].
-    stack: list[list] = [[domain, live, 0]]
+    # One frame per depth: [common mask, live candidates, next index, stop index].
+    stack: list[list] = [[domain, live, first, stop]]
     while stack:
         frame = stack[-1]
-        common, live, i = frame
-        need = k - len(chosen)  # picks still needed, this one included
-        if i > len(live) - need:
+        common, live, i, stop = frame
+        if i >= stop:
             stack.pop()
             if chosen:
                 chosen.pop()
@@ -121,14 +162,107 @@ def _branch_bound(
         shrunk = common & non_nbrs[pos]
         if not budget.tick():
             return "budget"
+        need = k - len(chosen)  # picks still needed, this one included
         if need == 1:
             chosen.append(pos)
             return shrunk, chosen
         rest = [p for p in live[i + 1 :] if (shrunk & non_nbrs[p]).bit_count() >= k]
         if len(rest) >= need - 1:
             chosen.append(pos)
-            stack.append([shrunk, rest, 0])
+            stack.append([shrunk, rest, 0, len(rest) - need + 2])
     return None
+
+
+def _proof_worker(conn, non_nbrs: Sequence[int], domain: int, k: int, limit: int, live: list[int]) -> None:
+    """Search each top-level branch the parent sends within ``limit`` nodes
+    and send back (outcome, nodes)."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+    while True:
+        first = conn.recv()
+        budget = _Budget(limit)
+        conn.send((_search(non_nbrs, domain, k, budget, live, first, first + 1), budget.nodes))
+
+
+def _split_search(
+    non_nbrs: Sequence[int], domain: int, k: int, budget: _Budget, live: list[int], branches: range, workers: int
+) -> Optional[tuple[int, list[int]]] | str:
+    """``_search`` over the top-level ``branches``, one task per branch, on
+    up to ``workers`` forked processes.
+
+    The branches share no state, so each runs alone within what is left of
+    the budget. A worker always holds its next branch in its pipe, so it
+    never waits for the parent; the parent reads the results in branch order
+    and adds up their nodes, and stops at the first witness or once the sum
+    passes the limit (reporting ``limit + 1`` nodes, as ``_Budget`` does).
+    Outcome and node count are the serial ones. Every worker is stopped
+    before this returns or raises; a worker that exits without a result
+    raises ``RuntimeError``.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    args = (non_nbrs, domain, k, budget.limit - budget.nodes, live)
+    procs, queued, results = [], {}, {}  # queued: per worker, its branches in order
+    unsent = iter(branches)
+    try:
+        for _ in range(min(workers, len(branches))):
+            conn, child_conn = ctx.Pipe()
+            queued[conn] = []
+            proc = ctx.Process(target=_proof_worker, args=(child_conn, *args), daemon=True)
+            proc.start()
+            procs.append(proc)
+            child_conn.close()
+        for branch in branches:
+            try:
+                while branch not in results:
+                    for conn, tasks in queued.items():
+                        while len(tasks) < 2 and (task := next(unsent, None)) is not None:
+                            conn.send(task)
+                            tasks.append(task)
+                    for conn in wait([conn for conn, tasks in queued.items() if tasks]):
+                        results[queued[conn].pop(0)] = conn.recv()
+            except (EOFError, OSError) as exc:
+                raise RuntimeError("a witness-search worker exited without a result") from exc
+            outcome, nodes = results.pop(branch)
+            budget.nodes += nodes
+            if budget.nodes > budget.limit:
+                budget.nodes = budget.limit + 1
+                return "budget"
+            if outcome is not None:
+                return outcome
+        return None
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for conn in queued:
+            conn.close()
+
+
+def _proof_workers() -> int:
+    """Processes the absence proof may run on: the CPUs this process may use,
+    or 1 (serial) without ``fork``, in a process that runs other threads
+    (forking one is unsafe), or inside a multiprocessing child, such as a
+    ``sweep --jobs`` worker.
+
+    ``multiprocessing`` is imported here, where a proof first needs it:
+    imported with this module it raised the CLI's peak RSS by about 0.45 MB,
+    although ``zarank.cli`` loads it later anyway.
+    """
+    import multiprocessing
+    import threading
+
+    if (
+        multiprocessing.parent_process() is not None
+        or threading.active_count() > 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def has_kxk_independent_set(
@@ -175,7 +309,7 @@ def has_kxk_independent_set(
     if outcome == "budget" and budget.limit < config.node_budget:
         budget.limit = config.node_budget
         order = [w for _, w in sorted(keyed, key=lambda dw: (-dw[0], dw[1]))]
-        outcome = _branch_bound([other & ~rows[w] for w in order], other, k, budget)
+        outcome = _branch_bound([other & ~rows[w] for w in order], other, k, budget, _proof_workers())
     if outcome == "budget":
         return WitnessResult(None, None, None, budget.nodes, False)
     if outcome is None:

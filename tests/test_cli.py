@@ -1,9 +1,12 @@
 import csv
 import dataclasses
 import json
+import multiprocessing
+import os
 
 import pytest
 
+import zarank.witness
 from zarank import cli
 from zarank.cli import main
 from zarank.core import canonical_dumps, family_from_json, load_json, save_json, union_of
@@ -108,6 +111,17 @@ class TestVerifyCommand:
         assert captured.err == "internal error: RuntimeError('boom')\n"
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
+
+    def test_lost_proof_worker_exits_three(self, tmp_path, sparse_family_file, capsys, monkeypatch):
+        # A proof worker that dies without a result never reads as "absent".
+        monkeypatch.setattr(zarank.witness, "_PROBE_NODES", 1)
+        monkeypatch.setattr(zarank.witness, "_SERIAL_NODES", 0)
+        monkeypatch.setattr(zarank.witness, "_proof_workers", lambda: 2)
+        monkeypatch.setattr(zarank.witness, "_proof_worker", lambda *args: os._exit(1))
+        out = tmp_path / "witness.json"
+        assert main(["verify", "--family", sparse_family_file, "--json-out", str(out)]) == 3
+        assert "worker exited without a result" in capsys.readouterr().err
+        assert not out.exists() and multiprocessing.active_children() == []
 
 
 class TestBudgets:
@@ -339,6 +353,39 @@ class TestSweep:
         serial = (tmp_path / "serial.csv").read_bytes()
         parallel = (tmp_path / "parallel.csv").read_bytes()
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tmp_path, sparse_family_file, capsys, jobs):
+        spec = {"command": "verify", "grid": {"family": [sparse_family_file], "seed": [0]}, "output_csv": "out.csv"}
+        path = write_json(tmp_path / "spec.json", spec)
+        assert main(["sweep", "--spec", path, "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == f"error: --jobs: expected an integer >= 1, got {jobs}\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_jobs_capped_at_grid_points(self, tmp_path, sparse_family_file, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        spec = {"command": "verify", "grid": {"family": [sparse_family_file], "k": [1, 2], "seed": [0]}}
+        two = write_json(tmp_path / "two.json", dict(spec, output_csv="two.csv"))
+        assert main(["sweep", "--spec", two, "--jobs", "64"]) == 1
+        assert started == [2]
+        one = write_json(tmp_path / "one.json", dict(spec, grid=dict(spec["grid"], k=[2]), output_csv="one.csv"))
+        assert main(["sweep", "--spec", one, "--jobs", "8"]) == 1
+        assert started == [2]  # one grid point runs in process
 
     def test_missing_seed_axis_rejected(self, tmp_path, capsys):
         spec = {

@@ -1,4 +1,8 @@
+import multiprocessing
+import os
 import random
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from unittest import mock
 
@@ -276,3 +280,85 @@ class TestDomains:
         for left, right in ((0b1000, 0b111), (0b111, -1)):
             with pytest.raises(ValueError, match="domain"):
                 has_kxk_independent_set(g, 1, None, left, right)
+
+
+class TestSplitProof:
+    """The proof phase split over forked workers reports exactly what the
+    serial search reports: verdict, witness, node count and completeness."""
+
+    @staticmethod
+    def search(monkeypatch, g, k, budget, workers):
+        monkeypatch.setattr(zarank.witness, "_proof_workers", lambda: workers)
+        return has_kxk_independent_set(g, k, WitnessConfig(node_budget=budget))
+
+    @pytest.mark.parametrize("serial_nodes", [0, 6])
+    def test_split_matches_serial(self, monkeypatch, serial_nodes):
+        # Budgets that run out inside the probe, at the proof's root, at its
+        # first branch node and mid-proof, and full ones; a one-node probe
+        # leaves every witness to the proof.
+        monkeypatch.setattr(zarank.witness, "_SERIAL_NODES", serial_nodes)
+        splits = []
+        split_search = zarank.witness._split_search
+        monkeypatch.setattr(zarank.witness, "_split_search", lambda *args: splits.append(1) or split_search(*args))
+        rng = random.Random(53 + serial_nodes)
+        outcomes = set()
+        for case in range(16):
+            probe = rng.choice([1, 1, 5])
+            monkeypatch.setattr(zarank.witness, "_PROBE_NODES", probe)
+            while True:
+                g = random_graph(rng, rng.randint(6, 16), rng.randint(6, 16), rng.choice([0.2, 0.35, 0.5]))
+                k = rng.randint(2, min(4, g.n_left, g.n_right))
+                full = self.search(monkeypatch, g, k, 10_000_000, 1)
+                if full.nodes_explored > probe + 10 + 2 * serial_nodes:
+                    break
+            nodes = full.nodes_explored
+            workers = 2 + case % 2
+            for budget in sorted({probe, probe + 1, probe + 2, (probe + nodes) // 2, nodes - 1, nodes, 10_000_000}):
+                expect = self.search(monkeypatch, g, k, budget, 1)
+                assert self.search(monkeypatch, g, k, budget, workers) == expect
+                outcomes.add((expect.found, expect.nodes_explored > probe + 1))
+        assert len(splits) > 40
+        # found, absent and out of budget, each also past the proof's root
+        assert {(True, True), (False, True), (None, True), (None, False)} <= outcomes
+
+    def test_split_keeps_serial_node_count(self, monkeypatch, union150):
+        for workers in (1, 2, 3):
+            res = self.search(monkeypatch, union150, 10, 10_000_000, workers)
+            assert (res.found, res.nodes_explored, res.complete) == (False, 85_215, True)
+
+    def test_no_worker_outlives_a_search(self, monkeypatch, union150):
+        monkeypatch.setattr(zarank.witness, "_proof_workers", lambda: 2)
+        assert has_kxk_independent_set(union150, 10).found is False
+        assert multiprocessing.active_children() == []
+        res = has_kxk_independent_set(union150, 10, WitnessConfig(node_budget=50_000))
+        assert res.found is None and multiprocessing.active_children() == []
+        # a witness that only the proof finds
+        monkeypatch.setattr(zarank.witness, "_PROBE_NODES", 1)
+        monkeypatch.setattr(zarank.witness, "_SERIAL_NODES", 0)
+        res = has_kxk_independent_set(union150, 7)
+        assert res.found is True and res.nodes_explored > 2
+        assert multiprocessing.active_children() == []
+
+    def test_lost_worker_raises(self, monkeypatch, union150):
+        monkeypatch.setattr(zarank.witness, "_proof_workers", lambda: 2)
+        monkeypatch.setattr(zarank.witness, "_proof_worker", lambda *args: os._exit(1))
+        with pytest.raises(RuntimeError, match="worker"):
+            has_kxk_independent_set(union150, 10)
+        assert multiprocessing.active_children() == []
+
+    def test_serial_without_fork_with_threads_or_inside_a_child(self, monkeypatch):
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(1, mp_context=ctx) as pool:
+            assert pool.submit(zarank.witness._proof_workers).result() == 1
+        assert zarank.witness._proof_workers() == len(os.sched_getaffinity(0))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert zarank.witness._proof_workers() == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert zarank.witness._proof_workers() == 1
