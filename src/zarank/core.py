@@ -51,27 +51,6 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-def _list_mask(indices: Iterable[int], n: int) -> int:
-    """``mask_of(indices)``, for indices in [0, n).
-
-    ``mask_of`` builds a new int of up to n bits per index. A long list over
-    a large n instead sets one digit of an n-digit binary string per index
-    and parses the string once, at C level. Below about 200,000 index-bits
-    that costs more than it saves. Indices outside [0, n) get ``mask_of``'s
-    mask or error.
-    """
-    indices = list(indices)
-    if len(indices) * n < 200_000 or min(indices) < 0:
-        return mask_of(indices)
-    digits = bytearray(b"0") * n
-    try:
-        for i in indices:
-            digits[~i] = 49  # ord("1"); digit ~i holds bit i
-    except IndexError:  # i >= n
-        return mask_of(indices)
-    return int(digits, 2)
-
-
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -111,8 +90,8 @@ class BicliqueFamily:
     ) -> "BicliqueFamily":
         left, right = [], []
         for left_indices, right_indices in pairs:
-            left.append(_list_mask(left_indices, n))
-            right.append(_list_mask(right_indices, n))
+            left.append(mask_of(left_indices))
+            right.append(mask_of(right_indices))
         return cls(n, k, tuple(left), tuple(right))
 
     @property

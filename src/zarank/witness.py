@@ -15,12 +15,11 @@ to completion. One node budget spans both phases.
 
 The proof runs on every CPU this process may use. Its top-level branches
 (pick the i-th live candidate first, then search what remains after it)
-share no state, since there is no incumbent, so once the first branches
-have taken ``_SERIAL_NODES`` nodes in process, each remaining branch is one
-task for a pool of forked workers. The parent reads the results in branch
-order and adds up their node counts, and stops at the first witness or
-once the sum passes the budget; verdict, witness and ``nodes_explored`` are
-exactly the serial ones, and every worker is stopped before the search
+share no state, since there is no incumbent, so each branch is one task for
+a set of forked workers. The parent reads the results in branch order and
+adds up their node counts, and stops at the first witness or once the sum
+passes the budget; verdict, witness and ``nodes_explored`` are exactly the
+serial ones, and every worker is killed and reaped before the search
 returns. A worker that exits without a result makes the search raise. The
 proof stays serial on one CPU, where ``fork`` is unavailable, in a process
 that runs other threads, and inside a multiprocessing child (such as a
@@ -44,7 +43,7 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 10_000_000
 _PROBE_NODES = 20_000  # node cap of the ascending-order probe
-_SERIAL_NODES = 2_000  # proof nodes run in process before the rest is split
+_LOST_WORKER = "a witness-search worker exited without a result"
 
 
 @dataclass(frozen=True)
@@ -111,27 +110,17 @@ def _branch_bound(
     Returns (non_neighbor_mask, chosen positions), None when the search space
     is exhausted, or "budget".
 
-    With ``workers`` > 1 the top-level branches left after the first
-    ``_SERIAL_NODES`` nodes run on up to that many forked processes
-    (``_split_search``), with the same outcome and node count.
+    With ``workers`` > 1 the top-level branches run on up to that many
+    forked processes (``_split_search``), with the same outcome and node
+    count.
     """
     if not budget.tick():
         return "budget"
     live = [pos for pos in range(len(non_nbrs)) if non_nbrs[pos].bit_count() >= k]
     branches = len(live) - k + 1
-    first = 0
-    if workers > 1:
-        # Starting workers costs milliseconds, so the first branches run here
-        # until they have taken _SERIAL_NODES nodes; only the rest is split.
-        start = budget.nodes
-        while first < branches - 1 and budget.nodes - start < _SERIAL_NODES:
-            outcome = _search(non_nbrs, domain, k, budget, live, first, first + 1)
-            if outcome is not None:
-                return outcome
-            first += 1
-        if first < branches - 1:
-            return _split_search(non_nbrs, domain, k, budget, live, range(first, branches), workers)
-    return _search(non_nbrs, domain, k, budget, live, first, branches)
+    if workers > 1 and branches > 1:
+        return _split_search(non_nbrs, domain, k, budget, live, range(branches), workers)
+    return _search(non_nbrs, domain, k, budget, live, 0, branches)
 
 
 def _search(
@@ -196,9 +185,11 @@ def _split_search(
     never waits for the parent; the parent reads the results in branch order
     and adds up their nodes, and stops at the first witness or once the sum
     passes the limit (reporting ``limit + 1`` nodes, as ``_Budget`` does).
-    Outcome and node count are the serial ones. Every worker is stopped
-    before this returns or raises; a worker that exits without a result
-    raises ``RuntimeError``.
+    Outcome and node count are the serial ones. The parent also waits on
+    each worker's exit sentinel: a worker never exits on its own, so one
+    that does, like one whose pipe breaks, raises ``RuntimeError``. Every
+    worker is killed (SIGKILL, which no inherited handler can catch) and
+    reaped before this returns or raises.
     """
     import multiprocessing
     from multiprocessing.connection import wait
@@ -215,6 +206,7 @@ def _split_search(
             proc.start()
             procs.append(proc)
             child_conn.close()
+        sentinels = [proc.sentinel for proc in procs]
         for branch in branches:
             try:
                 while branch not in results:
@@ -222,10 +214,13 @@ def _split_search(
                         while len(tasks) < 2 and (task := next(unsent, None)) is not None:
                             conn.send(task)
                             tasks.append(task)
-                    for conn in wait([conn for conn, tasks in queued.items() if tasks]):
+                    ready = wait(sentinels + [conn for conn, tasks in queued.items() if tasks])
+                    if any(sentinel in ready for sentinel in sentinels):
+                        raise RuntimeError(_LOST_WORKER)
+                    for conn in ready:
                         results[queued[conn].pop(0)] = conn.recv()
             except (EOFError, OSError) as exc:
-                raise RuntimeError("a witness-search worker exited without a result") from exc
+                raise RuntimeError(_LOST_WORKER) from exc
             outcome, nodes = results.pop(branch)
             budget.nodes += nodes
             if budget.nodes > budget.limit:
@@ -236,7 +231,7 @@ def _split_search(
         return None
     finally:
         for proc in procs:
-            proc.terminate()
+            proc.kill()
         for proc in procs:
             proc.join()
         for conn in queued:

@@ -115,8 +115,7 @@ class TestVerifyCommand:
     def test_lost_proof_worker_exits_three(self, tmp_path, sparse_family_file, capsys, monkeypatch):
         # A proof worker that dies without a result never reads as "absent".
         monkeypatch.setattr(zarank.witness, "_PROBE_NODES", 1)
-        monkeypatch.setattr(zarank.witness, "_SERIAL_NODES", 0)
-        monkeypatch.setattr(zarank.witness, "_proof_workers", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(zarank.witness, "_proof_worker", lambda *args: os._exit(1))
         out = tmp_path / "witness.json"
         assert main(["verify", "--family", sparse_family_file, "--json-out", str(out)]) == 3

@@ -52,23 +52,6 @@ class TestBicliqueFamily:
         assert fam.left[0] >> 3 & 1 and not fam.left[0] >> 4 & 1
         assert fam.size == 2
 
-    def test_index_lists_give_the_masks_of_mask_of(self):
-        # Short lists go through mask_of, long ones over a large n through a
-        # parsed digit string; duplicates, any order, empty lists and
-        # iterators give the same masks either way.
-        rng = random.Random(47)
-        for n in (1, 7, 150, 1000, 2000):
-            for length in sorted({0, 1, n // 10, n // 3, n, 2 * n}):
-                lists = [[rng.randrange(n) for _ in range(length)] for _ in range(3)]
-                lists.append(sorted(set(lists[0])))
-                fam = BicliqueFamily.from_index_lists(n, 1, [(lst, iter(lst[::-1])) for lst in lists])
-                assert fam.left == fam.right == tuple(mask_of(lst) for lst in lists)
-        long = list(range(0, 2000, 3))
-        with pytest.raises(ValueError, match="outside"):
-            BicliqueFamily.from_index_lists(2000, 1, [(long + [2000], [])])
-        with pytest.raises(ValueError, match="negative"):
-            BicliqueFamily.from_index_lists(2000, 1, [([], long + [-1])])
-
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             BicliqueFamily(4, 2, (1 << 4,), (0,))

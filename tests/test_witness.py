@@ -176,6 +176,7 @@ class TestHasKxk:
         # falls back to descending-degree order; its witness is pinned on the
         # same graphs as the probe's.
         monkeypatch.setattr(zarank.witness, "_PROBE_NODES", 1)
+        monkeypatch.setattr(zarank.witness, "_proof_workers", lambda: 1)  # 300 tiny proofs: no forks
         rng = random.Random(41)
         orders_differ = 0
         for _ in range(300):
@@ -255,7 +256,11 @@ class TestDomains:
         left = data.draw(st.integers(0, (1 << n_left) - 1))
         right = data.draw(st.integers(0, (1 << n_right) - 1))
         config = WitnessConfig(node_budget=data.draw(st.sampled_from([1, 3, 10_000_000])))
-        with mock.patch.object(zarank.witness, "_PROBE_NODES", data.draw(st.sampled_from([1, 20_000]))):
+        probe = data.draw(st.sampled_from([1, 20_000]))
+        # Serial proofs: a fork per tiny proof would dominate the test's time.
+        with mock.patch.object(zarank.witness, "_PROBE_NODES", probe), mock.patch.object(
+            zarank.witness, "_proof_workers", lambda: 1
+        ):
             got = has_kxk_independent_set(g, k, config, left, right)
             assert got == compressed_domain_search(g, k, left, right, config)
         if got.found:
@@ -287,20 +292,23 @@ class TestSplitProof:
     serial search reports: verdict, witness, node count and completeness."""
 
     @staticmethod
-    def search(monkeypatch, g, k, budget, workers):
-        monkeypatch.setattr(zarank.witness, "_proof_workers", lambda: workers)
+    def use_cpus(monkeypatch, count):
+        # The proof splits over the CPUs this process may use; the other
+        # guards of _proof_workers (threads, multiprocessing child) stay on.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    def search(self, monkeypatch, g, k, budget, workers):
+        self.use_cpus(monkeypatch, workers)
         return has_kxk_independent_set(g, k, WitnessConfig(node_budget=budget))
 
-    @pytest.mark.parametrize("serial_nodes", [0, 6])
-    def test_split_matches_serial(self, monkeypatch, serial_nodes):
+    def test_split_matches_serial(self, monkeypatch):
         # Budgets that run out inside the probe, at the proof's root, at its
         # first branch node and mid-proof, and full ones; a one-node probe
         # leaves every witness to the proof.
-        monkeypatch.setattr(zarank.witness, "_SERIAL_NODES", serial_nodes)
         splits = []
         split_search = zarank.witness._split_search
         monkeypatch.setattr(zarank.witness, "_split_search", lambda *args: splits.append(1) or split_search(*args))
-        rng = random.Random(53 + serial_nodes)
+        rng = random.Random(53)
         outcomes = set()
         for case in range(16):
             probe = rng.choice([1, 1, 5])
@@ -309,7 +317,7 @@ class TestSplitProof:
                 g = random_graph(rng, rng.randint(6, 16), rng.randint(6, 16), rng.choice([0.2, 0.35, 0.5]))
                 k = rng.randint(2, min(4, g.n_left, g.n_right))
                 full = self.search(monkeypatch, g, k, 10_000_000, 1)
-                if full.nodes_explored > probe + 10 + 2 * serial_nodes:
+                if full.nodes_explored > probe + 10:
                     break
             nodes = full.nodes_explored
             workers = 2 + case % 2
@@ -327,24 +335,46 @@ class TestSplitProof:
             assert (res.found, res.nodes_explored, res.complete) == (False, 85_215, True)
 
     def test_no_worker_outlives_a_search(self, monkeypatch, union150):
-        monkeypatch.setattr(zarank.witness, "_proof_workers", lambda: 2)
+        self.use_cpus(monkeypatch, 2)
         assert has_kxk_independent_set(union150, 10).found is False
         assert multiprocessing.active_children() == []
         res = has_kxk_independent_set(union150, 10, WitnessConfig(node_budget=50_000))
         assert res.found is None and multiprocessing.active_children() == []
         # a witness that only the proof finds
         monkeypatch.setattr(zarank.witness, "_PROBE_NODES", 1)
-        monkeypatch.setattr(zarank.witness, "_SERIAL_NODES", 0)
         res = has_kxk_independent_set(union150, 7)
         assert res.found is True and res.nodes_explored > 2
         assert multiprocessing.active_children() == []
 
     def test_lost_worker_raises(self, monkeypatch, union150):
-        monkeypatch.setattr(zarank.witness, "_proof_workers", lambda: 2)
+        self.use_cpus(monkeypatch, 2)
         monkeypatch.setattr(zarank.witness, "_proof_worker", lambda *args: os._exit(1))
         with pytest.raises(RuntimeError, match="worker"):
             has_kxk_independent_set(union150, 10)
         assert multiprocessing.active_children() == []
+
+    def test_exited_worker_raises_while_its_pipe_stays_open(self, monkeypatch, union150):
+        # Copies of the workers' pipe ends held here keep the parent from
+        # reading EOF; the workers' exit sentinels still show them gone.
+        held = []
+        fork = multiprocessing.get_context("fork")
+        pipe = fork.Pipe
+
+        def held_pipe():
+            conn, child_conn = pipe()
+            held.append(os.dup(child_conn.fileno()))
+            return conn, child_conn
+
+        self.use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(fork, "Pipe", held_pipe)
+        monkeypatch.setattr(zarank.witness, "_proof_worker", lambda *args: os._exit(1))
+        try:
+            with pytest.raises(RuntimeError, match="worker"):
+                has_kxk_independent_set(union150, 10)
+        finally:
+            for fd in held:
+                os.close(fd)
+        assert len(held) == 2 and multiprocessing.active_children() == []
 
     def test_serial_without_fork_with_threads_or_inside_a_child(self, monkeypatch):
         ctx = multiprocessing.get_context("fork")
