@@ -10,6 +10,7 @@ import hashlib
 import pytest
 
 from zarank.attack import AttackConfig, run_attack_trials, survivor_statistics
+from zarank.bounds import bound_report
 from zarank.construct import certify_union_bound
 from zarank.core import BicliqueFamily, BipartiteGraph, LayeredGraph, RandomSource, canonical_dumps, union_of
 from zarank.superconc import (
@@ -57,7 +58,16 @@ def _complete_layered(n: int) -> LayeredGraph:
     return LayeredGraph(n, n, (full,) * n, (full,) * n)
 
 
+# Every side pair has equal sizes, so symmetric_lhs is a number.
+SYMMETRIC = BicliqueFamily.from_index_lists(
+    16, 3, [(range(8), range(8, 16)), ([8, 9, 10], [0, 1, 2]), ([], []), (range(12), range(4, 16))]
+)
+
+
 REPORTS = {
+    "bounds_symmetric": lambda: bound_report(SYMMETRIC),
+    "bounds_asymmetric": lambda: bound_report(FAMILY),
+    "bounds_k1": lambda: bound_report(BicliqueFamily.from_index_lists(5, 1, [(range(5), [0, 1]), ([], [3])])),
     "witness_found": lambda: has_kxk_independent_set(union_of(FAMILY), 2),
     "witness_absent": lambda: has_kxk_independent_set(BipartiteGraph(3, 3, (7, 7, 7)), 1),
     "certificate_exact": lambda: certify_union_bound(12, 3, [(4, 4)] * 10 + [(2, 7)], "exact"),
@@ -65,6 +75,7 @@ REPORTS = {
     "deletion_trace": lambda: run_attack_trials(FAMILY, ATTACK)[0],
     "survivor_statistics": lambda: survivor_statistics(run_attack_trials(FAMILY, ATTACK)),
     "sc_verdict_counterexample": lambda: verify_superconcentrator(_thin(), [3]),
+    "sc_verdict_certified": lambda: verify_superconcentrator(_complete_layered(5)),
     "sc_verdict_sampled": lambda: verify_superconcentrator(
         _complete_layered(6), [2, 3], mode="sampled", samples=4, rng=RandomSource(9, 2)
     ),
@@ -73,6 +84,9 @@ REPORTS = {
 }
 
 PINNED = {
+    "bounds_symmetric": "6b18947423bc927ba64cd6402c2482929be5abbe88ca3f50df175f2540a5d58e",
+    "bounds_asymmetric": "43686af79d894cb74c1f258a76df6515da0eb62bd114e1ba4a1e65228c55942a",
+    "bounds_k1": "d79dea1ec615c1dafaa3b9aa956e6694a03fb2fe422e17e6e3ea3e2552cda6c9",
     "witness_found": "914f33bcc4b5c82fee737eeb96982046c808c6e53b0383778aac2718a98c4d7e",
     "witness_absent": "ba9613d7d9f07b9fe5edcb98f53217fed61e8c542cd3527ac4f242917fabf2a3",
     "certificate_exact": "5e71704e8b19ef86d8f5f5f0f16a616e2a97b289db98836519d524bc46b94bc1",
@@ -80,6 +94,7 @@ PINNED = {
     "deletion_trace": "e00258010c943e608e10201d87861f5dff5ae99e1a50c55ef5366b5dd0123f9a",
     "survivor_statistics": "a849c866943f81444aeefa7b0f1652d82dc615d0b4c6714796987a3c7e6c7f42",
     "sc_verdict_counterexample": "0c0e58fc0aae6b4373237fc6f259428933b4403513d29ea8b3002a498b2d6ed5",
+    "sc_verdict_certified": "7bfb2ff8a5239c49c15a7eb658edc406c4e8db98d22791b36c11d26c986ed245",
     "sc_verdict_sampled": "642daeb12eca3aa3ce8ce8745286671353001f530d4174e9a0c77f7fd8952fd0",
     "edge_audit": "32e35145e30e4927b4a258d5bc77ed5b2856ca1dbac288efcc605e78cabaea7a",
     "tradeoff": "d59099db476b7cec60e4116835049a41c4f45cafc8678e1144b2fac959171896",
