@@ -22,6 +22,7 @@ from .bounds import (
     BoundReport,
     ConditionCheck,
     Constants,
+    KstCheck,
     NormalizedProfile,
     ProfileEntry,
     asymmetric_condition,
@@ -61,6 +62,7 @@ from .core import (
     family_to_json,
     graph_from_json,
     graph_to_json,
+    jsonable,
     layered_from_json,
     layered_to_json,
     load_json,
@@ -69,6 +71,7 @@ from .core import (
     union_of,
 )
 from .superconc import (
+    Counterexample,
     EdgeAuditReport,
     MiddleDecomposition,
     ScVerdict,
@@ -86,7 +89,6 @@ from .superconc import (
     verify_superconcentrator,
 )
 from .witness import (
-    WitnessConfig,
     WitnessResult,
     has_kxk_independent_set,
 )

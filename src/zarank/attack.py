@@ -16,12 +16,12 @@ disjoint from the survivors, so it cannot contribute an edge between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .bounds import NormalizedProfile, asymmetric_condition, profile_from_family
-from .core import BicliqueFamily, RandomSource, bits, jsonable, mask_of, union_of
-from .witness import WitnessConfig, has_kxk_independent_set
+from .core import BicliqueFamily, RandomSource, bits, mask_of, union_of
+from .witness import DEFAULT_NODE_BUDGET, has_kxk_independent_set
 
 __all__ = [
     "AttackConfig",
@@ -44,15 +44,19 @@ class AttackConfig:
     marked: Optional[frozenset[int]] = None  # asymmetric; default: binding argmin
     truncation: str = "exact"  # "exact" (force survival 2^-d) | "none"
     fixed_d: Optional[float] = None  # override the median-based threshold
-    witness_config: WitnessConfig = field(default_factory=WitnessConfig)
+    node_budget: int = DEFAULT_NODE_BUDGET  # per witness search
 
     def __post_init__(self) -> None:
         if self.mode not in ("symmetric", "asymmetric"):
             raise ValueError(f"unknown attack mode {self.mode!r}")
+        if self.mode == "symmetric" and self.marked is not None:
+            raise ValueError("a marked set applies to asymmetric mode only")
         if self.truncation not in ("exact", "none"):
             raise ValueError(f"unknown truncation {self.truncation!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.node_budget < 1:
+            raise ValueError("node budget must be >= 1")
         # Deletion exponents are >= 0, so a negative threshold keeps no vertex.
         if self.fixed_d is not None and not 0.0 <= self.fixed_d < math.inf:
             raise ValueError(f"fixed_d must be a finite number >= 0, got {self.fixed_d}")
@@ -119,9 +123,6 @@ class DeletionTrace:
     witness_search_complete: bool
     found: bool
 
-    def to_json(self) -> dict:
-        return jsonable(self)
-
 
 class _AttackPlan:
     """Everything about an attack that does not depend on the coin flips."""
@@ -132,12 +133,8 @@ class _AttackPlan:
         n = family.n
         profile = profile_from_family(family)
         self.profile = profile
-        if config.mode == "asymmetric":
-            self.attacked, self.kept = classify(profile, "asymmetric", config.marked)
-            self.marked: Optional[tuple[int, ...]] = self.kept
-        else:
-            self.attacked, self.kept = classify(profile, "symmetric")
-            self.marked = None
+        self.attacked, self.kept = classify(profile, config.mode, config.marked)
+        self.marked = self.kept if config.mode == "asymmetric" else None
 
         self.left_masks = family.left
         self.right_masks = family.right
@@ -263,7 +260,7 @@ def _run_trial(plan: _AttackPlan, trial: int) -> DeletionTrace:
     if x_surv.bit_count() >= k and y_surv.bit_count() >= k:
         graph = plan.kept_graph
         kept_union_edges = sum((graph.adj[v] & y_surv).bit_count() for v in bits(x_surv))
-        result = has_kxk_independent_set(graph, k, config.witness_config, x_surv, y_surv)
+        result = has_kxk_independent_set(graph, k, config.node_budget, x_surv, y_surv)
         search_complete = result.complete
         if result.found:
             s_mask, t_mask = mask_of(result.S), mask_of(result.T)
@@ -344,8 +341,6 @@ class SurvivorStatistics:
     mean_kept_edge_sum: float
     kept_edge_sum_expectation: float
 
-    def to_json(self) -> dict:
-        return jsonable(self)
 
 
 def survivor_statistics(traces: Sequence[DeletionTrace]) -> SurvivorStatistics:

@@ -13,10 +13,10 @@ threshold comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .core import BicliqueFamily, BipartiteGraph, _union_rows, jsonable
+from .core import BicliqueFamily, BipartiteGraph, _union_rows
 
 __all__ = [
     "Constants",
@@ -24,6 +24,7 @@ __all__ = [
     "NormalizedProfile",
     "ConditionCheck",
     "DegreeBound",
+    "KstCheck",
     "AsymmetricResult",
     "BoundReport",
     "binary_entropy",
@@ -64,6 +65,16 @@ class ConditionCheck(NamedTuple):
 
 
 class DegreeBound(NamedTuple):
+    degree_bound: float
+    edge_bound: float
+
+
+class KstCheck(NamedTuple):
+    """The counting check on a union graph and the bounds it forces."""
+
+    lhs: float
+    rhs: float
+    satisfied: bool
     degree_bound: float
     edge_bound: float
 
@@ -272,49 +283,19 @@ class BoundReport:
     k: int
     r: int
     in_theorem_regime: bool
-    kst_lhs: float
-    kst_rhs: float
-    kst_satisfied: bool
-    kst_degree_bound: float
-    kst_edge_bound: float
-    hansel_lhs: float
-    hansel_rhs: float
-    hansel_satisfied: bool
+    kst: KstCheck
+    hansel: ConditionCheck
     symmetric_lhs: float | None
     asymmetric_min: float
     asymmetric_argmin_x: tuple[int, ...]
     rhs_unit: float  # k * log2 n; multiply by a constant to get a threshold
     constants: Constants
+    # Each constant times rhs_unit; derived, so left out of == and hash.
+    thresholds: dict[str, float] = field(init=False, compare=False)
 
-    def to_json(self) -> dict:
-        doc = {
-            "n": self.n,
-            "k": self.k,
-            "r": self.r,
-            "in_theorem_regime": self.in_theorem_regime,
-            "kst": {
-                "lhs": self.kst_lhs,
-                "rhs": self.kst_rhs,
-                "satisfied": self.kst_satisfied,
-                "degree_bound": self.kst_degree_bound,
-                "edge_bound": self.kst_edge_bound,
-            },
-            "hansel": {
-                "lhs": self.hansel_lhs,
-                "rhs": self.hansel_rhs,
-                "satisfied": self.hansel_satisfied,
-            },
-            "symmetric_lhs": self.symmetric_lhs,
-            "asymmetric_min": self.asymmetric_min,
-            "asymmetric_argmin_x": list(self.asymmetric_argmin_x),
-            "rhs_unit": self.rhs_unit,
-            "constants": jsonable(self.constants),
-            "thresholds": {
-                name: getattr(self.constants, name) * self.rhs_unit
-                for name in ("A", "B", "C", "D")
-            },
-        }
-        return doc
+    def __post_init__(self) -> None:
+        thresholds = {name: getattr(self.constants, name) * self.rhs_unit for name in "ABCD"}
+        object.__setattr__(self, "thresholds", thresholds)
 
 
 def bound_report(family: BicliqueFamily, constants: Constants = Constants()) -> BoundReport:
@@ -340,14 +321,8 @@ def bound_report(family: BicliqueFamily, constants: Constants = Constants()) -> 
         k=family.k,
         r=family.size,
         in_theorem_regime=profile.in_theorem_regime,
-        kst_lhs=kst.lhs,
-        kst_rhs=kst.rhs,
-        kst_satisfied=kst.satisfied,
-        kst_degree_bound=degree.degree_bound,
-        kst_edge_bound=degree.edge_bound,
-        hansel_lhs=hansel.lhs,
-        hansel_rhs=hansel.rhs,
-        hansel_satisfied=hansel.satisfied,
+        kst=KstCheck(*kst, *degree),
+        hansel=hansel,
         symmetric_lhs=symmetric_lhs,
         asymmetric_min=asym.min_over_x,
         asymmetric_argmin_x=tuple(sorted(asym.argmin_x)),

@@ -39,6 +39,7 @@ from .core import (
     family_from_json,
     family_to_json,
     graph_from_json,
+    jsonable,
     layered_from_json,
     load_json,
     save_json,
@@ -51,7 +52,7 @@ from .superconc import (
     tradeoff_audit,
     verify_superconcentrator,
 )
-from .witness import DEFAULT_NODE_BUDGET, WitnessConfig, has_kxk_independent_set
+from .witness import DEFAULT_NODE_BUDGET, has_kxk_independent_set
 
 __all__ = [
     "main",
@@ -207,10 +208,6 @@ def _check_params(params: tuple[Param, ...], given: dict, where: Callable[[str],
     return checked
 
 
-def _witness_config(budget: Optional[int]) -> WitnessConfig:
-    return WitnessConfig(node_budget=_budget(budget, "ZARANK_WITNESS_BUDGET", DEFAULT_NODE_BUDGET))
-
-
 # ---------------------------------------------------------------------------
 # Commands: run_<command>(params) -> (report_doc, refuted)
 # ---------------------------------------------------------------------------
@@ -221,17 +218,17 @@ def run_construct(p: dict) -> tuple[dict, bool]:
     cert = certify_union_bound(p["n"], p["k"], p["sizes"], p["mode"])
     outcome = construct_until_verified(
         p["n"], p["k"], p["sizes"], RandomSource(p["seed"], p["stream"]),
-        p["max_attempts"], _witness_config(p["budget"]),
+        p["max_attempts"], _budget(p["budget"], "ZARANK_WITNESS_BUDGET", DEFAULT_NODE_BUDGET),
     )
     verified = outcome.verification.found is False
     doc = {
         "version": __version__,
         "seed": p["seed"],
         "stream": p["stream"],
-        "certificate": cert.to_json(),
+        "certificate": jsonable(cert),
         "verified": verified,
         "attempts": outcome.attempts,
-        "witness": None if verified else outcome.verification.to_json(),
+        "witness": None if verified else jsonable(outcome.verification),
         "family": family_to_json(outcome.family),
     }
     return doc, not verified
@@ -245,8 +242,9 @@ def run_verify(p: dict) -> tuple[dict, bool]:
         if p["k"] is None:
             raise SchemaError("k is required with a graph")
         graph, k = graph_from_json(load_json(p["graph"])), p["k"]
-    result = has_kxk_independent_set(graph, k, _witness_config(p["budget"]))
-    return {"version": __version__, "k": k, "witness": result.to_json()}, bool(result.found)
+    budget = _budget(p["budget"], "ZARANK_WITNESS_BUDGET", DEFAULT_NODE_BUDGET)
+    result = has_kxk_independent_set(graph, k, budget)
+    return {"version": __version__, "k": k, "witness": jsonable(result)}, bool(result.found)
 
 
 def run_attack(p: dict) -> tuple[dict, bool]:
@@ -257,19 +255,19 @@ def run_attack(p: dict) -> tuple[dict, bool]:
         marked=p["marked"],
         truncation=p["truncation"],
         fixed_d=p["fixed_d"],
-        witness_config=_witness_config(p["budget"]),
+        node_budget=_budget(p["budget"], "ZARANK_WITNESS_BUDGET", DEFAULT_NODE_BUDGET),
     )
     traces = run_attack_trials(_load_family(p["family"]), config)
     hits = [t for t in traces if t.found]
     if config.truncation == "exact":
-        summary = survivor_statistics(traces).to_json()
+        summary = jsonable(survivor_statistics(traces))
     else:
         summary = {"trials": len(traces), "found_count": len(hits)}
     doc = {
         "version": __version__,
         "seed": p["seed"],
         "stream": p["stream"],
-        "trace": (hits[0] if hits else traces[-1]).to_json(),
+        "trace": jsonable(hits[0] if hits else traces[-1]),
         "summary": summary,
     }
     return doc, bool(hits)
@@ -278,7 +276,7 @@ def run_attack(p: dict) -> tuple[dict, bool]:
 def run_bounds(p: dict) -> tuple[dict, bool]:
     constants = Constants(A=p["A"], B=p["B"], C=p["C"], D=p["D"])
     report = bound_report(_load_family(p["family"]), constants=constants)
-    return {"version": __version__, "bounds": report.to_json()}, False
+    return {"version": __version__, "bounds": jsonable(report)}, False
 
 
 def run_sc_verify(p: dict) -> tuple[dict, bool]:
@@ -293,7 +291,7 @@ def run_sc_verify(p: dict) -> tuple[dict, bool]:
     verdict = verify_superconcentrator(
         g, ks, mode=p["mode"], samples=p["samples"], rng=rng, pair_budget=budget
     )
-    return {"version": __version__, "verdict": verdict.to_json()}, not verdict.is_superconcentrator
+    return {"version": __version__, "verdict": jsonable(verdict)}, not verdict.is_superconcentrator
 
 
 def run_sc_analyze(p: dict) -> tuple[dict, bool]:
@@ -301,10 +299,10 @@ def run_sc_analyze(p: dict) -> tuple[dict, bool]:
     g = layered_from_json(load_json(p["layered"]))
     if p["theorem"] == 7:
         report = edge_lower_bound_audit(g, constants.B)
-        return {"version": __version__, "theorem": 7, "report": report.to_json()}, False
+        return {"version": __version__, "theorem": 7, "report": jsonable(report)}, False
     normalized, flipped = normalize_for_tradeoff(g)
     report = tradeoff_audit(normalized, constants.D)
-    return {"version": __version__, "theorem": 8, "flipped": flipped, "report": report.to_json()}, False
+    return {"version": __version__, "theorem": 8, "flipped": flipped, "report": jsonable(report)}, False
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import BicliqueFamily, RandomSource, SubsetSampler, jsonable, union_of
-from .witness import WitnessConfig, WitnessResult, has_kxk_independent_set
+from .core import BicliqueFamily, RandomSource, SubsetSampler, union_of
+from .witness import DEFAULT_NODE_BUDGET, WitnessResult, has_kxk_independent_set
 
 __all__ = [
     "MissProbability",
@@ -118,9 +118,6 @@ class ConstructionCertificate:
     log2_failure_bound: float
     certified: bool
 
-    def to_json(self) -> dict:
-        return jsonable(self)
-
 
 def _check_sizes(n: int, sizes: Sequence[tuple[int, int]]) -> None:
     for idx, (m, n2) in enumerate(sizes):
@@ -187,7 +184,7 @@ def construct_until_verified(
     sizes: Iterable[tuple[int, int]],
     rng: RandomSource,
     max_attempts: int = 16,
-    witness_config: WitnessConfig | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ConstructResult:
     """Draw random families until one verifiably has no k x k independent set.
 
@@ -201,10 +198,9 @@ def construct_until_verified(
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     sizes = [(int(m), int(n2)) for m, n2 in sizes]
-    config = witness_config or WitnessConfig()
     for attempt in range(1, max_attempts + 1):
         family = random_family(n, k, sizes, rng.derive(attempt))
-        verification = has_kxk_independent_set(union_of(family), k, config)
+        verification = has_kxk_independent_set(union_of(family), k, node_budget)
         if verification.found is False:
             break
     return ConstructResult(family, attempt, verification)

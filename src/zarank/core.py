@@ -457,14 +457,17 @@ _LEAVES = (int, float, str, type(None))  # JSON scalars; bool is an int
 
 
 def jsonable(obj: object) -> object:
-    """The JSON document of a report: a dataclass becomes {field name: value},
-    a tuple or list a list and a dict one with str keys, recursively; any
-    other value is returned as it is. Unlike ``dataclasses.asdict`` it copies
-    nothing it returns unchanged and turns tuples into lists, so the document
-    equals what ``json.load`` reads back. Scalars are passed through without
-    a call, which keeps long float and index tuples cheap."""
+    """The JSON document of a report: a dataclass or a NamedTuple becomes
+    {field name: value}, any other tuple or list a list and a dict one with
+    str keys, recursively; any other value is returned as it is. Unlike
+    ``dataclasses.asdict`` it copies nothing it returns unchanged and turns
+    tuples into lists, so the document equals what ``json.load`` reads back.
+    Scalars are passed through without a call, which keeps long float and
+    index tuples cheap."""
     if is_dataclass(obj):
         obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    elif isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        obj = obj._asdict()
     if isinstance(obj, dict):
         return {str(key): value if isinstance(value, _LEAVES) else jsonable(value) for key, value in obj.items()}
     if isinstance(obj, (tuple, list)):

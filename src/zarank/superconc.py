@@ -19,10 +19,10 @@ profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bounds import (
     NormalizedProfile,
@@ -37,12 +37,12 @@ from .core import (
     RandomSource,
     SubsetSampler,
     bits,
-    jsonable,
     mask_of,
     transpose_masks,
 )
 
 __all__ = [
+    "Counterexample",
     "ScVerdict",
     "MiddleDecomposition",
     "EdgeAuditReport",
@@ -197,27 +197,30 @@ def max_disjoint_paths(g: LayeredGraph, sources: Iterable[int], sinks: Iterable[
     return _depth_two_flow(g.adj_vm, g.adj_mw, s_list, mask_of(t_list))
 
 
+class Counterexample(NamedTuple):
+    """k-sets S and T joined by only ``max_flow`` < k disjoint paths."""
+
+    k: int
+    S: tuple[int, ...]
+    T: tuple[int, ...]
+    max_flow: int
+
+
 @dataclass(frozen=True)
 class ScVerdict:
     """Verification outcome. Sampled mode can refute but never certify."""
 
     is_superconcentrator: bool
-    counterexample: Optional[tuple[int, tuple[int, ...], tuple[int, ...], int]]
+    counterexample: Optional[Counterexample]
     k_checked: tuple[int, ...]
     mode: str
     pairs_checked: int
     seed: Optional[int] = None
     stream_id: Optional[int] = None
+    certified: bool = field(init=False)  # a superconcentrator, found in exhaustive mode
 
-    @property
-    def certified(self) -> bool:
-        return self.is_superconcentrator and self.mode == "exhaustive"
-
-    def to_json(self) -> dict:
-        doc = jsonable(self)
-        if doc["counterexample"] is not None:
-            doc["counterexample"] = dict(zip(("k", "S", "T", "max_flow"), doc["counterexample"]))
-        return {**doc, "certified": self.certified}
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "certified", self.is_superconcentrator and self.mode == "exhaustive")
 
 
 def _lex_rank(combo: Sequence[int], n: int) -> int:
@@ -311,7 +314,8 @@ def _exhaustive_scan(g: LayeredGraph, ks: list[int]) -> ScVerdict:
                 if flow >= k:
                     raise AssertionError("internal error: Hall violation without a flow deficit")
                 pairs = pairs_before + _lex_rank(s_combo, n) * size + _lex_rank(t_combo, n) + 1
-                return ScVerdict(False, (k, s_combo, t_combo, flow), tuple(ks), "exhaustive", pairs)
+                counterexample = Counterexample(k, s_combo, t_combo, flow)
+                return ScVerdict(False, counterexample, tuple(ks), "exhaustive", pairs)
         else:
             combos = list(combinations(range(n), k))
             for si, s_combo in enumerate(combos):
@@ -319,7 +323,8 @@ def _exhaustive_scan(g: LayeredGraph, ks: list[int]) -> ScVerdict:
                     flow = max_disjoint_paths(g, s_combo, t_combo)
                     if flow < k:
                         pairs = pairs_before + si * size + ti + 1
-                        return ScVerdict(False, (k, s_combo, t_combo, flow), tuple(ks), "exhaustive", pairs)
+                        counterexample = Counterexample(k, s_combo, t_combo, flow)
+                        return ScVerdict(False, counterexample, tuple(ks), "exhaustive", pairs)
         pairs_before += size ** 2
     return ScVerdict(True, None, tuple(ks), "exhaustive", pairs_before)
 
@@ -384,7 +389,7 @@ def verify_superconcentrator(
             if flow < k:
                 return ScVerdict(
                     False,
-                    (k, s_combo, t_combo, flow),
+                    Counterexample(k, s_combo, t_combo, flow),
                     tuple(ks),
                     mode,
                     pairs_checked,
@@ -630,9 +635,6 @@ class EdgeAuditReport:
     total_edge_target: float
     total_edges_ok: bool
 
-    def to_json(self) -> dict:
-        return jsonable(self)
-
 
 def edge_lower_bound_audit(g: LayeredGraph, constant: float) -> EdgeAuditReport:
     """Audit the (log n)^2-threshold decomposition across the k ladder.
@@ -729,9 +731,6 @@ class TradeoffReport:
     tradeoff_lhs: float  # a log2((a+b)/a) log2 b
     rhs_scale: float  # (log2 n)^2
     tradeoff_ok: bool
-
-    def to_json(self) -> dict:
-        return jsonable(self)
 
 
 def tradeoff_audit(g: LayeredGraph, constant: float) -> TradeoffReport:

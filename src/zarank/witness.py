@@ -29,14 +29,13 @@ that runs other threads, and inside a multiprocessing child (such as a
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 # transpose_masks is unused here; bench/tests checks the tracer wraps this binding.
-from .core import BipartiteGraph, bits, jsonable, mask_of, transpose_masks  # noqa: F401
+from .core import BipartiteGraph, bits, mask_of, transpose_masks  # noqa: F401
 
 __all__ = [
-    "WitnessConfig",
     "WitnessResult",
     "has_kxk_independent_set",
 ]
@@ -44,15 +43,6 @@ __all__ = [
 DEFAULT_NODE_BUDGET = 10_000_000
 _PROBE_NODES = 20_000  # node cap of the ascending-order probe
 _LOST_WORKER = "a witness-search worker exited without a result"
-
-
-@dataclass(frozen=True)
-class WitnessConfig:
-    node_budget: int = DEFAULT_NODE_BUDGET
-
-    def __post_init__(self) -> None:
-        if self.node_budget < 1:
-            raise ValueError("node budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -68,9 +58,7 @@ class WitnessResult:
     T: Optional[tuple[int, ...]]
     nodes_explored: int
     complete: bool
-
-    def to_json(self) -> dict:
-        return {**jsonable(self), "method": "branch_bound"}
+    method: str = field(default="branch_bound", init=False)  # the search that gave the verdict
 
 
 def _verify_rectangle(g: BipartiteGraph, s_mask: int, t_mask: int) -> bool:
@@ -263,7 +251,7 @@ def _proof_workers() -> int:
 def has_kxk_independent_set(
     g: BipartiteGraph,
     k: int,
-    config: WitnessConfig | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     left: int | None = None,
     right: int | None = None,
 ) -> WitnessResult:
@@ -278,11 +266,12 @@ def has_kxk_independent_set(
     domains' induced subgraph with its vertices renumbered in order. An
     ascending-degree probe of at most ``_PROBE_NODES`` nodes runs first; if
     it stops at its cap, a descending-degree search runs to completion within
-    what is left of ``config.node_budget``. ``nodes_explored`` counts the
+    what is left of ``node_budget``. ``nodes_explored`` counts the
     nodes of both. A domain with fewer than k vertices holds no witness and
     costs no node.
     """
-    config = config or WitnessConfig()
+    if node_budget < 1:
+        raise ValueError("node budget must be >= 1")
     if k < 1 or k > min(g.n_left, g.n_right):
         raise ValueError(f"k={k} does not fit a {g.n_left}x{g.n_right} graph")
     left = (1 << g.n_left) - 1 if left is None else left
@@ -299,10 +288,10 @@ def has_kxk_independent_set(
         rows, branch, other = g.adj, left, right
     keyed = sorted(((rows[w] & other).bit_count(), w) for w in bits(branch))
     order = [w for _, w in keyed]
-    budget = _Budget(min(config.node_budget, _PROBE_NODES))
+    budget = _Budget(min(node_budget, _PROBE_NODES))
     outcome = _branch_bound([other & ~rows[w] for w in order], other, k, budget)
-    if outcome == "budget" and budget.limit < config.node_budget:
-        budget.limit = config.node_budget
+    if outcome == "budget" and budget.limit < node_budget:
+        budget.limit = node_budget
         order = [w for _, w in sorted(keyed, key=lambda dw: (-dw[0], dw[1]))]
         outcome = _branch_bound([other & ~rows[w] for w in order], other, k, budget, _proof_workers())
     if outcome == "budget":

@@ -38,7 +38,7 @@ def naive_bipartite_witness(
     return None
 
 
-def compressed_domain_search(g, k: int, left: int, right: int, config=None):
+def compressed_domain_search(g, k: int, left: int, right: int, node_budget: int):
     """The witness search restricted to vertex domains, by definition: build
     the subgraph the two domain masks induce, with its vertices renumbered in
     ascending order, search all of it, and map the witness back. A domain
@@ -53,7 +53,7 @@ def compressed_domain_search(g, k: int, left: int, right: int, config=None):
     rows = tuple(
         sum(1 << j for j, w in enumerate(right_ids) if g.adj[v] >> w & 1) for v in left_ids
     )
-    result = has_kxk_independent_set(BipartiteGraph(len(left_ids), len(right_ids), rows), k, config)
+    result = has_kxk_independent_set(BipartiteGraph(len(left_ids), len(right_ids), rows), k, node_budget)
     if not result.found:
         return result
     s = tuple(left_ids[i] for i in result.S)

@@ -14,8 +14,8 @@ from zarank.attack import (
     survivor_statistics,
 )
 from zarank.bounds import profile_from_family, profile_from_normalized
-from zarank.core import BicliqueFamily, RandomSource, union_of
-from zarank.witness import WitnessConfig, has_kxk_independent_set
+from zarank.core import BicliqueFamily, RandomSource, jsonable, union_of
+from zarank.witness import has_kxk_independent_set
 
 
 def rectangle_is_independent(g, s_indices, t_indices):
@@ -95,7 +95,7 @@ class TestRunAttack:
     def test_determinism(self):
         fam = only_large_family(32, 4, 5, 9, seed=2)
         config = AttackConfig(mode="symmetric", rng=RandomSource(42), trials=10)
-        assert run_attack(fam, config).to_json() == run_attack(fam, config).to_json()
+        assert jsonable(run_attack(fam, config)) == jsonable(run_attack(fam, config))
 
     def test_survivors_subset_of_focus_sets(self):
         fam = only_large_family(32, 4, 5, 9, seed=9)
@@ -167,6 +167,16 @@ class TestRunAttack:
         with pytest.raises(ValueError, match="fixed_d"):
             AttackConfig(mode="symmetric", rng=RandomSource(9), fixed_d=fixed_d)
 
+    @pytest.mark.parametrize("marked", [frozenset({0}), frozenset()])
+    def test_marked_set_rejected_in_symmetric_mode(self, marked):
+        # Symmetric mode attacks by size alone, so a marked set would be dropped.
+        with pytest.raises(ValueError, match="asymmetric mode only"):
+            AttackConfig(mode="symmetric", rng=RandomSource(9), marked=marked)
+
+    def test_node_budget_below_one_rejected(self):
+        with pytest.raises(ValueError, match="node budget"):
+            AttackConfig(mode="symmetric", rng=RandomSource(9), node_budget=0)
+
 
 class TestDomainSearch:
     @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
@@ -182,17 +192,17 @@ class TestDomainSearch:
         searches = []
         real_search = zarank.attack.has_kxk_independent_set
 
-        def spy(g, k, config, left, right):
-            result = real_search(g, k, config, left, right)
+        def spy(g, k, node_budget, left, right):
+            result = real_search(g, k, node_budget, left, right)
             searches.append((g, left, right, result))
-            assert result == compressed_domain_search(g, k, left, right, config)
+            assert result == compressed_domain_search(g, k, left, right, node_budget)
             return result
 
         monkeypatch.setattr(zarank.attack, "has_kxk_independent_set", spy)
         config = AttackConfig(
             mode=mode, rng=RandomSource(5), trials=40, truncation=truncation,
             marked=frozenset(range(6, 26)) if mode == "asymmetric" else None,
-            witness_config=WitnessConfig(node_budget=10),
+            node_budget=10,
         )
         traces = run_attack_trials(fam, config)
         kept_rows = [0] * n
@@ -302,13 +312,11 @@ class TestEffectiveness:
                 mode="symmetric",
                 rng=RandomSource(seed),
                 trials=20,
-                witness_config=WitnessConfig(node_budget=budget),
+                node_budget=budget,
             )
             if run_attack(fam, config).found:
                 attack_hits += 1
-            plain = has_kxk_independent_set(
-                union_of(fam), 6, WitnessConfig(node_budget=budget)
-            )
+            plain = has_kxk_independent_set(union_of(fam), 6, budget)
             if plain.found:
                 plain_hits += 1
         assert attack_hits >= plain_hits

@@ -21,7 +21,7 @@ from zarank.bounds import (
     profile_from_normalized,
     symmetric_condition,
 )
-from zarank.core import BicliqueFamily, BipartiteGraph
+from zarank.core import BicliqueFamily, BipartiteGraph, jsonable
 
 
 class TestBinaryEntropy:
@@ -272,9 +272,11 @@ class TestBoundReport:
             12, 3, [(list(range(6)), list(range(6))), ([6, 7], [8, 9])]
         )
         report = bound_report(fam)
-        doc = report.to_json()
+        doc = jsonable(report)
         assert doc["n"] == 12 and doc["k"] == 3 and doc["r"] == 2
         assert set(doc["thresholds"]) == {"A", "B", "C", "D"}
+        assert set(doc["kst"]) == {"lhs", "rhs", "satisfied", "degree_bound", "edge_bound"}
+        assert set(doc["hansel"]) == {"lhs", "rhs", "satisfied"}
         assert doc["symmetric_lhs"] is not None
 
     def test_counting_check_reads_the_union_graph(self):
@@ -289,7 +291,7 @@ class TestBoundReport:
             edges = {(v, w) for left, right in pairs for v in left for w in right}
             check = kst_check(BipartiteGraph.from_edges(n, n, edges), k)
             report = bound_report(fam)
-            assert (report.kst_lhs, report.kst_rhs, report.kst_satisfied) == tuple(check)
+            assert (report.kst.lhs, report.kst.rhs, report.kst.satisfied) == tuple(check)
 
     def test_asymmetric_family_has_no_symmetric_lhs(self):
         fam = BicliqueFamily.from_index_lists(12, 3, [([0, 1], [2, 3, 4])])

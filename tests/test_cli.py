@@ -185,6 +185,17 @@ class TestAttackCommand:
         assert rc == 2
         assert "--marked" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["sym", "symmetric"])
+    def test_marked_rejected_in_symmetric_mode(self, tmp_path, sparse_family_file, capsys, mode):
+        out = tmp_path / "attack.json"
+        rc = main([
+            "attack", "--family", sparse_family_file, "--mode", mode,
+            "--marked", "0", "--seed", "1", "--json-out", str(out),
+        ])
+        assert rc == 2
+        assert "asymmetric mode only" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fixed_d", [None, "1100"])
     def test_underflowing_d_exits_two(self, tmp_path, sparse_family_file, capsys, fixed_d):
         # Either d is given, or it is the median exponent of a family whose
@@ -452,6 +463,13 @@ class TestSweep:
         path = write_json(tmp_path / "spec.json", {"command": "bounds", "grid": grid, "output_csv": "out.csv"})
         assert main(["sweep", "--spec", path]) == 2
         assert "constant C must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_marked_rejected_in_symmetric_sweep_point(self, tmp_path, sparse_family_file, capsys):
+        grid = {"family": [sparse_family_file], "seed": [1], "mode": ["asym", "sym"]}
+        spec = {"command": "attack", "grid": grid, "params": {"marked": "0"}, "output_csv": "out.csv"}
+        assert main(["sweep", "--spec", write_json(tmp_path / "spec.json", spec)]) == 2
+        assert "asymmetric mode only" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     def test_witness_budget_env_reaches_sweeps(self, tmp_path, sparse_family_file, monkeypatch):

@@ -293,7 +293,7 @@ class TestSerialization:
             "flag": True,
             "missing": None,
             "ids": [[1, 2], []],
-            "inner": {"freq": {"10": 0.5, "2": 1.0}, "pair": [0.25, 3.0]},
+            "inner": {"freq": {"10": 0.5, "2": 1.0}, "pair": {"lhs": 0.25, "rhs": 3.0}},
         }
         assert doc == expected  # a tuple never equals a list, so none is left
         assert json.loads(json.dumps(doc)) == doc  # nor an int key

@@ -1,18 +1,29 @@
-"""Pinned report contents: every report type serialised by the shared field
-encoder writes the same bytes as its former hand-written ``to_json``.
+"""Pinned report contents: every report's JSON is its fields, written by
+``core.jsonable``, and keeps the same bytes.
 
-Each SHA-256 below is of ``canonical_dumps(report.to_json())`` for one small
-fixed instance, recorded from the hand-written encoders.
+Each SHA-256 below is of ``canonical_dumps(jsonable(report))`` for one small
+fixed instance. The hashes were recorded while each report type still had an
+encoder of its own, so they hold the JSON those encoders wrote.
 """
 
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from zarank.attack import AttackConfig, run_attack_trials, survivor_statistics
 from zarank.bounds import bound_report
 from zarank.construct import certify_union_bound
-from zarank.core import BicliqueFamily, BipartiteGraph, LayeredGraph, RandomSource, canonical_dumps, union_of
+from zarank.core import (
+    BicliqueFamily,
+    BipartiteGraph,
+    LayeredGraph,
+    RandomSource,
+    canonical_dumps,
+    jsonable,
+    union_of,
+)
 from zarank.superconc import (
     edge_lower_bound_audit,
     normalize_for_tradeoff,
@@ -103,13 +114,26 @@ PINNED = {
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_bytes_pinned(name):
-    encoded = canonical_dumps(REPORTS[name]().to_json())
+    encoded = canonical_dumps(jsonable(REPORTS[name]()))
     assert hashlib.sha256(encoded.encode("utf-8")).hexdigest() == PINNED[name]
 
 
 def test_survivor_frequencies_keyed_by_string_ids():
-    doc = survivor_statistics(run_attack_trials(FAMILY, ATTACK)).to_json()
+    doc = jsonable(survivor_statistics(run_attack_trials(FAMILY, ATTACK)))
     for side in ("left", "right"):
         freq = doc[f"survival_freq_{side}"]
         assert list(freq) == [str(v) for v in range(6, 12)]
         assert all(isinstance(f, float) for f in freq.values())
+
+
+def test_readme_library_example_runs(capsys):
+    # The example is the README's one whole walk through the library API; run
+    # it as written, so that it cannot drift from that API.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    sides, bounds, found = capsys.readouterr().out.splitlines()
+    assert sides == "8 8" and found == "False"
+    doc = ast.literal_eval(bounds)
+    assert set(doc["kst"]) == {"lhs", "rhs", "satisfied", "degree_bound", "edge_bound"}
+    assert doc["kst"]["satisfied"] is True and doc["hansel"]["satisfied"] is True

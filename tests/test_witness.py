@@ -14,7 +14,7 @@ import zarank.witness
 from oracles import compressed_domain_search, naive_bipartite_witness
 from zarank.construct import construct_until_verified
 from zarank.core import BipartiteGraph, RandomSource, union_of
-from zarank.witness import WitnessConfig, has_kxk_independent_set
+from zarank.witness import has_kxk_independent_set
 
 
 def random_graph(rng, n_left, n_right, p):
@@ -215,18 +215,18 @@ class TestHasKxk:
     def test_one_budget_spans_probe_and_proof(self, union150):
         cap = zarank.witness._PROBE_NODES
         # A budget within the probe's cap never reaches the proof.
-        res = has_kxk_independent_set(union150, 10, WitnessConfig(node_budget=cap))
+        res = has_kxk_independent_set(union150, 10, cap)
         assert res.found is None and not res.complete
         assert res.nodes_explored == cap + 1
         # Just above the cap, the proof gets what the probe left over.
         budget = cap + 500
-        res = has_kxk_independent_set(union150, 10, WitnessConfig(node_budget=budget))
+        res = has_kxk_independent_set(union150, 10, budget)
         assert res.found is None and not res.complete
         assert cap < res.nodes_explored <= budget + 1
 
     def test_budget_exhaustion_is_unknown(self):
         g = BipartiteGraph(12, 12, tuple([1] * 12))  # all left -> right 0
-        res = has_kxk_independent_set(g, 3, WitnessConfig(node_budget=2))
+        res = has_kxk_independent_set(g, 3, 2)
         assert res.found is None and not res.complete
         assert res.nodes_explored >= 2
 
@@ -240,6 +240,11 @@ class TestHasKxk:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             has_kxk_independent_set(BipartiteGraph.empty(3, 3), 4)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="node budget must be >= 1"):
+            has_kxk_independent_set(BipartiteGraph.empty(3, 3), 1, budget)
 
 
 class TestDomains:
@@ -255,14 +260,14 @@ class TestDomains:
         k = data.draw(st.integers(1, min(3, n_left, n_right)))
         left = data.draw(st.integers(0, (1 << n_left) - 1))
         right = data.draw(st.integers(0, (1 << n_right) - 1))
-        config = WitnessConfig(node_budget=data.draw(st.sampled_from([1, 3, 10_000_000])))
+        budget = data.draw(st.sampled_from([1, 3, 10_000_000]))
         probe = data.draw(st.sampled_from([1, 20_000]))
         # Serial proofs: a fork per tiny proof would dominate the test's time.
         with mock.patch.object(zarank.witness, "_PROBE_NODES", probe), mock.patch.object(
             zarank.witness, "_proof_workers", lambda: 1
         ):
-            got = has_kxk_independent_set(g, k, config, left, right)
-            assert got == compressed_domain_search(g, k, left, right, config)
+            got = has_kxk_independent_set(g, k, budget, left, right)
+            assert got == compressed_domain_search(g, k, left, right, budget)
         if got.found:
             assert all(left >> v & 1 for v in got.S) and all(right >> w & 1 for w in got.T)
 
@@ -272,19 +277,19 @@ class TestDomains:
             g = random_graph(rng, rng.randint(2, 9), rng.randint(2, 9), rng.choice([0.2, 0.5]))
             k = rng.randint(1, 2)
             full = (1 << g.n_left) - 1, (1 << g.n_right) - 1
-            assert has_kxk_independent_set(g, k, None, *full) == has_kxk_independent_set(g, k)
+            assert has_kxk_independent_set(g, k, left=full[0], right=full[1]) == has_kxk_independent_set(g, k)
 
     def test_small_domain_holds_no_witness(self):
         g = BipartiteGraph.empty(5, 5)
         for left, right in ((0, 0b11111), (0b11111, 0), (0b11, 0b11111)):
-            res = has_kxk_independent_set(g, 3, None, left, right)
+            res = has_kxk_independent_set(g, 3, left=left, right=right)
             assert (res.found, res.S, res.T, res.nodes_explored, res.complete) == (False, None, None, 0, True)
 
     def test_domain_outside_graph_rejected(self):
         g = BipartiteGraph.empty(3, 3)
         for left, right in ((0b1000, 0b111), (0b111, -1)):
             with pytest.raises(ValueError, match="domain"):
-                has_kxk_independent_set(g, 1, None, left, right)
+                has_kxk_independent_set(g, 1, left=left, right=right)
 
 
 class TestSplitProof:
@@ -299,7 +304,7 @@ class TestSplitProof:
 
     def search(self, monkeypatch, g, k, budget, workers):
         self.use_cpus(monkeypatch, workers)
-        return has_kxk_independent_set(g, k, WitnessConfig(node_budget=budget))
+        return has_kxk_independent_set(g, k, budget)
 
     def test_split_matches_serial(self, monkeypatch):
         # Budgets that run out inside the probe, at the proof's root, at its
@@ -338,7 +343,7 @@ class TestSplitProof:
         self.use_cpus(monkeypatch, 2)
         assert has_kxk_independent_set(union150, 10).found is False
         assert multiprocessing.active_children() == []
-        res = has_kxk_independent_set(union150, 10, WitnessConfig(node_budget=50_000))
+        res = has_kxk_independent_set(union150, 10, 50_000)
         assert res.found is None and multiprocessing.active_children() == []
         # a witness that only the proof finds
         monkeypatch.setattr(zarank.witness, "_PROBE_NODES", 1)
