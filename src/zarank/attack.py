@@ -68,10 +68,12 @@ def classify(
     """Split indices into (attacked, kept).
 
     Symmetric mode attacks indices with alpha > 1; asymmetric mode attacks the
-    complement of the marked set.
+    complement of the marked set. A marked set in symmetric mode is an error.
     """
     r = len(profile.entries)
     if mode == "symmetric":
+        if marked is not None:
+            raise ValueError("a marked set applies to asymmetric mode only")
         attacked = tuple(i for i, e in enumerate(profile.entries) if e.alpha > 1.0)
         kept = tuple(i for i, e in enumerate(profile.entries) if e.alpha <= 1.0)
         return attacked, kept

@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -618,6 +617,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         tasks.append((index, name, point, {**point, **resolved}))
     jobs = min(args.jobs, len(tasks))  # the executor starts every worker up front
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:
@@ -637,12 +638,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_NAMES = (*COMMANDS, "sweep")
+
+
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand, or only the one named ``only``.
+
+    ``main`` builds one subcommand per call, the one its argv names, since
+    building all seven costs several times what parsing takes. Either parser
+    prints the same text for an argv that starts with ``only``: the one-command
+    parser's metavar lists every command, for the usage line of an error that
+    the top-level parser reports, such as an unrecognized argument.
+    """
     parser = argparse.ArgumentParser(prog="zarank", description=__doc__)
     parser.add_argument("--version", action="version", version=f"zarank {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if only is None else "{" + ",".join(_NAMES) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     for name, command in COMMANDS.items():
+        if only not in (None, name):
+            continue
         p = sub.add_parser(name, help=command.help)
         for param in command.params:
             # Unset flags stay off the namespace, so the entry's default applies.
@@ -666,18 +681,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true")
         p.set_defaults(handler=_cmd_run)
 
-    p = sub.add_parser("sweep", help="run a parameter grid and emit a CSV")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(handler=_cmd_sweep)
+    if only in (None, "sweep"):
+        p = sub.add_parser("sweep", help="run a parameter grid and emit a CSV")
+        p.add_argument("--spec", required=True)
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--force", action="store_true")
+        p.set_defaults(handler=_cmd_sweep)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    only = argv[0] if argv and argv[0] in _NAMES else None
+    args = _build_parser(only).parse_args(argv)
     try:
         return args.handler(args)
     except (SchemaError, ValueError, OSError) as exc:

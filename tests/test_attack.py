@@ -48,6 +48,14 @@ class TestClassify:
         attacked, kept = classify(profile, "symmetric")
         assert attacked == () and kept == (0, 1)
 
+    @pytest.mark.parametrize("marked", [[0], []])
+    def test_marked_set_rejected_in_symmetric_mode(self, marked):
+        fam = BicliqueFamily.from_index_lists(8, 2, [(range(6), range(6)), ([7], [7])])
+        profile = profile_from_family(fam)
+        assert classify(profile, "symmetric") == ((0,), (1,))
+        with pytest.raises(ValueError, match="a marked set applies to asymmetric mode only"):
+            classify(profile, "symmetric", marked)
+
     def test_default_marked_is_binding_argmin(self):
         # alpha = beta = 1: product term 1 < entropy term 2, so index marked.
         profile = profile_from_normalized(100, 10, [(1.0, 1.0)])

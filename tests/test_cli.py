@@ -3,6 +3,9 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +249,39 @@ class TestBoundsCommand:
         assert not out.exists()
 
 
+class TestEntryPoint:
+    """``python -m zarank.cli`` in a fresh interpreter, where ``main`` reads
+    its argv from ``sys.argv``."""
+
+    @staticmethod
+    def run_module(*args: str) -> subprocess.CompletedProcess:
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, check=False
+        )
+
+    def test_import_loads_no_process_pool(self):
+        code = "import sys, zarank.cli; print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+        done = self.run_module("-c", code)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize("command, expected", [("sc-verify", 0), ("verify", 1)])
+    def test_module_run_matches_in_process(self, tmp_path, sparse_family_file, capsys, command, expected):
+        n = 4
+        layered = write_json(
+            tmp_path / "layered.json",
+            {"n": n, "m": n, "edges_vm": [[v, u] for v in range(n) for u in range(n)],
+             "edges_mw": [[u, w] for u in range(n) for w in range(n)]},
+        )
+        flag, path = ("--layered", layered) if command == "sc-verify" else ("--family", sparse_family_file)
+        rc = main([command, flag, path, "--json-out", str(tmp_path / "in_process.json")])
+        out = capsys.readouterr().out
+        done = self.run_module("-m", "zarank.cli", command, flag, path, "--json-out", str(tmp_path / "module.json"))
+        assert (done.returncode, done.stdout, done.stderr) == (rc, out, "") and rc == expected
+        assert (tmp_path / "module.json").read_bytes() == (tmp_path / "in_process.json").read_bytes()
+
+
 class TestScCommands:
     @pytest.fixture
     def layered_file(self, tmp_path):
@@ -388,7 +424,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         spec = {"command": "verify", "grid": {"family": [sparse_family_file], "k": [1, 2], "seed": [0]}}
         two = write_json(tmp_path / "two.json", dict(spec, output_csv="two.csv"))
         assert main(["sweep", "--spec", two, "--jobs", "64"]) == 1

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from zarank.cli import COMMANDS, main
+from zarank.cli import COMMANDS, _build_parser, main
 
 ARGVS = {
     "help": ["--help"],
@@ -54,15 +54,22 @@ PINNED = {
 }
 
 
-def run_main(argv, capsys, monkeypatch) -> tuple[int, str]:
-    """``main(argv)``'s exit code and the SHA-256 of what it printed."""
+def run(entry, argv, capsys, monkeypatch) -> tuple[int, str]:
+    """``entry(argv)``'s exit code and the SHA-256 of what it printed."""
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
-        main(list(argv))
+        entry(list(argv))
     out, err = capsys.readouterr()
     return exc.value.code, hashlib.sha256(f"{out}\0{err}".encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(ARGVS))
 def test_output_pinned(name, capsys, monkeypatch):
-    assert run_main(ARGVS[name], capsys, monkeypatch) == PINNED[name]
+    assert run(main, ARGVS[name], capsys, monkeypatch) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(ARGVS))
+def test_output_matches_full_parser(name, capsys, monkeypatch):
+    # Holds under any argparse version, where the digests above need 3.11's.
+    full = run(lambda argv: _build_parser().parse_args(argv), ARGVS[name], capsys, monkeypatch)
+    assert run(main, ARGVS[name], capsys, monkeypatch) == full
