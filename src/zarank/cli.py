@@ -617,7 +617,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         tasks.append((index, name, point, {**point, **resolved}))
     jobs = min(args.jobs, len(tasks))  # the executor starts every worker up front
     if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only here
+        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_point, tasks))

@@ -32,6 +32,18 @@ def sparse_family_file(tmp_path):
     return write_json(tmp_path / "sparse.json", doc)
 
 
+@pytest.fixture
+def layered_file(tmp_path):
+    n = 4
+    doc = {
+        "n": n,
+        "m": n,
+        "edges_vm": [[v, u] for v in range(n) for u in range(n)],
+        "edges_mw": [[u, w] for u in range(n) for w in range(n)],
+    }
+    return write_json(tmp_path / "layered.json", doc)
+
+
 class TestConstructCommand:
     def test_writes_family_and_certificate(self, tmp_path, sizes_file, capsys):
         fam_out = tmp_path / "fam.json"
@@ -262,19 +274,13 @@ class TestEntryPoint:
         )
 
     def test_import_loads_no_process_pool(self):
-        code = "import sys, zarank.cli; print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
-        done = self.run_module("-c", code)
+        pool = ("concurrent.futures.process", "multiprocessing")
+        done = self.run_module("-c", f"import sys, zarank.cli; print([m for m in {pool} if m in sys.modules])")
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
     @pytest.mark.parametrize("command, expected", [("sc-verify", 0), ("verify", 1)])
-    def test_module_run_matches_in_process(self, tmp_path, sparse_family_file, capsys, command, expected):
-        n = 4
-        layered = write_json(
-            tmp_path / "layered.json",
-            {"n": n, "m": n, "edges_vm": [[v, u] for v in range(n) for u in range(n)],
-             "edges_mw": [[u, w] for u in range(n) for w in range(n)]},
-        )
-        flag, path = ("--layered", layered) if command == "sc-verify" else ("--family", sparse_family_file)
+    def test_module_run_matches_in_process(self, tmp_path, layered_file, sparse_family_file, capsys, command, expected):
+        flag, path = ("--layered", layered_file) if command == "sc-verify" else ("--family", sparse_family_file)
         rc = main([command, flag, path, "--json-out", str(tmp_path / "in_process.json")])
         out = capsys.readouterr().out
         done = self.run_module("-m", "zarank.cli", command, flag, path, "--json-out", str(tmp_path / "module.json"))
@@ -283,17 +289,6 @@ class TestEntryPoint:
 
 
 class TestScCommands:
-    @pytest.fixture
-    def layered_file(self, tmp_path):
-        n = 4
-        doc = {
-            "n": n,
-            "m": n,
-            "edges_vm": [[v, u] for v in range(n) for u in range(n)],
-            "edges_mw": [[u, w] for u in range(n) for w in range(n)],
-        }
-        return write_json(tmp_path / "layered.json", doc)
-
     def test_sc_verify_exhaustive(self, layered_file, capsys):
         rc = main(["sc-verify", "--layered", layered_file])
         assert rc == 0

@@ -2,9 +2,8 @@
 
 Each SHA-256 below is of what ``main(argv)`` prints, stdout then a NUL byte
 then stderr, with ``COLUMNS=80``; argparse wraps its text to that width. The
-digests were recorded with Python 3.11's argparse while ``main`` still built
-every subcommand's parser on every call, so they hold the text that full
-parser printed.
+digests were recorded with Python 3.11's argparse, from the parser that holds
+every subcommand.
 """
 
 import hashlib
