@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
@@ -29,9 +30,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import __version__
-from .attack import AttackConfig, run_attack_trials, survivor_statistics
-from .bounds import Constants, bound_report
-from .construct import certify_union_bound, construct_until_verified
+from .bounds import Constants, bound_report  # Constants gives the theorem flags' defaults
 from .core import (
     RandomSource,
     SchemaError,
@@ -44,14 +43,6 @@ from .core import (
     save_json,
     union_of,
 )
-from .superconc import (
-    DEFAULT_PAIR_BUDGET,
-    edge_lower_bound_audit,
-    normalize_for_tradeoff,
-    tradeoff_audit,
-    verify_superconcentrator,
-)
-from .witness import DEFAULT_NODE_BUDGET, has_kxk_independent_set
 
 __all__ = [
     "main",
@@ -89,12 +80,16 @@ def _budget(given: Optional[int], env: str, default: int) -> int:
     return _at_least_one(value, f"environment variable {env}")
 
 
+def _refuse_overwrite(path, force: bool) -> None:
+    if not force and Path(path).exists():
+        raise SchemaError(f"refusing to overwrite {path} (use --force)")
+
+
 def _output_path(path, force: bool) -> Path:
     """``path`` as a Path whose directory exists; refused if the file exists
     and ``force`` is not set."""
+    _refuse_overwrite(path, force)
     target = Path(path)
-    if target.exists() and not force:
-        raise SchemaError(f"refusing to overwrite {path} (use --force)")
     target.parent.mkdir(parents=True, exist_ok=True)
     return target
 
@@ -209,11 +204,18 @@ def _check_params(params: tuple[Param, ...], given: dict, where: Callable[[str],
 
 # ---------------------------------------------------------------------------
 # Commands: run_<command>(params) -> (report_doc, refuted)
+#
+# Each imports the modules it calls when it runs. Every CLI call is a fresh
+# interpreter, and importing every command's modules took longer than the
+# whole of a small command.
 # ---------------------------------------------------------------------------
 
 
 def run_construct(p: dict) -> tuple[dict, bool]:
     """The certificate doc; its ``family`` key holds the last family drawn."""
+    from .construct import certify_union_bound, construct_until_verified
+    from .witness import DEFAULT_NODE_BUDGET
+
     cert = certify_union_bound(p["n"], p["k"], p["sizes"], p["mode"])
     outcome = construct_until_verified(
         p["n"], p["k"], p["sizes"], RandomSource(p["seed"], p["stream"]),
@@ -234,6 +236,8 @@ def run_construct(p: dict) -> tuple[dict, bool]:
 
 
 def run_verify(p: dict) -> tuple[dict, bool]:
+    from .witness import DEFAULT_NODE_BUDGET, has_kxk_independent_set
+
     if p["family"] is not None:
         family = _load_family(p["family"])
         graph, k = union_of(family), family.k if p["k"] is None else p["k"]
@@ -247,6 +251,9 @@ def run_verify(p: dict) -> tuple[dict, bool]:
 
 
 def run_attack(p: dict) -> tuple[dict, bool]:
+    from .attack import AttackConfig, run_attack_trials, survivor_statistics
+    from .witness import DEFAULT_NODE_BUDGET
+
     config = AttackConfig(
         mode={"sym": "symmetric", "asym": "asymmetric"}.get(p["mode"], p["mode"]),
         rng=RandomSource(p["seed"], p["stream"]),
@@ -279,6 +286,8 @@ def run_bounds(p: dict) -> tuple[dict, bool]:
 
 
 def run_sc_verify(p: dict) -> tuple[dict, bool]:
+    from .superconc import DEFAULT_PAIR_BUDGET, verify_superconcentrator
+
     g = layered_from_json(load_json(p["layered"]))
     ks = _parse_k_range(p["k_range"], g.n)
     rng = None
@@ -294,6 +303,8 @@ def run_sc_verify(p: dict) -> tuple[dict, bool]:
 
 
 def run_sc_analyze(p: dict) -> tuple[dict, bool]:
+    from .superconc import edge_lower_bound_audit, normalize_for_tradeoff, tradeoff_audit
+
     constants = Constants(B=p["B"], D=p["D"])
     g = layered_from_json(load_json(p["layered"]))
     if p["theorem"] == 7:
@@ -397,6 +408,9 @@ class Command:
     # "name=path", a dotted path into the report, else into the parameters;
     # "#path" counts a list.
     columns: tuple[str, ...]
+    # The submodules ``run`` imports, which a parallel sweep loads before it
+    # forks its workers.
+    modules: tuple[str, ...] = ()
 
 
 _FAMILY = Param("family", Path, required=True)
@@ -436,6 +450,7 @@ COMMANDS = {
             "certified=certificate.certified", "log2_failure_bound=certificate.log2_failure_bound",
             "attempts", "verified",
         ),
+        ("construct", "witness"),
     ),
     "verify": Command(
         "search for a k x k independent set",
@@ -446,6 +461,7 @@ COMMANDS = {
             "family", "k", "seed", "found=witness.found", "complete=witness.complete",
             "nodes_explored=witness.nodes_explored",
         ),
+        ("witness",),
     ),
     "attack": Command(
         "random-deletion refuter",
@@ -468,6 +484,7 @@ COMMANDS = {
             "x_surv=#trace.x_surv", "y_surv=#trace.y_surv",
             "attacked_pairs_surviving=trace.attacked_edge_pairs_surviving",
         ),
+        ("attack", "witness"),
     ),
     "sc-verify": Command(
         "verify a depth-two superconcentrator",
@@ -487,6 +504,7 @@ COMMANDS = {
             "is_superconcentrator=verdict.is_superconcentrator",
             "pairs_checked=verdict.pairs_checked", "counterexample_k=verdict.counterexample.k",
         ),
+        ("superconc",),
     ),
     "sc-analyze": Command(
         "degree-decomposition audits",
@@ -501,6 +519,7 @@ COMMANDS = {
             "layered", "theorem", "B", "D", "seed", "n=report.n", "m=report.m",
             "constant=report.constant", "rungs=#report.ladder",
         ),
+        ("superconc",),
     ),
 }
 
@@ -512,12 +531,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if "sizes" in given:
         given["sizes"] = load_json(given["sizes"])  # a JSON file on the command line
     params = _check_params(command.params, given, lambda name: "--" + name.replace("_", "-"))
+    family_path = getattr(args, "out_family", None)
+    report_path = getattr(args, "json_out", None) or getattr(args, "out_cert", None)
+    for path in filter(None, (family_path, report_path)):  # before a run that may take long
+        _refuse_overwrite(path, args.force)
     doc, refuted = command.run(params)
     family = doc.pop("family", None)
     command.show(doc)
-    if getattr(args, "out_family", None):
-        save_json(_output_path(args.out_family, args.force), family)
-    report_path = getattr(args, "json_out", None) or getattr(args, "out_cert", None)
+    if family_path:
+        save_json(_output_path(family_path, args.force), family)
     if report_path:
         save_json(_output_path(report_path, args.force), doc)
     return EXIT_REFUTED if refuted else EXIT_OK
@@ -615,10 +637,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for index, point in enumerate(_sweep_points(name, grid, params)):
         resolved = {k: str(base_dir / point[k]) for k in paths if point[k] is not None}
         tasks.append((index, name, point, {**point, **resolved}))
+    _refuse_overwrite(base_dir / output_csv, args.force)
     jobs = min(args.jobs, len(tasks))  # the executor starts every worker up front
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing
 
+        for module in command.modules:  # once here, not in every forked worker
+            importlib.import_module(f".{module}", __package__)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:

@@ -9,7 +9,6 @@ seeded source so that every run is reproducible bit for bit.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import dataclass, fields, is_dataclass
@@ -254,6 +253,8 @@ _RNG_DOMAIN = "zarank.rng.v1"
 
 
 def _digest_seed(*parts: int | str) -> int:
+    import hashlib  # on use: commands that draw no random numbers never need it
+
     payload = ":".join(str(p) for p in parts).encode("utf-8")
     return int.from_bytes(hashlib.sha256(payload).digest(), "big")
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -488,6 +487,8 @@ def balance_degrees(g: LayeredGraph, a: float | int = 1, b: float | int = 1) -> 
     neighbors, or if the padding would more than double the total edge count
     (beyond the per-vertex rounding allowance). Added edges go to the smallest
     available vertex indices, so the result is deterministic."""
+    from fractions import Fraction  # on use: sc-verify loads this module but needs no fractions
+
     if a <= 0 or b <= 0:
         raise ValueError(f"target ratio parts must be positive, got ({a}, {b})")
     ratio = Fraction(a) / Fraction(b)
@@ -741,6 +742,8 @@ def tradeoff_audit(g: LayeredGraph, constant: float) -> TradeoffReport:
     chosen k0 minimizes V-to-Medium edges, and the pigeonhole bound
     min <= a n / L is checked exactly in integer arithmetic.
     """
+    from fractions import Fraction  # on use, as in balance_degrees
+
     n = g.n
     evm, emw = g.vm_edge_count, g.mw_edge_count
     if evm == 0 or emw == 0:

@@ -261,6 +261,111 @@ class TestBoundsCommand:
         assert not out.exists()
 
 
+class TestExistingOutput:
+    """An existing output file is refused, and exits 2, before the command
+    runs: nothing is searched, printed or written."""
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """The parameters of every command run."""
+        ran = []
+        for name, command in cli.COMMANDS.items():
+            monkeypatch.setitem(cli.COMMANDS, name, dataclasses.replace(command, run=ran.append))
+        return ran
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--n", "60", "--k", "8", "--sizes", "{sizes}", "--seed", "1",
+         "--out-cert", "{old}", "--out-family", "{new}"],
+        ["construct", "--n", "60", "--k", "8", "--sizes", "{sizes}", "--seed", "1",
+         "--out-family", "{old}", "--out-cert", "{new}"],
+        ["verify", "--family", "{family}", "--json-out", "{old}"],
+        ["bounds", "--family", "{family}", "--json-out", "{old}"],
+        ["attack", "--family", "{family}", "--mode", "sym", "--seed", "1", "--json-out", "{old}"],
+        ["sc-verify", "--layered", "{layered}", "--json-out", "{old}"],
+        ["sc-analyze", "--layered", "{layered}", "--theorem", "8", "--json-out", "{old}"],
+    ], ids=["construct-cert", "construct-family", "verify", "bounds", "attack", "sc-verify", "sc-analyze"])
+    def test_command_not_run(self, tmp_path, sizes_file, sparse_family_file, layered_file, capsys, ran, argv):
+        old = tmp_path / "old.json"
+        old.write_text("kept", encoding="utf-8")
+        files = {
+            "sizes": sizes_file, "family": sparse_family_file, "layered": layered_file,
+            "old": old, "new": tmp_path / "new.json",
+        }
+        assert main([arg.format(**files) for arg in argv]) == 2
+        assert ran == [] and old.read_text(encoding="utf-8") == "kept" and not files["new"].exists()
+        assert capsys.readouterr() == ("", f"error: refusing to overwrite {old} (use --force)\n")
+
+    def test_sweep_runs_no_point(self, tmp_path, sparse_family_file, capsys, ran):
+        spec = {"command": "bounds", "grid": {"family": [sparse_family_file], "seed": [0, 1]}, "output_csv": "out.csv"}
+        path = write_json(tmp_path / "spec.json", spec)
+        (tmp_path / "out.csv").write_text("kept", encoding="utf-8")
+        assert main(["sweep", "--spec", path]) == 2
+        assert ran == [] and (tmp_path / "out.csv").read_text(encoding="utf-8") == "kept"
+        assert capsys.readouterr() == ("", f"error: refusing to overwrite {tmp_path / 'out.csv'} (use --force)\n")
+
+
+# Each argv and the modules it loads beyond ``zarank.cli``, ``.core`` and
+# ``.bounds``; ``{family}``, ``{layered}`` and ``{sizes}`` stand for input files.
+LOADS = [
+    (["--version"], ()),
+    (["--help"], ()),
+    (["bounds", "--family", "{family}"], ()),
+    (["verify", "--family", "{family}"], ("zarank.witness",)),
+    (["sc-verify", "--layered", "{layered}"], ("zarank.superconc",)),
+    (["sc-analyze", "--layered", "{layered}", "--theorem", "7"], ("zarank.superconc", "fractions")),
+    (["attack", "--family", "{family}", "--mode", "sym", "--seed", "1"],
+     ("zarank.attack", "zarank.witness", "hashlib")),
+    (["construct", "--n", "6", "--k", "2", "--sizes", "{sizes}", "--seed", "1"],
+     ("zarank.construct", "zarank.witness", "fractions", "hashlib")),
+]
+
+# Run main on sys.argv, then print the zarank modules it loaded, and the
+# single-use stdlib and process pool modules it loaded that the interpreter
+# had not loaded at start-up.
+_LOADED = """
+import json, sys
+before = set(sys.modules)
+from zarank.cli import main
+try:
+    code = main()
+except SystemExit as exc:
+    code = exc.code
+watched = ("fractions", "hashlib", "concurrent.futures.process", "multiprocessing")
+print(json.dumps(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "zarank" or m in watched)))
+sys.exit(code)
+"""
+
+# Run main on sys.argv with a stand-in process pool that prints the zarank
+# submodules loaded when it starts, and maps in process.
+_POOL_LOADED = """
+import concurrent.futures, json, sys
+from zarank.cli import main
+
+class Pool:
+    def __init__(self, max_workers):
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("zarank."))))
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc_info):
+        return False
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+concurrent.futures.ProcessPoolExecutor = Pool
+sys.exit(main())
+"""
+
+# One sweep's fixed parameters per command.
+SWEEPS = {
+    "bounds": {"family": "{family}"},
+    "verify": {"family": "{family}"},
+    "sc-verify": {"layered": "{layered}"},
+    "sc-analyze": {"layered": "{layered}", "theorem": 7},
+    "attack": {"family": "{family}", "mode": "sym"},
+    "construct": {"n": 6, "k": 2, "sizes": [], "max_attempts": 1},
+}
+
+
 class TestEntryPoint:
     """``python -m zarank.cli`` in a fresh interpreter, where ``main`` reads
     its argv from ``sys.argv``."""
@@ -273,10 +378,33 @@ class TestEntryPoint:
             [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, check=False
         )
 
-    def test_import_loads_no_process_pool(self):
-        pool = ("concurrent.futures.process", "multiprocessing")
-        done = self.run_module("-c", f"import sys, zarank.cli; print([m for m in {pool} if m in sys.modules])")
-        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    @pytest.mark.parametrize("argv, modules", LOADS, ids=[argv[0] for argv, _ in LOADS])
+    def test_command_loads_only_its_modules(self, tmp_path, layered_file, sparse_family_file, argv, modules):
+        # Nor a process pool, which only a parallel sweep needs, nor hashlib or fractions unused.
+        files = {"family": sparse_family_file, "layered": layered_file, "sizes": write_json(tmp_path / "none.json", [])}
+        done = self.run_module("-c", _LOADED, *(arg.format(**files) for arg in argv))
+        assert done.returncode in (0, 1) and done.stderr == ""
+        loaded = json.loads(done.stdout.splitlines()[-1])
+        assert loaded == sorted(["zarank", "zarank.bounds", "zarank.cli", "zarank.core", *modules])
+
+    @pytest.mark.parametrize("command, params", SWEEPS.items(), ids=list(SWEEPS))
+    def test_parallel_sweep_loads_modules_before_forking(
+        self, tmp_path, layered_file, sparse_family_file, command, params
+    ):
+        files = {"family": sparse_family_file, "layered": layered_file}
+        params = {key: value.format(**files) if isinstance(value, str) else value for key, value in params.items()}
+        spec = {"command": command, "grid": {"seed": [0, 1]}, "params": params, "output_csv": "out.csv"}
+        argv = ["sweep", "--spec", write_json(tmp_path / "spec.json", spec), "--jobs", "2"]
+        done = self.run_module("-c", _POOL_LOADED, *argv)
+        assert done.returncode in (0, 1) and done.stderr == ""
+        (modules,) = [modules for argv, modules in LOADS if argv[0] == command]
+        expected = ["zarank.bounds", "zarank.cli", "zarank.core", *(m for m in modules if m.startswith("zarank."))]
+        assert json.loads(done.stdout.splitlines()[0]) == sorted(expected)
+
+    def test_broken_command_module_exits_three(self, sparse_family_file, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "zarank.witness", None)  # its import now fails
+        assert main(["verify", "--family", sparse_family_file]) == 3
+        assert capsys.readouterr().err.startswith("internal error: ModuleNotFoundError(")
 
     @pytest.mark.parametrize("command, expected", [("sc-verify", 0), ("verify", 1)])
     def test_module_run_matches_in_process(self, tmp_path, layered_file, sparse_family_file, capsys, command, expected):
