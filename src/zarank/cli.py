@@ -533,6 +533,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     params = _check_params(command.params, given, lambda name: "--" + name.replace("_", "-"))
     family_path = getattr(args, "out_family", None)
     report_path = getattr(args, "json_out", None) or getattr(args, "out_cert", None)
+    if family_path and report_path and Path(family_path).resolve() == Path(report_path).resolve():
+        raise SchemaError(f"--out-family and --out-cert name one file: {family_path}")
     for path in filter(None, (family_path, report_path)):  # before a run that may take long
         _refuse_overwrite(path, args.force)
     doc, refuted = command.run(params)

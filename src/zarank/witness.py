@@ -11,26 +11,35 @@ vertices in ascending-degree order, which finds most witnesses in a few
 hundred nodes, and stops after ``_PROBE_NODES`` nodes. Only if the probe
 stops does the search restart in descending-degree order (fewest
 non-neighbours first), which proves absence with 2-3x fewer nodes, and run it
-to completion. One node budget spans both phases.
+to completion. One node budget spans both phases. Each node's candidate
+filter gives up as soon as the node is lost, which saves time only: the
+nodes searched are the same.
 
-The proof runs on every CPU this process may use. Its top-level branches
-(pick the i-th live candidate first, then search what remains after it)
-share no state, since there is no incumbent, so each branch is one task for
-a set of forked workers. The parent reads the results in branch order and
-adds up their node counts, and stops at the first witness or once the sum
-passes the budget; verdict, witness and ``nodes_explored`` are exactly the
-serial ones, and every worker is killed and reaped before the search
-returns. A worker that exits without a result makes the search raise. The
-proof stays serial on one CPU, where ``fork`` is unavailable, in a process
-that runs other threads, and inside a multiprocessing child (such as a
-``sweep --jobs`` worker). The probe is always serial.
+The proof runs on every CPU this process may use, and starts while the probe
+still runs. A probe that stops always stops at ``_PROBE_NODES + 1`` nodes, so
+the proof's budget is known in advance. Once the probe has spent
+``_PROBE_SLICE`` nodes unsettled, forked workers, one per CPU but the
+parent's, start on the proof's top-level branches (pick the i-th live
+candidate first, then search what remains after it), which share no state,
+since there is no incumbent. Each worker takes the next untaken branch and
+needs nothing from the parent. The parent goes on probing from where it was.
+If the probe settles, the workers are killed and its result stands.
+Otherwise the parent merges the branch results in branch order, taking
+untaken branches itself while it waits, adds up their node counts, and stops
+at the first witness or once the sum passes the budget; verdict, witness and
+``nodes_explored`` are exactly the serial ones, and every worker is killed
+and reaped before the search returns. A worker that exits without a result,
+even while the parent probes, makes the search raise. The proof stays serial
+on one CPU, where ``fork`` is unavailable, in a process that runs other
+threads, and inside a multiprocessing child (such as a ``sweep --jobs``
+worker). A search that settles within the slice never forks.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 # transpose_masks is unused here; bench/tests checks the tracer wraps this binding.
 from .core import BipartiteGraph, bits, mask_of, transpose_masks  # noqa: F401
@@ -42,6 +51,7 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 10_000_000
 _PROBE_NODES = 20_000  # node cap of the ascending-order probe
+_PROBE_SLICE = 2_000  # probe nodes spent before the proof workers start; at most _PROBE_NODES
 _LOST_WORKER = "a witness-search worker exited without a result"
 
 
@@ -70,19 +80,45 @@ def _verify_rectangle(g: BipartiteGraph, s_mask: int, t_mask: int) -> bool:
 
 
 class _Budget:
-    __slots__ = ("nodes", "limit")
+    """Counts search nodes: ``tick`` fails once they pass ``limit``.
+
+    ``pause(at, call)`` lowers the limit to ``at`` nodes. The tick that
+    passes it calls ``call()`` once and restores the limit, so the search
+    goes on from where it was.
+    """
+
+    __slots__ = ("nodes", "limit", "paused")
 
     def __init__(self, limit: int):
         self.nodes = 0
         self.limit = limit
+        self.paused = None  # (limit, call) while a pause is pending
+
+    def pause(self, at: int, call: Callable[[], None]) -> None:
+        self.paused = (self.limit, call)
+        self.limit = at
 
     def tick(self) -> bool:
         self.nodes += 1
+        return self.nodes <= self.limit or self._resume()
+
+    def _resume(self) -> bool:
+        if self.paused is None:
+            return False
+        self.limit, call = self.paused
+        self.paused = None
+        call()
         return self.nodes <= self.limit
 
 
+def _live(non_nbrs: Sequence[int], k: int) -> list[int]:
+    """The positions whose non-neighborhood alone holds k vertices: the
+    root's live candidates."""
+    return [pos for pos in range(len(non_nbrs)) if non_nbrs[pos].bit_count() >= k]
+
+
 def _branch_bound(
-    non_nbrs: Sequence[int], domain: int, k: int, budget: _Budget, workers: int = 1
+    non_nbrs: Sequence[int], domain: int, k: int, budget: _Budget
 ) -> Optional[tuple[int, list[int]]] | str:
     """Search k-subsets of the branch side for a common non-neighborhood of
     size >= k on the other side.
@@ -97,18 +133,11 @@ def _branch_bound(
     the probe's cap reports the probe's witness, any other the proof's.
     Returns (non_neighbor_mask, chosen positions), None when the search space
     is exhausted, or "budget".
-
-    With ``workers`` > 1 the top-level branches run on up to that many
-    forked processes (``_split_search``), with the same outcome and node
-    count.
     """
     if not budget.tick():
         return "budget"
-    live = [pos for pos in range(len(non_nbrs)) if non_nbrs[pos].bit_count() >= k]
-    branches = len(live) - k + 1
-    if workers > 1 and branches > 1:
-        return _split_search(non_nbrs, domain, k, budget, live, range(branches), workers)
-    return _search(non_nbrs, domain, k, budget, live, 0, branches)
+    live = _live(non_nbrs, k)
+    return _search(non_nbrs, domain, k, budget, live, 0, len(live) - k + 1)
 
 
 def _search(
@@ -121,7 +150,10 @@ def _search(
     common non-neighborhood at >= k bits. Common masks only shrink, so a node
     with fewer live candidates than picks still needed has no completion; a
     frame's stop index is the first candidate with too few after it. The
-    search runs on an explicit stack, so its depth is bounded by k only.
+    filter that finds a node's live candidates gives up as soon as more have
+    failed than the node can spare, since the node is then pruned whatever
+    the rest give. The search runs on an explicit stack, so its depth is
+    bounded by k only.
     """
     chosen: list[int] = []
     # One frame per depth: [common mask, live candidates, next index, stop index].
@@ -143,86 +175,201 @@ def _search(
         if need == 1:
             chosen.append(pos)
             return shrunk, chosen
-        rest = [p for p in live[i + 1 :] if (shrunk & non_nbrs[p]).bit_count() >= k]
-        if len(rest) >= need - 1:
+        rest: list[int] = []
+        spare = len(live) - i - need  # the later candidates that may fail before this node is pruned
+        for p in live[i + 1 :]:
+            if (shrunk & non_nbrs[p]).bit_count() >= k:
+                rest.append(p)
+            elif spare:
+                spare -= 1
+            else:
+                break
+        else:
             chosen.append(pos)
             stack.append([shrunk, rest, 0, len(rest) - need + 2])
     return None
 
 
-def _proof_worker(conn, non_nbrs: Sequence[int], domain: int, k: int, limit: int, live: list[int]) -> None:
-    """Search each top-level branch the parent sends within ``limit`` nodes
-    and send back (outcome, nodes)."""
+class _Tickets:
+    """The proof's top-level branches 0 .. ``stop`` - 1, handed out in order
+    to whichever process asks next: a counter in shared memory, under a
+    lock, that forked workers inherit."""
+
+    def __init__(self, ctx, stop: int):
+        import mmap
+
+        self.counter = mmap.mmap(-1, 8)  # anonymous and shared, so forks see one counter
+        self.lock = ctx.Lock()
+        self.stop = stop
+
+    def take(self, sentinels: Sequence = ()) -> Optional[int]:
+        """The next branch, or None once every branch is taken.
+
+        A worker killed while it holds the lock never releases it, so a
+        caller that passes the workers' exit ``sentinels`` does not wait on
+        the lock for ever: it raises ``RuntimeError`` once one has exited.
+        """
+        from multiprocessing.connection import wait
+
+        while not self.lock.acquire(timeout=0.05):
+            if wait(sentinels, timeout=0):
+                raise RuntimeError(_LOST_WORKER)
+        try:
+            branch = int.from_bytes(self.counter[:8], "little")
+            if branch >= self.stop:
+                return None
+            self.counter[:8] = (branch + 1).to_bytes(8, "little")
+            return branch
+        finally:
+            self.lock.release()
+
+
+def _walk(
+    tickets: _Tickets, non_nbrs: Sequence[int], domain: int, k: int, limit: int, live: list[int], sentinels=()
+) -> Iterator[tuple[int, Optional[tuple[int, list[int]]] | str, int]]:
+    """Search the proof's top-level branches that ``tickets`` hands out, in
+    order, each within what is left of ``limit`` nodes, and yield (branch,
+    outcome, nodes) for each.
+
+    A witness or a spent limit ends the walk: the merge stops at or before
+    that branch, since it adds up the nodes of every branch up to it, this
+    walk's among them.
+    """
+    while (first := tickets.take(sentinels)) is not None:
+        budget = _Budget(limit)
+        outcome = _search(non_nbrs, domain, k, budget, live, first, first + 1)
+        yield first, outcome, budget.nodes
+        if outcome is not None:
+            return
+        limit -= budget.nodes
+
+
+def _proof_worker(conn, *walk_args) -> None:
+    """Send the parent each result of ``_walk(*walk_args)``. The worker needs
+    nothing from the parent, and waits for it to kill the worker once the
+    walk ends."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-    while True:
-        first = conn.recv()
-        budget = _Budget(limit)
-        conn.send((_search(non_nbrs, domain, k, budget, live, first, first + 1), budget.nodes))
+    conn.send(None)  # started
+    for result in _walk(*walk_args):
+        conn.send(result)
+    conn.recv()  # the parent sends nothing: this returns only once it has gone
 
 
-def _split_search(
-    non_nbrs: Sequence[int], domain: int, k: int, budget: _Budget, live: list[int], branches: range, workers: int
-) -> Optional[tuple[int, list[int]]] | str:
-    """``_search`` over the top-level ``branches``, one task per branch, on
-    up to ``workers`` forked processes.
+class _Proof:
+    """The descending-degree search that runs once the probe stops at its
+    cap, with ``limit`` nodes below its root.
 
-    The branches share no state, so each runs alone within what is left of
-    the budget. A worker always holds its next branch in its pipe, so it
-    never waits for the parent; the parent reads the results in branch order
-    and adds up their nodes, and stops at the first witness or once the sum
-    passes the limit (reporting ``limit + 1`` nodes, as ``_Budget`` does).
-    Outcome and node count are the serial ones. The parent also waits on
-    each worker's exit sentinel: a worker never exits on its own, so one
-    that does, like one whose pipe breaks, raises ``RuntimeError``. Every
-    worker is killed (SIGKILL, which no inherited handler can catch) and
-    reaped before this returns or raises.
+    It is set up while the probe still runs. On more than one usable CPU
+    (``_proof_workers``) it forks one worker per CPU but the parent's, and
+    they start on its top-level branches at once, each taking the next
+    untaken branch (``_Tickets``); the branches share no state, since the
+    search keeps no incumbent. The parent joins them once its probe has
+    stopped. ``close`` kills (SIGKILL, which no inherited handler can catch)
+    and reaps every worker.
     """
-    import multiprocessing
-    from multiprocessing.connection import wait
 
-    ctx = multiprocessing.get_context("fork")
-    args = (non_nbrs, domain, k, budget.limit - budget.nodes, live)
-    procs, queued, results = [], {}, {}  # queued: per worker, its branches in order
-    unsent = iter(branches)
-    try:
-        for _ in range(min(workers, len(branches))):
-            conn, child_conn = ctx.Pipe()
-            queued[conn] = []
-            proc = ctx.Process(target=_proof_worker, args=(child_conn, *args), daemon=True)
-            proc.start()
-            procs.append(proc)
-            child_conn.close()
-        sentinels = [proc.sentinel for proc in procs]
-        for branch in branches:
-            try:
+    def __init__(self, keyed: list[tuple[int, int]], rows: Sequence[int], other: int, k: int, limit: int):
+        self.order = [w for _, w in sorted(keyed, key=lambda dw: (-dw[0], dw[1]))]
+        self.non_nbrs = [other & ~rows[w] for w in self.order]
+        self.domain, self.k, self.limit = other, k, limit
+        self.live = _live(self.non_nbrs, k)
+        self.procs: list = []
+        self.conns: list = []
+        branches = len(self.live) - k + 1
+        if branches > 1 and limit > 0 and (cpus := _proof_workers()) > 1:
+            self._fork(branches, min(cpus - 1, branches - 1))
+
+    def _fork(self, branches: int, workers: int) -> None:
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self.tickets = _Tickets(ctx, branches)
+        args = (self.tickets, self.non_nbrs, self.domain, self.k, self.limit, self.live)
+        try:
+            for _ in range(workers):
+                conn, child_conn = ctx.Pipe()
+                self.conns.append(conn)
+                proc = ctx.Process(target=_proof_worker, args=(child_conn, *args), daemon=True)
+                proc.start()
+                self.procs.append(proc)
+                child_conn.close()
+        except BaseException:  # the caller holds no _Proof yet to close
+            self.close()
+            raise
+
+    def run(self, budget: _Budget) -> Optional[tuple[int, list[int]]] | str:
+        """The proof's outcome, as ``_branch_bound`` gives it, counted on ``budget``."""
+        if not budget.tick():
+            return "budget"
+        if self.procs:
+            return self._merge(budget)
+        return _search(self.non_nbrs, self.domain, self.k, budget, self.live, 0, len(self.live) - self.k + 1)
+
+    def _merge(self, budget: _Budget) -> Optional[tuple[int, list[int]]] | str:
+        """Merge the branch results in branch order, adding up their nodes;
+        stop at the first witness or once the sum passes the limit
+        (reporting ``limit + 1`` nodes, as ``_Budget`` does). Outcome and node
+        count are the serial ones.
+
+        While the branch merged next is still out and no message waits, the
+        parent searches the next untaken branch itself, as a worker would.
+        A worker never exits on its own, so the parent watches each worker's
+        exit sentinel as well as its pipe: a worker that exits, like one
+        whose pipe breaks, raises ``RuntimeError``. Each worker's first
+        message says it has started, and the merge returns only once every
+        worker has sent it, so a worker that dies at once raises even when
+        the parent has searched every branch itself.
+        """
+        from multiprocessing.connection import wait
+
+        sentinels = [proc.sentinel for proc in self.procs]
+        own = _walk(self.tickets, self.non_nbrs, self.domain, self.k, self.limit, self.live, sentinels)
+        results: dict = {}  # branch -> (outcome, nodes), until merged
+        silent = set(self.conns)  # workers not heard from yet
+
+        def receive(block: bool) -> bool:
+            """Read every message that waits; False if none does and not ``block``."""
+            ready = wait(self.conns + sentinels, None if block else 0)
+            if any(sentinel in ready for sentinel in sentinels):
+                raise RuntimeError(_LOST_WORKER)
+            for conn in ready:
+                message = conn.recv()
+                silent.discard(conn)
+                if message is not None:
+                    results[message[0]] = message[1:]
+            return bool(ready)
+
+        outcome = None
+        try:
+            for branch in range(len(self.live) - self.k + 1):
                 while branch not in results:
-                    for conn, tasks in queued.items():
-                        while len(tasks) < 2 and (task := next(unsent, None)) is not None:
-                            conn.send(task)
-                            tasks.append(task)
-                    ready = wait(sentinels + [conn for conn, tasks in queued.items() if tasks])
-                    if any(sentinel in ready for sentinel in sentinels):
-                        raise RuntimeError(_LOST_WORKER)
-                    for conn in ready:
-                        results[queued[conn].pop(0)] = conn.recv()
-            except (EOFError, OSError) as exc:
-                raise RuntimeError(_LOST_WORKER) from exc
-            outcome, nodes = results.pop(branch)
-            budget.nodes += nodes
-            if budget.nodes > budget.limit:
-                budget.nodes = budget.limit + 1
-                return "budget"
-            if outcome is not None:
-                return outcome
-        return None
-    finally:
-        for proc in procs:
+                    if not receive(block=own is None) and own is not None:
+                        result = next(own, None)
+                        if result is None:
+                            own = None
+                        else:
+                            results[result[0]] = result[1:]
+                outcome, nodes = results.pop(branch)
+                budget.nodes += nodes
+                if budget.nodes > budget.limit:
+                    budget.nodes = budget.limit + 1
+                    outcome = "budget"
+                if outcome is not None:
+                    break
+            while silent:
+                receive(block=True)
+        except (EOFError, OSError) as exc:
+            raise RuntimeError(_LOST_WORKER) from exc
+        return outcome
+
+    def close(self) -> None:
+        for proc in self.procs:
             proc.kill()
-        for proc in procs:
+        for proc in self.procs:
             proc.join()
-        for conn in queued:
+        for conn in self.conns:
             conn.close()
 
 
@@ -289,11 +436,22 @@ def has_kxk_independent_set(
     keyed = sorted(((rows[w] & other).bit_count(), w) for w in bits(branch))
     order = [w for _, w in keyed]
     budget = _Budget(min(node_budget, _PROBE_NODES))
-    outcome = _branch_bound([other & ~rows[w] for w in order], other, k, budget)
-    if outcome == "budget" and budget.limit < node_budget:
-        budget.limit = node_budget
-        order = [w for _, w in sorted(keyed, key=lambda dw: (-dw[0], dw[1]))]
-        outcome = _branch_bound([other & ~rows[w] for w in order], other, k, budget, _proof_workers())
+    proof: list[_Proof] = []  # set up once the probe has spent its slice unsettled
+    if node_budget > _PROBE_NODES:
+        # A probe that stops always stops at _PROBE_NODES + 1 nodes, and the
+        # proof's root takes one more, so what the proof may spend below its
+        # root is known before the probe ends.
+        limit = node_budget - _PROBE_NODES - 2
+        budget.pause(min(_PROBE_SLICE, _PROBE_NODES), lambda: proof.append(_Proof(keyed, rows, other, k, limit)))
+    try:
+        outcome = _branch_bound([other & ~rows[w] for w in order], other, k, budget)
+        if outcome == "budget" and proof:
+            budget.limit = node_budget
+            order = proof[0].order
+            outcome = proof[0].run(budget)
+    finally:
+        for started in proof:
+            started.close()
     if outcome == "budget":
         return WitnessResult(None, None, None, budget.nodes, False)
     if outcome is None:

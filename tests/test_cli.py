@@ -137,6 +137,21 @@ class TestVerifyCommand:
         assert "worker exited without a result" in capsys.readouterr().err
         assert not out.exists() and multiprocessing.active_children() == []
 
+    def test_proof_worker_lost_while_probing_exits_three(self, tmp_path, capsys, monkeypatch):
+        # The workers start 5 nodes into a 20-node probe and die at once;
+        # an 8-edge matching has no 5 x 5 independent set, and the probe does
+        # not settle that within its cap (it takes 35 nodes).
+        matching = {"n": 8, "k": 5, "bicliques": [{"left": [i], "right": [i]} for i in range(8)]}
+        family = write_json(tmp_path / "matching.json", matching)
+        monkeypatch.setattr(zarank.witness, "_PROBE_NODES", 20)
+        monkeypatch.setattr(zarank.witness, "_PROBE_SLICE", 5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(zarank.witness, "_proof_worker", lambda *args: os._exit(1))
+        out = tmp_path / "witness.json"
+        assert main(["verify", "--family", family, "--json-out", str(out)]) == 3
+        assert "worker exited without a result" in capsys.readouterr().err
+        assert not out.exists() and multiprocessing.active_children() == []
+
 
 class TestBudgets:
     @pytest.mark.parametrize(
@@ -294,6 +309,22 @@ class TestExistingOutput:
         assert main([arg.format(**files) for arg in argv]) == 2
         assert ran == [] and old.read_text(encoding="utf-8") == "kept" and not files["new"].exists()
         assert capsys.readouterr() == ("", f"error: refusing to overwrite {old} (use --force)\n")
+
+    @pytest.mark.parametrize("force", [False, True], ids=["new-file", "force-existing-file"])
+    def test_construct_family_and_certificate_on_one_file(self, tmp_path, sizes_file, capsys, ran, force):
+        # One file for both outputs is refused up front, --force or not: the
+        # certificate would overwrite the family, or be refused after it.
+        out = tmp_path / "x.json"
+        argv = [
+            "construct", "--n", "12", "--k", "4", "--sizes", sizes_file, "--seed", "1",
+            "--out-family", str(out), "--out-cert", str(tmp_path / "." / "x.json"),
+        ]
+        if force:
+            out.write_text("kept", encoding="utf-8")
+            argv.append("--force")
+        assert main(argv) == 2
+        assert ran == [] and (out.read_text(encoding="utf-8") == "kept" if force else not out.exists())
+        assert capsys.readouterr() == ("", f"error: --out-family and --out-cert name one file: {out}\n")
 
     def test_sweep_runs_no_point(self, tmp_path, sparse_family_file, capsys, ran):
         spec = {"command": "bounds", "grid": {"family": [sparse_family_file], "seed": [0, 1]}, "output_csv": "out.csv"}

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import random
+import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import zarank.witness
 from oracles import compressed_domain_search, naive_bipartite_witness
-from zarank.construct import construct_until_verified
+from zarank.construct import construct_until_verified, random_family
 from zarank.core import BipartiteGraph, RandomSource, union_of
 from zarank.witness import has_kxk_independent_set
 
@@ -52,6 +53,36 @@ def first_combination_witness(g, k, descending=False):
         if len(common) >= k:
             chosen, other = tuple(sorted(combo)), tuple(common[:k])
             return (other, chosen) if branch_right else (chosen, other)
+    return None
+
+
+def full_filter_search(non_nbrs, domain, k, budget, live, first, stop):
+    """``witness._search`` as it was before its candidate filter could stop
+    early: each node's filter scans every later candidate in one list
+    comprehension. Kept here only as the reference for node counts."""
+    chosen = []
+    stack = [[domain, live, first, stop]]
+    while stack:
+        frame = stack[-1]
+        common, live, i, stop = frame
+        if i >= stop:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        frame[2] = i + 1
+        pos = live[i]
+        shrunk = common & non_nbrs[pos]
+        if not budget.tick():
+            return "budget"
+        need = k - len(chosen)
+        if need == 1:
+            chosen.append(pos)
+            return shrunk, chosen
+        rest = [p for p in live[i + 1 :] if (shrunk & non_nbrs[p]).bit_count() >= k]
+        if len(rest) >= need - 1:
+            chosen.append(pos)
+            stack.append([shrunk, rest, 0, len(rest) - need + 2])
     return None
 
 
@@ -192,6 +223,30 @@ class TestHasKxk:
                 orders_differ += expect != first_combination_witness(g, k)
         assert orders_differ > 0  # the two orders are told apart
 
+    def test_early_exit_filter_changes_only_time(self, monkeypatch, union150):
+        # The filter gives up on a node once too many candidates failed. The
+        # verdict agrees with the naive oracle, and the whole result, node
+        # count included, with the reference search that scans every
+        # candidate; in both phases and under tight budgets.
+        monkeypatch.setattr(zarank.witness, "_proof_workers", lambda: 1)  # 400 tiny proofs: no forks
+        rng = random.Random(59)
+        for _ in range(400):
+            n_left, n_right = rng.randint(2, 12), rng.randint(2, 12)
+            g = random_graph(rng, n_left, n_right, rng.choice([0.1, 0.3, 0.5, 0.7]))
+            k = rng.randint(1, min(4, n_left, n_right))
+            budget = rng.choice([3, 12, 10_000_000])
+            monkeypatch.setattr(zarank.witness, "_PROBE_NODES", rng.choice([1, 20_000]))
+            got = has_kxk_independent_set(g, k, budget)
+            with monkeypatch.context() as patched:
+                patched.setattr(zarank.witness, "_search", full_filter_search)
+                assert has_kxk_independent_set(g, k, budget) == got
+            if got.complete:
+                assert got.found is (naive_bipartite_witness(g.adj, n_left, n_right, k) is not None)
+        # The seed-1 n = 150 proof, 85,215 nodes with either filter.
+        monkeypatch.setattr(zarank.witness, "_PROBE_NODES", 20_000)
+        monkeypatch.setattr(zarank.witness, "_search", full_filter_search)
+        assert has_kxk_independent_set(union150, 10).nodes_explored == 85_215
+
     def test_deep_k_needs_no_recursion(self):
         g = BipartiteGraph.empty(1200, 1200)
         res = has_kxk_independent_set(g, 1100)
@@ -293,8 +348,9 @@ class TestDomains:
 
 
 class TestSplitProof:
-    """The proof phase split over forked workers reports exactly what the
-    serial search reports: verdict, witness, node count and completeness."""
+    """The proof phase split over forked workers, started while the probe
+    still runs, reports exactly what the serial search reports: verdict,
+    witness, node count and completeness."""
 
     @staticmethod
     def use_cpus(monkeypatch, count):
@@ -304,33 +360,47 @@ class TestSplitProof:
 
     def search(self, monkeypatch, g, k, budget, workers):
         self.use_cpus(monkeypatch, workers)
-        return has_kxk_independent_set(g, k, budget)
+        result = has_kxk_independent_set(g, k, budget)
+        assert multiprocessing.active_children() == []
+        return result
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        method = getattr(zarank.witness._Proof, name)
+        monkeypatch.setattr(zarank.witness._Proof, name, lambda *args: calls.append(1) or method(*args))
+        return calls
 
     def test_split_matches_serial(self, monkeypatch):
-        # Budgets that run out inside the probe, at the proof's root, at its
-        # first branch node and mid-proof, and full ones; a one-node probe
-        # leaves every witness to the proof.
-        splits = []
-        split_search = zarank.witness._split_search
-        monkeypatch.setattr(zarank.witness, "_split_search", lambda *args: splits.append(1) or split_search(*args))
+        # Small probe caps and slices. Budgets run out inside the slice,
+        # between the slice and the probe's cap, at the proof's root, at its
+        # first branch node and mid-proof, and some are full ones; a one-node
+        # probe leaves every witness to the proof.
+        forks = self.count_calls(monkeypatch, "_fork")
+        merges = self.count_calls(monkeypatch, "_merge")
         rng = random.Random(53)
         outcomes = set()
         for case in range(16):
-            probe = rng.choice([1, 1, 5])
+            probe = rng.choice([1, 1, 5, 12, 40])
+            piece = rng.randint(1, min(probe, 8))
             monkeypatch.setattr(zarank.witness, "_PROBE_NODES", probe)
+            monkeypatch.setattr(zarank.witness, "_PROBE_SLICE", piece)
             while True:
                 g = random_graph(rng, rng.randint(6, 16), rng.randint(6, 16), rng.choice([0.2, 0.35, 0.5]))
                 k = rng.randint(2, min(4, g.n_left, g.n_right))
                 full = self.search(monkeypatch, g, k, 10_000_000, 1)
-                if full.nodes_explored > probe + 10:
+                if full.nodes_explored > piece + 10:
                     break
             nodes = full.nodes_explored
             workers = 2 + case % 2
-            for budget in sorted({probe, probe + 1, probe + 2, (probe + nodes) // 2, nodes - 1, nodes, 10_000_000}):
+            budgets = {piece - 1, piece, piece + 1, probe, probe + 1, probe + 2, probe + 3}
+            budgets |= {(probe + nodes) // 2, nodes - 1, nodes, 10_000_000}
+            for budget in sorted(budgets - {0}):
                 expect = self.search(monkeypatch, g, k, budget, 1)
                 assert self.search(monkeypatch, g, k, budget, workers) == expect
                 outcomes.add((expect.found, expect.nodes_explored > probe + 1))
-        assert len(splits) > 40
+        assert len(merges) > 40
+        assert len(forks) > len(merges)  # some probes settled after their workers started
         # found, absent and out of budget, each also past the proof's root
         assert {(True, True), (False, True), (None, True), (None, False)} <= outcomes
 
@@ -338,6 +408,33 @@ class TestSplitProof:
         for workers in (1, 2, 3):
             res = self.search(monkeypatch, union150, 10, 10_000_000, workers)
             assert (res.found, res.nodes_explored, res.complete) == (False, 85_215, True)
+        # budgets that run out early in the proof, mid-proof and at its last node
+        for budget in (30_000, 60_000, 85_214):
+            expect = self.search(monkeypatch, union150, 10, budget, 1)
+            assert expect.found is None and expect.nodes_explored == budget + 1
+            for workers in (2, 3):
+                assert self.search(monkeypatch, union150, 10, budget, workers) == expect
+
+    def test_probe_witness_after_the_slice_kills_the_workers(self, monkeypatch):
+        # The probe finds this union's witness 4,038 nodes in, after the
+        # workers started; they are killed and the probe's witness stands.
+        family = random_family(150, 10, [(15, 15)] * 111, RandomSource(2))
+        g = union_of(family)
+        exits = []
+        close = zarank.witness._Proof.close
+
+        def recorded_close(proof):
+            close(proof)
+            exits.extend(proc.exitcode for proc in proof.procs)
+
+        monkeypatch.setattr(zarank.witness._Proof, "close", recorded_close)
+        expect = self.search(monkeypatch, g, 10, 10_000_000, 1)
+        assert expect.found is True
+        assert zarank.witness._PROBE_SLICE < expect.nodes_explored == 4_038 <= zarank.witness._PROBE_NODES
+        assert exits == []
+        merges = self.count_calls(monkeypatch, "_merge")
+        assert self.search(monkeypatch, g, 10, 10_000_000, 3) == expect
+        assert exits == [-signal.SIGKILL] * 2 and merges == []
 
     def test_no_worker_outlives_a_search(self, monkeypatch, union150):
         self.use_cpus(monkeypatch, 2)
@@ -352,8 +449,20 @@ class TestSplitProof:
         assert multiprocessing.active_children() == []
 
     def test_lost_worker_raises(self, monkeypatch, union150):
-        self.use_cpus(monkeypatch, 2)
+        # Each worker exits at once, while the parent still has 18,000 probe
+        # nodes to search; the merge that follows the probe raises.
+        self.use_cpus(monkeypatch, 3)  # two workers besides the parent
         monkeypatch.setattr(zarank.witness, "_proof_worker", lambda *args: os._exit(1))
+        run = zarank.witness._Proof.run
+
+        def run_after_exits(proof, budget):
+            assert budget.nodes == zarank.witness._PROBE_NODES + 1
+            for proc in proof.procs:
+                proc.join(timeout=10)
+            assert [proc.exitcode for proc in proof.procs] == [1, 1]
+            return run(proof, budget)
+
+        monkeypatch.setattr(zarank.witness._Proof, "run", run_after_exits)
         with pytest.raises(RuntimeError, match="worker"):
             has_kxk_independent_set(union150, 10)
         assert multiprocessing.active_children() == []
@@ -370,7 +479,7 @@ class TestSplitProof:
             held.append(os.dup(child_conn.fileno()))
             return conn, child_conn
 
-        self.use_cpus(monkeypatch, 2)
+        self.use_cpus(monkeypatch, 3)  # two workers besides the parent
         monkeypatch.setattr(fork, "Pipe", held_pipe)
         monkeypatch.setattr(zarank.witness, "_proof_worker", lambda *args: os._exit(1))
         try:
@@ -380,6 +489,19 @@ class TestSplitProof:
             for fd in held:
                 os.close(fd)
         assert len(held) == 2 and multiprocessing.active_children() == []
+
+    def test_worker_lost_holding_the_ticket_lock_raises(self):
+        # A worker killed between taking the lock and releasing it leaves the
+        # lock held; the parent's take sees the worker's exit and raises.
+        ctx = multiprocessing.get_context("fork")
+        tickets = zarank.witness._Tickets(ctx, 5)
+        assert tickets.take() == 0
+        proc = ctx.Process(target=lambda: tickets.lock.acquire() and os._exit(1))
+        proc.start()
+        proc.join(timeout=10)
+        assert proc.exitcode == 1
+        with pytest.raises(RuntimeError, match="worker"):
+            tickets.take([proc.sentinel])
 
     def test_serial_without_fork_with_threads_or_inside_a_child(self, monkeypatch):
         ctx = multiprocessing.get_context("fork")
