@@ -192,36 +192,44 @@ def _search(
 
 class _Tickets:
     """The proof's top-level branches 0 .. ``stop`` - 1, handed out in order
-    to whichever process asks next: a counter in shared memory, under a
-    lock, that forked workers inherit."""
+    to whichever process asks next, through a pipe that forked workers
+    inherit.
 
-    def __init__(self, ctx, stop: int):
-        import mmap
+    The pipe holds one token, the next branch's number in 8 bytes, written
+    and read whole. A process takes a branch by reading the token, which
+    only one reader gets, and writing back the next one.
+    """
 
-        self.counter = mmap.mmap(-1, 8)  # anonymous and shared, so forks see one counter
-        self.lock = ctx.Lock()
+    def __init__(self, stop: int):
         self.stop = stop
+        self.fds = os.pipe()
+        os.set_blocking(self.fds[0], False)
+        os.write(self.fds[1], (0).to_bytes(8, "little"))
 
     def take(self, sentinels: Sequence = ()) -> Optional[int]:
         """The next branch, or None once every branch is taken.
 
-        A worker killed while it holds the lock never releases it, so a
-        caller that passes the workers' exit ``sentinels`` does not wait on
-        the lock for ever: it raises ``RuntimeError`` once one has exited.
+        A worker killed while it holds the token never puts it back, so a
+        caller that passes the workers' exit ``sentinels`` does not wait for
+        it for ever: it raises ``RuntimeError`` once one has exited.
         """
         from multiprocessing.connection import wait
 
-        while not self.lock.acquire(timeout=0.05):
-            if wait(sentinels, timeout=0):
-                raise RuntimeError(_LOST_WORKER)
-        try:
-            branch = int.from_bytes(self.counter[:8], "little")
-            if branch >= self.stop:
-                return None
-            self.counter[:8] = (branch + 1).to_bytes(8, "little")
-            return branch
-        finally:
-            self.lock.release()
+        while True:
+            try:
+                token = os.read(self.fds[0], 8)
+                break
+            except BlockingIOError:  # another process holds the token
+                ready = wait([self.fds[0], *sentinels])
+                if any(sentinel in ready for sentinel in sentinels):
+                    raise RuntimeError(_LOST_WORKER) from None
+        branch = int.from_bytes(token, "little")
+        os.write(self.fds[1], min(branch + 1, self.stop).to_bytes(8, "little"))
+        return branch if branch < self.stop else None
+
+    def close(self) -> None:
+        for fd in self.fds:
+            os.close(fd)
 
 
 def _walk(
@@ -277,6 +285,7 @@ class _Proof:
         self.live = _live(self.non_nbrs, k)
         self.procs: list = []
         self.conns: list = []
+        self.tickets: Optional[_Tickets] = None
         branches = len(self.live) - k + 1
         if branches > 1 and limit > 0 and (cpus := _proof_workers()) > 1:
             self._fork(branches, min(cpus - 1, branches - 1))
@@ -285,7 +294,7 @@ class _Proof:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
-        self.tickets = _Tickets(ctx, branches)
+        self.tickets = _Tickets(branches)
         args = (self.tickets, self.non_nbrs, self.domain, self.k, self.limit, self.live)
         try:
             for _ in range(workers):
@@ -371,6 +380,9 @@ class _Proof:
             proc.join()
         for conn in self.conns:
             conn.close()
+        if self.tickets is not None:
+            self.tickets.close()
+            self.tickets = None
 
 
 def _proof_workers() -> int:

@@ -490,18 +490,45 @@ class TestSplitProof:
                 os.close(fd)
         assert len(held) == 2 and multiprocessing.active_children() == []
 
-    def test_worker_lost_holding_the_ticket_lock_raises(self):
-        # A worker killed between taking the lock and releasing it leaves the
-        # lock held; the parent's take sees the worker's exit and raises.
+    def test_tickets_hand_out_each_branch_once(self):
+        # Three processes take from one counter: every branch once, in order
+        # per taker, then None for all.
         ctx = multiprocessing.get_context("fork")
-        tickets = zarank.witness._Tickets(ctx, 5)
-        assert tickets.take() == 0
-        proc = ctx.Process(target=lambda: tickets.lock.acquire() and os._exit(1))
-        proc.start()
-        proc.join(timeout=10)
-        assert proc.exitcode == 1
-        with pytest.raises(RuntimeError, match="worker"):
-            tickets.take([proc.sentinel])
+        tickets = zarank.witness._Tickets(300)
+        try:
+            conns, procs = [], []
+            for _ in range(2):
+                conn, child_conn = ctx.Pipe()
+                proc = ctx.Process(target=lambda c=child_conn: c.send(list(iter(tickets.take, None))))
+                proc.start()
+                conns.append(conn)
+                procs.append(proc)
+            taken = [list(iter(tickets.take, None))] + [conn.recv() for conn in conns]
+            for proc in procs:
+                proc.join(timeout=10)
+                assert proc.exitcode == 0
+            assert all(branches == sorted(branches) for branches in taken)
+            assert sorted(sum(taken, [])) == list(range(300))
+            assert tickets.take() is None
+        finally:
+            tickets.close()
+
+    def test_worker_lost_holding_the_ticket_raises(self):
+        # A worker killed between reading the token and writing back the next
+        # one leaves no token; the parent's take sees the worker's exit and
+        # raises.
+        ctx = multiprocessing.get_context("fork")
+        tickets = zarank.witness._Tickets(5)
+        try:
+            assert tickets.take() == 0
+            proc = ctx.Process(target=lambda: os.read(tickets.fds[0], 8) and os._exit(1))
+            proc.start()
+            proc.join(timeout=10)
+            assert proc.exitcode == 1
+            with pytest.raises(RuntimeError, match="worker"):
+                tickets.take([proc.sentinel])
+        finally:
+            tickets.close()
 
     def test_serial_without_fork_with_threads_or_inside_a_child(self, monkeypatch):
         ctx = multiprocessing.get_context("fork")
