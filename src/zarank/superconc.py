@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bounds import (
@@ -471,14 +471,15 @@ def decompose(
     )
 
 
-def _lowest_bits(mask: int, count: int) -> int:
-    """The ``count`` lowest set bits of ``mask`` (all of them if it has fewer)."""
-    out = 0
-    for _ in range(count):
-        low = mask & -mask
-        out |= low
-        mask ^= low
-    return out
+def _rounded_pair(lead_min: int, follow_min: int, num: int, den: int) -> tuple[int, int]:
+    """The least ``lead >= lead_min`` whose ``follow``, ``lead * num/den``
+    rounded half up, is at least ``follow_min``, and that ``follow``.
+
+    ``follow >= follow_min`` is ``2*num*lead + den >= 2*den*follow_min``, and
+    ``follow`` never falls as ``lead`` grows, so the least lead is a ceiling.
+    """
+    lead = max(lead_min, -((den - 2 * den * follow_min) // (2 * num)))
+    return lead, (2 * num * lead + den) // (2 * den)
 
 
 def balance_degrees(g: LayeredGraph, a: float | int = 1, b: float | int = 1) -> LayeredGraph:
@@ -486,17 +487,24 @@ def balance_degrees(g: LayeredGraph, a: float | int = 1, b: float | int = 1) -> 
     rounding. Never removes edges; raises if a vertex would need more than n
     neighbors, or if the padding would more than double the total edge count
     (beyond the per-vertex rounding allowance). Added edges go to the smallest
-    available vertex indices, so the result is deterministic."""
+    available vertex indices, so the result is deterministic.
+
+    A middle of degrees (dv, dw) gets the least target (x, y) with x >= dv
+    and y >= dw: with ratio a/b <= 1, the least y whose x = round(y * a/b)
+    reaches dv, and otherwise the least x whose y = round(x * b/a) reaches
+    dw, rounding halves up. Both are computed in closed form on the exact
+    ratio, not by a scan over y or x.
+    """
     from fractions import Fraction  # on use: sc-verify loads this module but needs no fractions
 
     if a <= 0 or b <= 0:
         raise ValueError(f"target ratio parts must be positive, got ({a}, {b})")
     ratio = Fraction(a) / Fraction(b)
+    p, q = ratio.numerator, ratio.denominator
     n, m = g.n, g.m
     in_masks = g.middle_in
     out_masks = list(g.adj_mw)
     full = (1 << n) - 1
-    half = Fraction(1, 2)
 
     new_in = list(in_masks)
     for u in range(m):
@@ -504,34 +512,18 @@ def balance_degrees(g: LayeredGraph, a: float | int = 1, b: float | int = 1) -> 
         dw = out_masks[u].bit_count()
         if dv == 0 and dw == 0:
             continue
-        target: Optional[tuple[int, int]] = None
-        if ratio <= 1:
-            for y in range(dw, n + 1):
-                x = int(ratio * y + half)
-                if x >= dv and x <= n:
-                    target = (x, y)
-                    break
+        if p <= q:
+            y, x = _rounded_pair(dw, dv, p, q)
         else:
-            for x in range(dv, n + 1):
-                y = int(x / ratio + half)
-                if y >= dw and y <= n:
-                    target = (x, y)
-                    break
-        if target is None:
+            x, y = _rounded_pair(dv, dw, q, p)
+        if x > n or y > n:
             raise ValueError(
                 f"cannot balance middle vertex {u} (degrees {dv}, {dw}) to {a}:{b} within n={n}"
             )
-        x, y = target
         if x > dv:
-            extra = _lowest_bits(full & ~new_in[u], x - dv)
-            if extra.bit_count() < x - dv:
-                raise ValueError(f"middle vertex {u} needs in-degree {x} > n={n}")
-            new_in[u] |= extra
+            new_in[u] |= mask_of(islice(bits(full & ~new_in[u]), x - dv))
         if y > dw:
-            extra = _lowest_bits(full & ~out_masks[u], y - dw)
-            if extra.bit_count() < y - dw:
-                raise ValueError(f"middle vertex {u} needs out-degree {y} > n={n}")
-            out_masks[u] |= extra
+            out_masks[u] |= mask_of(islice(bits(full & ~out_masks[u]), y - dw))
 
     balanced = LayeredGraph(n, m, tuple(transpose_masks(new_in, n)), tuple(out_masks))
     balanced.__dict__["middle_in"] = tuple(new_in)  # fills the cached view

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence
 
 # transpose_masks is unused here; bench/tests checks the tracer wraps this binding.
@@ -470,7 +471,7 @@ def has_kxk_independent_set(
         return WitnessResult(False, None, None, budget.nodes, True)
     common, chosen = outcome
     chosen_mask = mask_of(order[p] for p in chosen)
-    other_mask = mask_of(list(bits(common))[:k])
+    other_mask = mask_of(islice(bits(common), k))
     if branch_right:
         s_mask, t_mask = other_mask, chosen_mask
     else:

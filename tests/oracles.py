@@ -171,3 +171,75 @@ def decimal_certificate(n: int, k: int, sizes: Sequence[tuple[int, int]], prec: 
         total += decimal_log2_fraction(miss, prec)
     total += 2 * decimal_log2_fraction(Fraction(comb(n, k)), prec)
     return total
+
+
+def lowest_bit_positions(mask: int) -> list[int]:
+    """Set bit positions of ``mask``, ascending, peeling the lowest set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def bitwise_transpose(rows: Sequence[int], n_cols: int) -> list[int]:
+    """Column masks of a bit matrix, one bit test per matrix cell."""
+    return [
+        sum(1 << r for r, row in enumerate(rows) if row >> c & 1) for c in range(n_cols)
+    ]
+
+
+def randrange_subsets(n: int, rng, sizes: Sequence[int]) -> list[list[int]]:
+    """Partial Fisher-Yates on a fresh list per draw, one
+    ``rng.randrange(i, n)`` per swap."""
+    out = []
+    for m in sizes:
+        arr = list(range(n))
+        for i in range(m):
+            j = rng.randrange(i, n)
+            arr[i], arr[j] = arr[j], arr[i]
+        out.append(arr[:m])
+    return out
+
+
+def scan_balance_target(dv: int, dw: int, n: int, a, b) -> Optional[tuple[int, int]]:
+    """Least balanced degree pair (x, y) for a middle of degrees (dv, dw), by a
+    linear scan on the exact ratio a/b: with a/b <= 1, y runs up from dw and
+    x = round(y * a/b); otherwise x runs up from dv and y = round(x * b/a),
+    rounding halves up. None when no pair within n has x >= dv and y >= dw."""
+    ratio = Fraction(a) / Fraction(b)
+    half = Fraction(1, 2)
+    if ratio <= 1:
+        for y in range(dw, n + 1):
+            x = int(ratio * y + half)
+            if dv <= x <= n:
+                return x, y
+    else:
+        for x in range(dv, n + 1):
+            y = int(x / ratio + half)
+            if dw <= y <= n:
+                return x, y
+    return None
+
+
+def scan_balance_degrees(in_masks: Sequence[int], out_masks: Sequence[int], n: int, a, b):
+    """Per middle vertex, its in- and out-mask padded to the scan's target
+    with the lowest absent vertices; ``ValueError`` if some middle has no
+    target. Checks neither the growth bound nor the input."""
+    new_in, new_out = [], []
+    for u, (in_mask, out_mask) in enumerate(zip(in_masks, out_masks)):
+        dv, dw = bin(in_mask).count("1"), bin(out_mask).count("1")
+        if dv == 0 and dw == 0:
+            new_in.append(in_mask)
+            new_out.append(out_mask)
+            continue
+        target = scan_balance_target(dv, dw, n, a, b)
+        if target is None:
+            raise ValueError(f"cannot balance middle vertex {u}")
+        for mask, degree, store in ((in_mask, target[0], new_in), (out_mask, target[1], new_out)):
+            absent = [v for v in range(n) if not mask >> v & 1]
+            for v in absent[: degree - bin(mask).count("1")]:
+                mask |= 1 << v
+            store.append(mask)
+    return new_in, new_out

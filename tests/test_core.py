@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 from dataclasses import dataclass
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bitwise_transpose, lowest_bit_positions, randrange_subsets
 from zarank.core import (
     BicliqueFamily,
     BipartiteGraph,
@@ -144,14 +146,8 @@ class TestTranspose:
             assert flipped(flipped(g)) == g
 
     def test_masks_match_has_bit_reference(self):
-        def reference(rows, n_cols):
-            return [
-                sum(1 << r for r, row in enumerate(rows) if row >> c & 1)
-                for c in range(n_cols)
-            ]
-
         rng = random.Random(17)
-        shapes = [(0, 0), (0, 5), (5, 0), (1, 9), (9, 1), (1, 1), (70, 3), (3, 70)]
+        shapes = [(0, 0), (0, 5), (5, 0), (1, 9), (9, 1), (1, 1), (70, 3), (3, 70), (2, 2048), (40, 300)]
         shapes += [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(300)]
         for n_rows, n_cols in shapes:
             p = rng.choice([0.0, 0.05, 0.5, 1.0])
@@ -162,7 +158,7 @@ class TestTranspose:
                 rows[rng.randrange(n_rows)] = 0
                 rows[rng.randrange(n_rows)] |= 1 << (n_cols - 1)
             cols = transpose_masks(rows, n_cols)
-            assert cols == reference(rows, n_cols), (rows, n_cols)
+            assert cols == bitwise_transpose(rows, n_cols), (rows, n_cols)
             if n_rows:
                 assert transpose_masks(cols, n_rows) == rows
 
@@ -401,9 +397,46 @@ class TestSubsetSampler:
         with pytest.raises(ValueError):
             SubsetSampler(4, random.Random(0)).draw_list(5)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 1000])
+    def test_stream_is_randrange_fisher_yates(self, n):
+        # Two samplers share one Random, as random_family uses them. Each draw
+        # must consume exactly what randrange(i, n) per swap would, so a change
+        # to CPython's randrange fails here instead of changing every family.
+        sizes = [m for m in (0, 1, n) for _ in range(3)] + [n // 2, n - 1, 1, 0]
+        rng = random.Random(n)
+        left, right = SubsetSampler(n, rng), SubsetSampler(n, rng)
+        drawn = [(left if pos % 2 else right).draw_list(m) for pos, m in enumerate(sizes)]
+        reference = random.Random(n)
+        assert drawn == randrange_subsets(n, reference, sizes)
+        assert rng.getrandbits(64) == reference.getrandbits(64)  # nothing more was consumed
+        assert left._arr == right._arr == list(range(n))
+
 
 class TestBits:
     @given(st.integers(0, (1 << 40) - 1))
     def test_bits_round_trip(self, mask):
         assert mask_of(bits(mask)) == mask
         assert len(list(bits(mask))) == mask.bit_count()
+
+    def test_matches_lowest_bit_reference_on_both_paths(self):
+        rng = random.Random(29)
+        masks = [0, 1, 0xFF, (1 << 64) - 1, (1 << 2048) - 1, 1 << 100_000 | 1, 1 << 7, 1 << 8]
+        for n in (8, 9, 63, 64, 65, 256, 1000, 2048):
+            for k in sorted({1, 2, n // 64, n // 32, n // 32 + 1, n // 4, n - 1, n}):
+                masks.append(sum(1 << v for v in rng.sample(range(n), k)))
+                masks.append(masks[-1] | 1 << n - 1)
+        # Longer than 4096 bits: dense in the top 4096, dense only below them, just over.
+        masks += [(1 << 5000) - 1 << 95_000, (1 << 5000) - 1 | 1 << 99_999, (1 << 4097) - 1]
+        dense = [m for m in masks if m.bit_count() << 5 > m.bit_length()]
+        assert 0 < len(dense) < len(masks)  # both paths are exercised
+        for mask in masks:
+            assert list(bits(mask)) == lowest_bit_positions(mask), hex(mask)
+
+    def test_stays_a_lazy_generator(self):
+        assert inspect.isgeneratorfunction(bits)
+        huge = 1 << 100_000 | 1 << 3
+        it = bits(huge)
+        assert next(it) == 3 and next(it) == 100_000
+        dense = (1 << 100_000) - 1
+        assert next(bits(dense)) == 0
+        assert list(zip(range(3), bits(dense << 5))) == [(0, 5), (1, 6), (2, 7)]

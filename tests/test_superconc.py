@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import brute_max_two_paths
+from oracles import brute_max_two_paths, scan_balance_degrees
 from zarank.core import LayeredGraph, RandomSource, transpose_masks
 from zarank.superconc import (
     balance_degrees,
@@ -478,8 +478,35 @@ class TestBalance:
 
     def test_infeasible_ratio(self):
         g = LayeredGraph.from_edge_lists(2, 1, [(0, 0), (1, 0)], [(0, 0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot balance middle vertex 0"):
             balance_degrees(g, 5, 1)  # needs deg_V = 5 > n = 2
+
+    def test_closed_form_matches_the_scan(self):
+        # The per-middle targets are computed in closed form; the oracle scans
+        # y (or x) upwards on the exact ratio. Float parts are exact binary
+        # fractions, so they are compared as such.
+        rng = random.Random(61)
+        ratios = [(1, 1), (1, 2), (2, 1), (3, 7), (7, 3), (1000, 999), (1, 1000), (0.1, 0.3), (2.5, 1)]
+        for trial in range(1500):
+            n, m = rng.randint(1, 24), rng.randint(1, 4)
+            in_masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m)]
+            out_masks = [rng.getrandbits(n) for _ in range(m)]
+            g = LayeredGraph(n, m, tuple(transpose_masks(in_masks, n)), tuple(out_masks))
+            a, b = ratios[trial % len(ratios)] if trial % 3 else (rng.uniform(0.05, 20), rng.uniform(0.05, 20))
+            try:
+                expected = scan_balance_degrees(in_masks, out_masks, n, a, b)
+            except ValueError:
+                with pytest.raises(ValueError, match="cannot balance"):
+                    balance_degrees(g, a, b)
+                continue
+            before = g.vm_edge_count + g.mw_edge_count
+            after = sum(map(int.bit_count, expected[0] + expected[1]))
+            if before and after > 2 * before + m:
+                with pytest.raises(ValueError, match="more than the promised factor two"):
+                    balance_degrees(g, a, b)
+                continue
+            balanced = balance_degrees(g, a, b)
+            assert (list(balanced.middle_in), list(balanced.adj_mw)) == expected, (in_masks, out_masks, n, a, b)
 
 
 class TestLadder:
