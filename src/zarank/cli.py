@@ -640,16 +640,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         resolved = {k: str(base_dir / point[k]) for k in paths if point[k] is not None}
         tasks.append((index, name, point, {**point, **resolved}))
     _refuse_overwrite(base_dir / output_csv, args.force)
-    jobs = min(args.jobs, len(tasks))  # the executor starts every worker up front
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing
+    from .forks import OrderedForks
 
-        for module in command.modules:  # once here, not in every forked worker
-            importlib.import_module(f".{module}", __package__)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point, tasks))
-    else:
-        results = [_sweep_point(task) for task in tasks]
+    for module in command.modules:  # once here, not in every forked worker
+        importlib.import_module(f".{module}", __package__)
+    with OrderedForks(lambda i: _sweep_point(tasks[i]), len(tasks), args.jobs - 1) as pool:
+        results = list(pool)
 
     out_path = _output_path(base_dir / output_csv, args.force)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -15,35 +15,31 @@ to completion. One node budget spans both phases. Each node's candidate
 filter gives up as soon as the node is lost, which saves time only: the
 nodes searched are the same.
 
-The proof runs on every CPU this process may use, and starts while the probe
-still runs. A probe that stops always stops at ``_PROBE_NODES + 1`` nodes, so
-the proof's budget is known in advance. Once the probe has spent
-``_PROBE_SLICE`` nodes unsettled, forked workers, one per CPU but the
-parent's, start on the proof's top-level branches (pick the i-th live
-candidate first, then search what remains after it), which share no state,
-since there is no incumbent. Each worker takes the next untaken branch and
-needs nothing from the parent. The parent goes on probing from where it was.
-If the probe settles, the workers are killed and its result stands.
-Otherwise the parent merges the branch results in branch order, taking
-untaken branches itself while it waits, adds up their node counts, and stops
-at the first witness or once the sum passes the budget; verdict, witness and
-``nodes_explored`` are exactly the serial ones, and every worker is killed
-and reaped before the search returns. A worker that exits without a result,
-even while the parent probes, makes the search raise. The proof stays serial
-on one CPU, where ``fork`` is unavailable, in a process that runs other
-threads, and inside a multiprocessing child (such as a ``sweep --jobs``
-worker). A search that settles within the slice never forks.
+The proof starts while the probe still runs. A probe that stops always
+stops at ``_PROBE_NODES + 1`` nodes, so the proof's budget is known in
+advance. Once the probe has spent ``_PROBE_SLICE`` nodes unsettled, the
+proof's top-level branches (pick the i-th live candidate first, then search
+what remains after it) go to an ``OrderedForks`` pool, whose workers start
+on them at once; they share no state, since there is no incumbent. The
+parent goes on probing from where it was. If the probe settles, the pool is
+closed and the probe's result stands. Otherwise the parent takes the branch
+results in branch order, adds up their node counts, and stops at the first
+witness or once the sum passes the budget. Each process counts the branches
+it searches on its own copy of one budget, so it stops where the sum would
+have passed the budget anyway, and verdict, witness and ``nodes_explored``
+are exactly the serial ones. A search that settles within the slice never
+makes a pool.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 # transpose_masks is unused here; bench/tests checks the tracer wraps this binding.
 from .core import BipartiteGraph, bits, mask_of, transpose_masks  # noqa: F401
+from .forks import OrderedForks
 
 __all__ = [
     "WitnessResult",
@@ -53,7 +49,6 @@ __all__ = [
 DEFAULT_NODE_BUDGET = 10_000_000
 _PROBE_NODES = 20_000  # node cap of the ascending-order probe
 _PROBE_SLICE = 2_000  # probe nodes spent before the proof workers start; at most _PROBE_NODES
-_LOST_WORKER = "a witness-search worker exited without a result"
 
 
 @dataclass(frozen=True)
@@ -191,221 +186,43 @@ def _search(
     return None
 
 
-class _Tickets:
-    """The proof's top-level branches 0 .. ``stop`` - 1, handed out in order
-    to whichever process asks next, through a pipe that forked workers
-    inherit.
-
-    The pipe holds one token, the next branch's number in 8 bytes, written
-    and read whole. A process takes a branch by reading the token, which
-    only one reader gets, and writing back the next one.
-    """
-
-    def __init__(self, stop: int):
-        self.stop = stop
-        self.fds = os.pipe()
-        os.set_blocking(self.fds[0], False)
-        os.write(self.fds[1], (0).to_bytes(8, "little"))
-
-    def take(self, sentinels: Sequence = ()) -> Optional[int]:
-        """The next branch, or None once every branch is taken.
-
-        A worker killed while it holds the token never puts it back, so a
-        caller that passes the workers' exit ``sentinels`` does not wait for
-        it for ever: it raises ``RuntimeError`` once one has exited.
-        """
-        from multiprocessing.connection import wait
-
-        while True:
-            try:
-                token = os.read(self.fds[0], 8)
-                break
-            except BlockingIOError:  # another process holds the token
-                ready = wait([self.fds[0], *sentinels])
-                if any(sentinel in ready for sentinel in sentinels):
-                    raise RuntimeError(_LOST_WORKER) from None
-        branch = int.from_bytes(token, "little")
-        os.write(self.fds[1], min(branch + 1, self.stop).to_bytes(8, "little"))
-        return branch if branch < self.stop else None
-
-    def close(self) -> None:
-        for fd in self.fds:
-            os.close(fd)
-
-
-def _walk(
-    tickets: _Tickets, non_nbrs: Sequence[int], domain: int, k: int, limit: int, live: list[int], sentinels=()
-) -> Iterator[tuple[int, Optional[tuple[int, list[int]]] | str, int]]:
-    """Search the proof's top-level branches that ``tickets`` hands out, in
-    order, each within what is left of ``limit`` nodes, and yield (branch,
-    outcome, nodes) for each.
-
-    A witness or a spent limit ends the walk: the merge stops at or before
-    that branch, since it adds up the nodes of every branch up to it, this
-    walk's among them.
-    """
-    while (first := tickets.take(sentinels)) is not None:
-        budget = _Budget(limit)
-        outcome = _search(non_nbrs, domain, k, budget, live, first, first + 1)
-        yield first, outcome, budget.nodes
-        if outcome is not None:
-            return
-        limit -= budget.nodes
-
-
-def _proof_worker(conn, *walk_args) -> None:
-    """Send the parent each result of ``_walk(*walk_args)``. The worker needs
-    nothing from the parent, and waits for it to kill the worker once the
-    walk ends."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-    conn.send(None)  # started
-    for result in _walk(*walk_args):
-        conn.send(result)
-    conn.recv()  # the parent sends nothing: this returns only once it has gone
-
-
 class _Proof:
     """The descending-degree search that runs once the probe stops at its
     cap, with ``limit`` nodes below its root.
 
-    It is set up while the probe still runs. On more than one usable CPU
-    (``_proof_workers``) it forks one worker per CPU but the parent's, and
-    they start on its top-level branches at once, each taking the next
-    untaken branch (``_Tickets``); the branches share no state, since the
-    search keeps no incumbent. The parent joins them once its probe has
-    stopped. ``close`` kills (SIGKILL, which no inherited handler can catch)
-    and reaps every worker.
+    It is set up while the probe still runs, and its top-level branches go
+    to an ``OrderedForks`` at once. Each process counts the branches it
+    searches on its own copy of ``budget``.
     """
 
     def __init__(self, keyed: list[tuple[int, int]], rows: Sequence[int], other: int, k: int, limit: int):
         self.order = [w for _, w in sorted(keyed, key=lambda dw: (-dw[0], dw[1]))]
-        self.non_nbrs = [other & ~rows[w] for w in self.order]
-        self.domain, self.k, self.limit = other, k, limit
-        self.live = _live(self.non_nbrs, k)
-        self.procs: list = []
-        self.conns: list = []
-        self.tickets: Optional[_Tickets] = None
-        branches = len(self.live) - k + 1
-        if branches > 1 and limit > 0 and (cpus := _proof_workers()) > 1:
-            self._fork(branches, min(cpus - 1, branches - 1))
+        non_nbrs = [other & ~rows[w] for w in self.order]
+        live = _live(non_nbrs, k)
+        budget = _Budget(limit)
 
-    def _fork(self, branches: int, workers: int) -> None:
-        import multiprocessing
+        def branch(first: int) -> tuple[Optional[tuple[int, list[int]]] | str, int]:
+            start = budget.nodes
+            return _search(non_nbrs, other, k, budget, live, first, first + 1), budget.nodes - start
 
-        ctx = multiprocessing.get_context("fork")
-        self.tickets = _Tickets(branches)
-        args = (self.tickets, self.non_nbrs, self.domain, self.k, self.limit, self.live)
-        try:
-            for _ in range(workers):
-                conn, child_conn = ctx.Pipe()
-                self.conns.append(conn)
-                proc = ctx.Process(target=_proof_worker, args=(child_conn, *args), daemon=True)
-                proc.start()
-                self.procs.append(proc)
-                child_conn.close()
-        except BaseException:  # the caller holds no _Proof yet to close
-            self.close()
-            raise
+        branches = len(live) - k + 1
+        self.forks = OrderedForks(branch, branches, branches - 1)
 
     def run(self, budget: _Budget) -> Optional[tuple[int, list[int]]] | str:
-        """The proof's outcome, as ``_branch_bound`` gives it, counted on ``budget``."""
+        """The proof's outcome, as ``_branch_bound`` gives it, counted on
+        ``budget``: the branches' outcomes in branch order, their nodes added
+        up, to the first witness or until the sum passes the limit (then
+        ``limit + 1`` nodes, as ``_Budget`` reports)."""
         if not budget.tick():
             return "budget"
-        if self.procs:
-            return self._merge(budget)
-        return _search(self.non_nbrs, self.domain, self.k, budget, self.live, 0, len(self.live) - self.k + 1)
-
-    def _merge(self, budget: _Budget) -> Optional[tuple[int, list[int]]] | str:
-        """Merge the branch results in branch order, adding up their nodes;
-        stop at the first witness or once the sum passes the limit
-        (reporting ``limit + 1`` nodes, as ``_Budget`` does). Outcome and node
-        count are the serial ones.
-
-        While the branch merged next is still out and no message waits, the
-        parent searches the next untaken branch itself, as a worker would.
-        A worker never exits on its own, so the parent watches each worker's
-        exit sentinel as well as its pipe: a worker that exits, like one
-        whose pipe breaks, raises ``RuntimeError``. Each worker's first
-        message says it has started, and the merge returns only once every
-        worker has sent it, so a worker that dies at once raises even when
-        the parent has searched every branch itself.
-        """
-        from multiprocessing.connection import wait
-
-        sentinels = [proc.sentinel for proc in self.procs]
-        own = _walk(self.tickets, self.non_nbrs, self.domain, self.k, self.limit, self.live, sentinels)
-        results: dict = {}  # branch -> (outcome, nodes), until merged
-        silent = set(self.conns)  # workers not heard from yet
-
-        def receive(block: bool) -> bool:
-            """Read every message that waits; False if none does and not ``block``."""
-            ready = wait(self.conns + sentinels, None if block else 0)
-            if any(sentinel in ready for sentinel in sentinels):
-                raise RuntimeError(_LOST_WORKER)
-            for conn in ready:
-                message = conn.recv()
-                silent.discard(conn)
-                if message is not None:
-                    results[message[0]] = message[1:]
-            return bool(ready)
-
-        outcome = None
-        try:
-            for branch in range(len(self.live) - self.k + 1):
-                while branch not in results:
-                    if not receive(block=own is None) and own is not None:
-                        result = next(own, None)
-                        if result is None:
-                            own = None
-                        else:
-                            results[result[0]] = result[1:]
-                outcome, nodes = results.pop(branch)
-                budget.nodes += nodes
-                if budget.nodes > budget.limit:
-                    budget.nodes = budget.limit + 1
-                    outcome = "budget"
-                if outcome is not None:
-                    break
-            while silent:
-                receive(block=True)
-        except (EOFError, OSError) as exc:
-            raise RuntimeError(_LOST_WORKER) from exc
-        return outcome
-
-    def close(self) -> None:
-        for proc in self.procs:
-            proc.kill()
-        for proc in self.procs:
-            proc.join()
-        for conn in self.conns:
-            conn.close()
-        if self.tickets is not None:
-            self.tickets.close()
-            self.tickets = None
-
-
-def _proof_workers() -> int:
-    """Processes the absence proof may run on: the CPUs this process may use,
-    or 1 (serial) without ``fork``, in a process that runs other threads
-    (forking one is unsafe), or inside a multiprocessing child, such as a
-    ``sweep --jobs`` worker.
-
-    ``multiprocessing`` is imported here, where a proof first needs it:
-    imported with this module it raised the CLI's peak RSS by about 0.45 MB,
-    although ``zarank.cli`` loads it later anyway.
-    """
-    import multiprocessing
-    import threading
-
-    if (
-        multiprocessing.parent_process() is not None
-        or threading.active_count() > 1
-        or "fork" not in multiprocessing.get_all_start_methods()
-    ):
-        return 1
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        for outcome, nodes in self.forks:
+            budget.nodes += nodes
+            if budget.nodes > budget.limit:
+                budget.nodes = budget.limit + 1
+                return "budget"
+            if outcome is not None:
+                return outcome
+        return None
 
 
 def has_kxk_independent_set(
@@ -464,7 +281,7 @@ def has_kxk_independent_set(
             outcome = proof[0].run(budget)
     finally:
         for started in proof:
-            started.close()
+            started.forks.close()
     if outcome == "budget":
         return WitnessResult(None, None, None, budget.nodes, False)
     if outcome is None:

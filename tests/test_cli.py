@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import zarank.forks
 import zarank.witness
 from zarank import cli
 from zarank.cli import main
@@ -131,7 +132,7 @@ class TestVerifyCommand:
         # A proof worker that dies without a result never reads as "absent".
         monkeypatch.setattr(zarank.witness, "_PROBE_NODES", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(zarank.witness, "_proof_worker", lambda *args: os._exit(1))
+        monkeypatch.setattr(zarank.forks, "_work", lambda *args: os._exit(1))
         out = tmp_path / "witness.json"
         assert main(["verify", "--family", sparse_family_file, "--json-out", str(out)]) == 3
         assert "worker exited without a result" in capsys.readouterr().err
@@ -146,7 +147,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(zarank.witness, "_PROBE_NODES", 20)
         monkeypatch.setattr(zarank.witness, "_PROBE_SLICE", 5)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(zarank.witness, "_proof_worker", lambda *args: os._exit(1))
+        monkeypatch.setattr(zarank.forks, "_work", lambda *args: os._exit(1))
         out = tmp_path / "witness.json"
         assert main(["verify", "--family", family, "--json-out", str(out)]) == 3
         assert "worker exited without a result" in capsys.readouterr().err
@@ -341,13 +342,13 @@ LOADS = [
     (["--version"], ()),
     (["--help"], ()),
     (["bounds", "--family", "{family}"], ()),
-    (["verify", "--family", "{family}"], ("zarank.witness",)),
+    (["verify", "--family", "{family}"], ("zarank.forks", "zarank.witness")),
     (["sc-verify", "--layered", "{layered}"], ("zarank.superconc",)),
     (["sc-analyze", "--layered", "{layered}", "--theorem", "7"], ("zarank.superconc", "fractions")),
     (["attack", "--family", "{family}", "--mode", "sym", "--seed", "1"],
-     ("zarank.attack", "zarank.witness", "hashlib")),
+     ("zarank.attack", "zarank.forks", "zarank.witness", "hashlib")),
     (["construct", "--n", "6", "--k", "2", "--sizes", "{sizes}", "--seed", "1"],
-     ("zarank.construct", "zarank.witness", "fractions", "hashlib")),
+     ("zarank.construct", "zarank.forks", "zarank.witness", "fractions", "hashlib")),
 ]
 
 # Run main on sys.argv, then print the zarank modules it loaded, and the
@@ -366,23 +367,21 @@ print(json.dumps(sorted(m for m in set(sys.modules) - before if m.split(".")[0] 
 sys.exit(code)
 """
 
-# Run main on sys.argv with a stand-in process pool that prints the zarank
-# submodules loaded when it starts, and maps in process.
+# Run main on sys.argv on two CPUs, printing the zarank submodules loaded
+# when the pool forks its workers.
 _POOL_LOADED = """
-import concurrent.futures, json, sys
+import json, os, sys
 from zarank.cli import main
+from zarank.forks import OrderedForks
 
-class Pool:
-    def __init__(self, max_workers):
-        print(json.dumps(sorted(m for m in sys.modules if m.startswith("zarank."))))
-    def __enter__(self):
-        return self
-    def __exit__(self, *exc_info):
-        return False
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+fork = OrderedForks._fork
 
-concurrent.futures.ProcessPoolExecutor = Pool
+def loaded_fork(pool, workers):
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("zarank."))))
+    fork(pool, workers)
+
+os.sched_getaffinity = lambda pid: {0, 1}
+OrderedForks._fork = loaded_fork
 sys.exit(main())
 """
 
@@ -411,7 +410,7 @@ class TestEntryPoint:
 
     @pytest.mark.parametrize("argv, modules", LOADS, ids=[argv[0] for argv, _ in LOADS])
     def test_command_loads_only_its_modules(self, tmp_path, layered_file, sparse_family_file, argv, modules):
-        # Nor a process pool, which only a parallel sweep needs, nor hashlib or fractions unused.
+        # Nor multiprocessing, which only a pool that forks needs, nor hashlib or fractions unused.
         files = {"family": sparse_family_file, "layered": layered_file, "sizes": write_json(tmp_path / "none.json", [])}
         done = self.run_module("-c", _LOADED, *(arg.format(**files) for arg in argv))
         assert done.returncode in (0, 1) and done.stderr == ""
@@ -429,7 +428,8 @@ class TestEntryPoint:
         done = self.run_module("-c", _POOL_LOADED, *argv)
         assert done.returncode in (0, 1) and done.stderr == ""
         (modules,) = [modules for argv, modules in LOADS if argv[0] == command]
-        expected = ["zarank.bounds", "zarank.cli", "zarank.core", *(m for m in modules if m.startswith("zarank."))]
+        expected = ["zarank.bounds", "zarank.cli", "zarank.core", "zarank.forks"]
+        expected += [m for m in modules if m.startswith("zarank.") and m not in expected]
         assert json.loads(done.stdout.splitlines()[0]) == sorted(expected)
 
     def test_broken_command_module_exits_three(self, sparse_family_file, capsys, monkeypatch):
@@ -554,6 +554,31 @@ class TestSweep:
         parallel = (tmp_path / "parallel.csv").read_bytes()
         assert serial == parallel
 
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (None, "[Errno 2] No such file or directory: '{path}'"),
+            ({"n": 8, "k": 2}, "family.bicliques: expected a list"),
+        ],
+        ids=["missing", "malformed"],
+    )
+    def test_failed_point_exits_two_in_parallel(self, tmp_path, sparse_family_file, capsys, monkeypatch, bad, error):
+        # The middle point fails (OSError, SchemaError): the parallel run
+        # exits as the serial one does, writes no CSV and leaves no child.
+        bad_path = tmp_path / "bad.json"
+        if bad is not None:
+            write_json(bad_path, bad)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        families = [sparse_family_file, str(bad_path), sparse_family_file]
+        spec = {"command": "verify", "grid": {"family": families, "seed": [0]}, "output_csv": "out.csv"}
+        path = write_json(tmp_path / "spec.json", spec)
+        assert main(["sweep", "--spec", path]) == 2
+        serial = capsys.readouterr().err
+        assert serial == f"error: {error.format(path=bad_path)}\n"
+        assert main(["sweep", "--spec", path, "--jobs", "2"]) == 2
+        assert capsys.readouterr().err == serial
+        assert not (tmp_path / "out.csv").exists() and multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, sparse_family_file, capsys, jobs):
         spec = {"command": "verify", "grid": {"family": [sparse_family_file], "seed": [0]}, "output_csv": "out.csv"}
@@ -564,28 +589,16 @@ class TestSweep:
 
     def test_jobs_capped_at_grid_points(self, tmp_path, sparse_family_file, monkeypatch):
         started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        fork = zarank.forks.OrderedForks._fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(zarank.forks.OrderedForks, "_fork", lambda pool, n: started.append(n) or fork(pool, n))
         spec = {"command": "verify", "grid": {"family": [sparse_family_file], "k": [1, 2], "seed": [0]}}
         two = write_json(tmp_path / "two.json", dict(spec, output_csv="two.csv"))
         assert main(["sweep", "--spec", two, "--jobs", "64"]) == 1
-        assert started == [2]
+        assert started == [1]  # the caller runs points too
         one = write_json(tmp_path / "one.json", dict(spec, grid=dict(spec["grid"], k=[2]), output_csv="one.csv"))
         assert main(["sweep", "--spec", one, "--jobs", "8"]) == 1
-        assert started == [2]  # one grid point runs in process
+        assert started == [1]  # one grid point runs in process
 
     def test_missing_seed_axis_rejected(self, tmp_path, capsys):
         spec = {

@@ -62,5 +62,5 @@ def test_bare_import_loads_submodules_on_use():
     assert done.stdout.splitlines() == [
         "[]",
         "zarank.witness zarank.cli",
-        "zarank.core ['zarank.bounds', 'zarank.cli', 'zarank.core', 'zarank.witness']",
+        "zarank.core ['zarank.bounds', 'zarank.cli', 'zarank.core', 'zarank.forks', 'zarank.witness']",
     ]

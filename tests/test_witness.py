@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zarank.forks
 import zarank.witness
 from oracles import compressed_domain_search, naive_bipartite_witness
 from zarank.construct import construct_until_verified, random_family
-from zarank.core import BipartiteGraph, RandomSource, union_of
+from zarank.cli import main
+from zarank.core import BipartiteGraph, RandomSource, save_json, union_of
+from zarank.forks import OrderedForks
 from zarank.witness import has_kxk_independent_set
 
 
@@ -207,7 +210,7 @@ class TestHasKxk:
         # falls back to descending-degree order; its witness is pinned on the
         # same graphs as the probe's.
         monkeypatch.setattr(zarank.witness, "_PROBE_NODES", 1)
-        monkeypatch.setattr(zarank.witness, "_proof_workers", lambda: 1)  # 300 tiny proofs: no forks
+        monkeypatch.setattr(zarank.forks, "_usable_cpus", lambda: 1)  # 300 tiny proofs: no forks
         rng = random.Random(41)
         orders_differ = 0
         for _ in range(300):
@@ -228,7 +231,7 @@ class TestHasKxk:
         # verdict agrees with the naive oracle, and the whole result, node
         # count included, with the reference search that scans every
         # candidate; in both phases and under tight budgets.
-        monkeypatch.setattr(zarank.witness, "_proof_workers", lambda: 1)  # 400 tiny proofs: no forks
+        monkeypatch.setattr(zarank.forks, "_usable_cpus", lambda: 1)  # 400 tiny proofs: no forks
         rng = random.Random(59)
         for _ in range(400):
             n_left, n_right = rng.randint(2, 12), rng.randint(2, 12)
@@ -319,7 +322,7 @@ class TestDomains:
         probe = data.draw(st.sampled_from([1, 20_000]))
         # Serial proofs: a fork per tiny proof would dominate the test's time.
         with mock.patch.object(zarank.witness, "_PROBE_NODES", probe), mock.patch.object(
-            zarank.witness, "_proof_workers", lambda: 1
+            zarank.forks, "_usable_cpus", lambda: 1
         ):
             got = has_kxk_independent_set(g, k, budget, left, right)
             assert got == compressed_domain_search(g, k, left, right, budget)
@@ -354,8 +357,8 @@ class TestSplitProof:
 
     @staticmethod
     def use_cpus(monkeypatch, count):
-        # The proof splits over the CPUs this process may use; the other
-        # guards of _proof_workers (threads, multiprocessing child) stay on.
+        # The proof splits over the CPUs this process may use; the pool's
+        # other guards (threads, multiprocessing children) stay on.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
     def search(self, monkeypatch, g, k, budget, workers):
@@ -365,19 +368,23 @@ class TestSplitProof:
         return result
 
     @staticmethod
-    def count_calls(monkeypatch, name):
+    def count_calls(monkeypatch, owner, name, counted=lambda *args: True):
         calls = []
-        method = getattr(zarank.witness._Proof, name)
-        monkeypatch.setattr(zarank.witness._Proof, name, lambda *args: calls.append(1) or method(*args))
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: counted(*args) and calls.append(1) or method(*args))
         return calls
+
+    def count_merges(self, monkeypatch):
+        # Proofs run once the probe has stopped, on a pool that forked workers.
+        return self.count_calls(monkeypatch, zarank.witness._Proof, "run", lambda proof, budget: proof.forks.procs)
 
     def test_split_matches_serial(self, monkeypatch):
         # Small probe caps and slices. Budgets run out inside the slice,
         # between the slice and the probe's cap, at the proof's root, at its
         # first branch node and mid-proof, and some are full ones; a one-node
         # probe leaves every witness to the proof.
-        forks = self.count_calls(monkeypatch, "_fork")
-        merges = self.count_calls(monkeypatch, "_merge")
+        forks = self.count_calls(monkeypatch, OrderedForks, "_fork")
+        merges = self.count_merges(monkeypatch)
         rng = random.Random(53)
         outcomes = set()
         for case in range(16):
@@ -421,18 +428,18 @@ class TestSplitProof:
         family = random_family(150, 10, [(15, 15)] * 111, RandomSource(2))
         g = union_of(family)
         exits = []
-        close = zarank.witness._Proof.close
+        close = OrderedForks.close
 
-        def recorded_close(proof):
-            close(proof)
-            exits.extend(proc.exitcode for proc in proof.procs)
+        def recorded_close(pool):
+            close(pool)
+            exits.extend(proc.exitcode for proc in pool.procs)
 
-        monkeypatch.setattr(zarank.witness._Proof, "close", recorded_close)
+        monkeypatch.setattr(OrderedForks, "close", recorded_close)
         expect = self.search(monkeypatch, g, 10, 10_000_000, 1)
         assert expect.found is True
         assert zarank.witness._PROBE_SLICE < expect.nodes_explored == 4_038 <= zarank.witness._PROBE_NODES
         assert exits == []
-        merges = self.count_calls(monkeypatch, "_merge")
+        merges = self.count_merges(monkeypatch)
         assert self.search(monkeypatch, g, 10, 10_000_000, 3) == expect
         assert exits == [-signal.SIGKILL] * 2 and merges == []
 
@@ -452,14 +459,14 @@ class TestSplitProof:
         # Each worker exits at once, while the parent still has 18,000 probe
         # nodes to search; the merge that follows the probe raises.
         self.use_cpus(monkeypatch, 3)  # two workers besides the parent
-        monkeypatch.setattr(zarank.witness, "_proof_worker", lambda *args: os._exit(1))
+        monkeypatch.setattr(zarank.forks, "_work", lambda *args: os._exit(1))
         run = zarank.witness._Proof.run
 
         def run_after_exits(proof, budget):
             assert budget.nodes == zarank.witness._PROBE_NODES + 1
-            for proc in proof.procs:
+            for proc in proof.forks.procs:
                 proc.join(timeout=10)
-            assert [proc.exitcode for proc in proof.procs] == [1, 1]
+            assert [proc.exitcode for proc in proof.forks.procs] == [1, 1]
             return run(proof, budget)
 
         monkeypatch.setattr(zarank.witness._Proof, "run", run_after_exits)
@@ -481,7 +488,7 @@ class TestSplitProof:
 
         self.use_cpus(monkeypatch, 3)  # two workers besides the parent
         monkeypatch.setattr(fork, "Pipe", held_pipe)
-        monkeypatch.setattr(zarank.witness, "_proof_worker", lambda *args: os._exit(1))
+        monkeypatch.setattr(zarank.forks, "_work", lambda *args: os._exit(1))
         try:
             with pytest.raises(RuntimeError, match="worker"):
                 has_kxk_independent_set(union150, 10)
@@ -490,59 +497,84 @@ class TestSplitProof:
                 os.close(fd)
         assert len(held) == 2 and multiprocessing.active_children() == []
 
-    def test_tickets_hand_out_each_branch_once(self):
-        # Three processes take from one counter: every branch once, in order
-        # per taker, then None for all.
-        ctx = multiprocessing.get_context("fork")
-        tickets = zarank.witness._Tickets(300)
-        try:
-            conns, procs = [], []
-            for _ in range(2):
-                conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(target=lambda c=child_conn: c.send(list(iter(tickets.take, None))))
-                proc.start()
-                conns.append(conn)
-                procs.append(proc)
-            taken = [list(iter(tickets.take, None))] + [conn.recv() for conn in conns]
-            for proc in procs:
-                proc.join(timeout=10)
-                assert proc.exitcode == 0
-            assert all(branches == sorted(branches) for branches in taken)
-            assert sorted(sum(taken, [])) == list(range(300))
-            assert tickets.take() is None
-        finally:
-            tickets.close()
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds through /proc")
+    def test_no_fd_or_child_outlives_a_pool(self, monkeypatch, union150, tmp_path):
+        # This process's open fds and live children are the same before and
+        # after a split proof that the probe settles, one that merges to
+        # absence, one that raises on a lost worker, and a parallel sweep.
+        settled = union_of(random_family(150, 10, [(15, 15)] * 111, RandomSource(2)))
+        family = {"n": 8, "k": 2, "bicliques": [{"left": [0], "right": [0]}]}
+        save_json(tmp_path / "family.json", family)
+        spec = {"command": "verify", "grid": {"k": [1, 2], "seed": [0, 1]}, "params": {"family": "family.json"}}
+        save_json(tmp_path / "spec.json", dict(spec, output_csv="out.csv"))
 
-    def test_worker_lost_holding_the_ticket_raises(self):
+        def lost_worker():
+            with monkeypatch.context() as patched:
+                patched.setattr(zarank.forks, "_work", lambda *args: os._exit(1))
+                with pytest.raises(RuntimeError, match="worker"):
+                    has_kxk_independent_set(union150, 10)
+            return True
+
+        cases = [
+            lambda: has_kxk_independent_set(settled, 10).found is True,
+            lambda: has_kxk_independent_set(union150, 10).found is False,
+            lost_worker,
+            lambda: main(["sweep", "--spec", str(tmp_path / "spec.json"), "--jobs", "2", "--force"]) == 1,
+        ]
+        self.use_cpus(monkeypatch, 3)
+        for case in cases:
+            before = sorted(os.listdir("/proc/self/fd")), multiprocessing.active_children()
+            assert case()
+            assert (sorted(os.listdir("/proc/self/fd")), multiprocessing.active_children()) == before
+
+    def test_tickets_hand_out_each_branch_once(self, monkeypatch):
+        # Three processes take from one pool's token: every task once, in
+        # order per taker, then None for all.
+        def taker(pool, conn):
+            conn.send(list(iter(pool._take, None)))
+            conn.recv()
+
+        self.use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(zarank.forks, "_work", taker)
+        with OrderedForks(lambda task: task, 300, 2) as pool:
+            taken = [list(iter(pool._take, None))] + [conn.recv() for conn in pool.conns]
+            assert pool._take() is None
+        assert all(tasks == sorted(tasks) for tasks in taken)
+        assert sorted(sum(taken, [])) == list(range(300))
+
+    def test_worker_lost_holding_the_ticket_raises(self, monkeypatch):
         # A worker killed between reading the token and writing back the next
-        # one leaves no token; the parent's take sees the worker's exit and
+        # one leaves no token; the caller's take sees the worker's exit and
         # raises.
-        ctx = multiprocessing.get_context("fork")
-        tickets = zarank.witness._Tickets(5)
-        try:
-            assert tickets.take() == 0
-            proc = ctx.Process(target=lambda: os.read(tickets.fds[0], 8) and os._exit(1))
-            proc.start()
+        self.use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(zarank.forks, "_work", lambda pool, conn: os.read(pool.fds[0], 8) and os._exit(1))
+        with OrderedForks(lambda task: task, 5, 1) as pool:
+            (proc,) = pool.procs
             proc.join(timeout=10)
             assert proc.exitcode == 1
             with pytest.raises(RuntimeError, match="worker"):
-                tickets.take([proc.sentinel])
-        finally:
-            tickets.close()
+                pool._take([proc.sentinel])
 
     def test_serial_without_fork_with_threads_or_inside_a_child(self, monkeypatch):
+        cpus = zarank.forks._usable_cpus
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(1, mp_context=ctx) as pool:
-            assert pool.submit(zarank.witness._proof_workers).result() == 1
-        assert zarank.witness._proof_workers() == len(os.sched_getaffinity(0))
+            assert pool.submit(cpus).result() == 1
+        assert cpus() == len(os.sched_getaffinity(0))
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert zarank.witness._proof_workers() == 1
+            assert cpus() == 1
         finally:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
+        # while another pool of this process has live workers
+        self.use_cpus(monkeypatch, 2)
+        with OrderedForks(lambda task: task, 2, 1) as pool:
+            assert len(pool.procs) == 1 and cpus() == 1
+            assert list(pool) == [0, 1]
+        assert cpus() == 2
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert zarank.witness._proof_workers() == 1
+        assert cpus() == 1
