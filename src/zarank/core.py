@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "BicliqueFamily",
@@ -284,6 +284,107 @@ class LayeredGraph:
 
 
 # ---------------------------------------------------------------------------
+# k-subset search
+# ---------------------------------------------------------------------------
+
+
+class _Budget:
+    """Counts search nodes: ``tick`` fails once they pass ``limit``.
+
+    ``pause(at, call)`` lowers the limit to ``at`` nodes. The tick that
+    passes it calls ``call()`` once and restores the limit, so the search
+    goes on from where it was.
+    """
+
+    __slots__ = ("nodes", "limit", "paused")
+
+    def __init__(self, limit: float):
+        self.nodes = 0
+        self.limit = limit
+        self.paused = None  # (limit, call) while a pause is pending
+
+    def pause(self, at: int, call: Callable[[], None]) -> None:
+        self.paused = (self.limit, call)
+        self.limit = at
+
+    def tick(self) -> bool:
+        self.nodes += 1
+        return self.nodes <= self.limit or self._resume()
+
+    def _resume(self) -> bool:
+        if self.paused is None:
+            return False
+        self.limit, call = self.paused
+        self.paused = None
+        call()
+        return self.nodes <= self.limit
+
+
+def _live(rows: Sequence[int], threshold: int) -> list[int]:
+    """The positions whose row alone keeps ``threshold`` bits: the root's
+    live candidates."""
+    return [pos for pos in range(len(rows)) if rows[pos].bit_count() >= threshold]
+
+
+def _search(
+    rows: Sequence[int], domain: int, k: int, threshold: int, budget: _Budget, live: list[int], first: int, stop: int
+) -> Optional[tuple[int, list[int]]] | str:
+    """The first k-subset of positions of ``rows``, in
+    ``itertools.combinations`` order over ``live``, whose common mask (the
+    AND of ``domain`` and its rows) keeps ``threshold`` or more bits, among
+    the subsets whose first pick is one of ``live[first]`` up to
+    ``live[stop - 1]``.
+
+    ``live`` is the root's list from ``_live``, in the order the positions
+    are tried. The witness search passes non-neighbour masks with threshold
+    k; the Hall search of ``superconc`` passes, for a middle mask N, the rows
+    ``N & ~into_w[w]`` with threshold |N| - k + 1, which a T keeps exactly
+    when |N & N(T)| < k. Each node carries its live candidates: the later
+    positions that keep the common mask at ``threshold`` bits or more.
+    Common masks only shrink, so a node with fewer live candidates than
+    picks still needed has no completion; a frame's stop index is the first
+    candidate with too few after it. The filter that finds a node's live
+    candidates gives up as soon as more have failed than the node can spare,
+    since the node is then pruned whatever the rest give. The search runs on
+    an explicit stack, so its depth is bounded by k only. Returns (common
+    mask, chosen positions), None when no such subset exists, or "budget".
+    """
+    chosen: list[int] = []
+    # One frame per depth: [common mask, live candidates, next index, stop index].
+    stack: list[list] = [[domain, live, first, stop]]
+    while stack:
+        frame = stack[-1]
+        common, live, i, stop = frame
+        if i >= stop:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        frame[2] = i + 1
+        pos = live[i]
+        shrunk = common & rows[pos]
+        if not budget.tick():
+            return "budget"
+        need = k - len(chosen)  # picks still needed, this one included
+        if need == 1:
+            chosen.append(pos)
+            return shrunk, chosen
+        rest: list[int] = []
+        spare = len(live) - i - need  # the later candidates that may fail before this node is pruned
+        for p in live[i + 1 :]:
+            if (shrunk & rows[p]).bit_count() >= threshold:
+                rest.append(p)
+            elif spare:
+                spare -= 1
+            else:
+                break
+        else:
+            chosen.append(pos)
+            stack.append([shrunk, rest, 0, len(rest) - need + 2])
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Seeded randomness
 # ---------------------------------------------------------------------------
 
@@ -542,3 +643,5 @@ def load_json(path) -> object:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: JSON nested too deeply") from exc

@@ -131,15 +131,18 @@ class OrderedForks:
             yield value
 
     def close(self) -> None:
+        """Kill and reap every worker and release its fds; a second call
+        does nothing."""
         for proc in self.procs:
             proc.kill()
         for proc in self.procs:
             proc.join()
+            proc.close()  # its popen fds would stay open until the object is collected
         for conn in self.conns:
             conn.close()
         for fd in self.fds:
             os.close(fd)
-        self.fds = ()
+        self.procs, self.conns, self.fds = [], [], ()
 
     def __enter__(self) -> OrderedForks:
         return self

@@ -6,21 +6,24 @@ Exhaustive verification scans (k, S, T) in lex order. Once every smaller k
 has passed, Menger's theorem reduces a k to the Hall-type condition
 |N(S) & N(T)| >= k over bitmask neighbourhoods, so a prefix 1..b of k values
 needs no flow at all. Since N(.) only grows with its argument, a depth-first
-search over S-prefixes and T-prefixes skips every extension of a prefix that
-already decides the outcome. A k reached past a gap in the list runs a
-max-flow per pair, and a counterexample's flow is computed once, for the
-report. Sampled verification runs a max-flow per pair. The audits reproduce
-the bookkeeping of the two lower bound arguments at instance scale: degree
-balancing, the High/Medium/Low split against (n/k) times a threshold, the
-disjoint ladder of k values, and the entropy condition on the middle-vertex
-profile.
+search over S-prefixes skips every extension of a prefix against which no T
+violates. The T side is the k-subset search the witness search uses: each
+middle u spans the biclique in(u) x out(u), so T violates against N(S)
+exactly when the masks N(S) & ~N(w), w in T, keep |N(S)| - k + 1 common
+bits, and ``core._search`` finds the lex-first such T. A k reached past a
+gap in the list runs a max-flow per pair. Either way the counterexample's
+flow is run for the report. Sampled verification runs a max-flow per pair.
+The audits reproduce the bookkeeping of the two lower bound arguments at
+instance scale: degree balancing, the High/Medium/Low split against (n/k)
+times a threshold, the disjoint ladder of k values, and the entropy
+condition on the middle-vertex profile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bounds import (
@@ -35,6 +38,9 @@ from .core import (
     LayeredGraph,
     RandomSource,
     SubsetSampler,
+    _Budget,
+    _live,
+    _search,
     bits,
     mask_of,
     transpose_masks,
@@ -235,26 +241,27 @@ def _lex_rank(combo: Sequence[int], n: int) -> int:
     return rank
 
 
-def _first_kset(rows: Sequence[int], k: int, cols: Optional[Sequence[int]] = None):
-    """The lex-first k-subset of range(len(rows)) that a depth-first search
-    over its prefixes reaches, or None; with ``cols``, as a pair with the
-    lex-first T that violates against it.
+def _first_kset(rows: Sequence[int], k: int, cols: Sequence[int], budget: _Budget):
+    """The lex-first Hall violation: the first k-subset S of range(len(rows))
+    that a depth-first search over its prefixes reaches, paired with the
+    lex-first k-subset T of range(len(cols)) that violates against it, or
+    None.
 
-    A prefix P is extended while it can still lead to a Hall violation.
-    Without ``cols`` (the T side, rows already cut to N(S)) that is while the
-    union of its rows has fewer than k bits. With ``cols`` (the S side) it is
-    while some k-set T violates against the union N(P): every T when
-    |N(P)| < k, the first being 0..k-1, and otherwise the T-side search on
-    the rows ``N(P) & cols[w]`` finds one, run once per distinct N(P).
-    Unions only grow as a prefix is extended, so no extension of a prefix
-    that fails passes either. The search pays off when these prunes fire
-    well above depth k; where they fire only near it, the search can take
-    longer than visiting every pair (README, Performance).
+    A prefix P is extended while some k-set T has |N(P) & N(T)| < k, where
+    N(P) is the union of its rows and N(T) that of its ``cols``: every T
+    when |N(P)| < k, the first being 0..k-1; otherwise the first T that
+    ``_search`` finds on the rows ``N(P) & ~cols[w]``, whose AND keeps
+    |N(P)| - k + 1 bits exactly when T violates. That search runs once per
+    distinct N(P), in the identity order, and counts its nodes on
+    ``budget``. Unions only grow as a prefix is extended, so no extension
+    of a prefix that fails passes either. The search pays off when these
+    prunes fire well above depth k; where they fire only near it, the
+    search can take longer than visiting every pair (README, Performance).
     """
     n = len(rows)
     chosen: list[int] = []
-    t_combo = first_t = tuple(range(k))
-    t_of: dict[int, object] = {}  # S side: the T search's result per N(P)
+    first_t = tuple(range(k))  # when |N(P)| < k every T violates
+    t_of: dict[int, Optional[tuple[int, ...]]] = {}  # the T search's result per N(P)
     # One frame per depth: the union of the prefix's rows and an iterator
     # over the indices left to try after it.
     stack = [(0, iter(range(n - k + 1)))]
@@ -262,20 +269,19 @@ def _first_kset(rows: Sequence[int], k: int, cols: Optional[Sequence[int]] = Non
         acc, untried = stack[-1]
         for i in untried:
             grown = acc | rows[i]
-            if cols is None:
-                if grown.bit_count() >= k:
-                    continue
-            elif grown.bit_count() < k:
-                t_combo = first_t  # every T violates against N(P)
-            else:
-                if grown not in t_of:
-                    t_of[grown] = _first_kset([grown & col for col in cols], k)
-                t_combo = t_of[grown]
-                if t_combo is None:
-                    continue
+            size = grown.bit_count()
+            if size >= k and grown not in t_of:
+                t_rows = [grown & ~col for col in cols]
+                threshold = size - k + 1
+                live = _live(t_rows, threshold)
+                found = _search(t_rows, grown, k, threshold, budget, live, 0, len(live) - k + 1)
+                t_of[grown] = None if found is None else tuple(found[1])
+            t_combo = t_of[grown] if size >= k else first_t
+            if t_combo is None:
+                continue
             chosen.append(i)
             if len(chosen) == k:
-                return tuple(chosen) if cols is None else (tuple(chosen), t_combo)
+                return tuple(chosen), t_combo
             stack.append((grown, iter(range(i + 1, n - k + len(chosen) + 1))))
             break
         else:
@@ -294,36 +300,33 @@ def _exhaustive_scan(g: LayeredGraph, ks: list[int]) -> ScVerdict:
     larger of A, B then gives a pair of size min(|A|, |B|) with
     |N(A) & N(B)| < min(|A|, |B|). So when every smaller k has passed, the
     failing pairs of k-sets are exactly the Hall violations |N(S) & N(T)| < k,
-    and ``_first_kset`` finds the lex-first one with two pruned depth-first
-    searches instead of visiting every pair. A violation's flow runs once,
-    to report its max_flow and confirm the deficit. That holds at
-    the k in position k - 1 of the sorted list; any other k runs a max-flow
-    per pair. ``pairs_checked`` is the lex rank of the counterexample either
-    way, counting every pair of the earlier levels.
+    and ``_first_kset`` finds the lex-first one instead of visiting every
+    pair: a depth-first search over S-prefixes that asks the shared k-subset
+    search ``_search`` for each T, counting its nodes on one budget with no
+    limit. That holds at the k in position k - 1 of the sorted list; any
+    other k runs a max-flow per pair. Either way the counterexample's flow
+    is run for the report, which confirms its deficit, and
+    ``pairs_checked`` is its lex rank, counting every pair of the earlier
+    levels.
     """
     n = g.n
     pairs_before = 0
+    budget = _Budget(math.inf)
     for pos, k in enumerate(ks):
         size = math.comb(n, k)
         if k == pos + 1:
-            found = _first_kset(g.adj_vm, k, g.into_w)
-            if found is not None:
-                s_combo, t_combo = found
-                flow = max_disjoint_paths(g, s_combo, t_combo)
-                if flow >= k:
-                    raise AssertionError("internal error: Hall violation without a flow deficit")
-                pairs = pairs_before + _lex_rank(s_combo, n) * size + _lex_rank(t_combo, n) + 1
-                counterexample = Counterexample(k, s_combo, t_combo, flow)
-                return ScVerdict(False, counterexample, tuple(ks), "exhaustive", pairs)
+            found = _first_kset(g.adj_vm, k, g.into_w, budget)
         else:
-            combos = list(combinations(range(n), k))
-            for si, s_combo in enumerate(combos):
-                for ti, t_combo in enumerate(combos):
-                    flow = max_disjoint_paths(g, s_combo, t_combo)
-                    if flow < k:
-                        pairs = pairs_before + si * size + ti + 1
-                        counterexample = Counterexample(k, s_combo, t_combo, flow)
-                        return ScVerdict(False, counterexample, tuple(ks), "exhaustive", pairs)
+            every_pair = product(combinations(range(n), k), repeat=2)
+            found = next((pair for pair in every_pair if max_disjoint_paths(g, *pair) < k), None)
+        if found is not None:
+            s_combo, t_combo = found
+            flow = max_disjoint_paths(g, s_combo, t_combo)
+            if flow >= k:
+                raise AssertionError("internal error: counterexample without a flow deficit")
+            pairs = pairs_before + _lex_rank(s_combo, n) * size + _lex_rank(t_combo, n) + 1
+            counterexample = Counterexample(k, s_combo, t_combo, flow)
+            return ScVerdict(False, counterexample, tuple(ks), "exhaustive", pairs)
         pairs_before += size ** 2
     return ScVerdict(True, None, tuple(ks), "exhaustive", pairs_before)
 

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 # transpose_masks is unused here; bench/tests checks the tracer wraps this binding.
-from .core import BipartiteGraph, bits, mask_of, transpose_masks  # noqa: F401
+from .core import BipartiteGraph, _Budget, _live, _search, bits, mask_of, transpose_masks  # noqa: F401
 from .forks import OrderedForks
 
 __all__ = [
@@ -75,117 +75,6 @@ def _verify_rectangle(g: BipartiteGraph, s_mask: int, t_mask: int) -> bool:
     return True
 
 
-class _Budget:
-    """Counts search nodes: ``tick`` fails once they pass ``limit``.
-
-    ``pause(at, call)`` lowers the limit to ``at`` nodes. The tick that
-    passes it calls ``call()`` once and restores the limit, so the search
-    goes on from where it was.
-    """
-
-    __slots__ = ("nodes", "limit", "paused")
-
-    def __init__(self, limit: int):
-        self.nodes = 0
-        self.limit = limit
-        self.paused = None  # (limit, call) while a pause is pending
-
-    def pause(self, at: int, call: Callable[[], None]) -> None:
-        self.paused = (self.limit, call)
-        self.limit = at
-
-    def tick(self) -> bool:
-        self.nodes += 1
-        return self.nodes <= self.limit or self._resume()
-
-    def _resume(self) -> bool:
-        if self.paused is None:
-            return False
-        self.limit, call = self.paused
-        self.paused = None
-        call()
-        return self.nodes <= self.limit
-
-
-def _live(non_nbrs: Sequence[int], k: int) -> list[int]:
-    """The positions whose non-neighborhood alone holds k vertices: the
-    root's live candidates."""
-    return [pos for pos in range(len(non_nbrs)) if non_nbrs[pos].bit_count() >= k]
-
-
-def _branch_bound(
-    non_nbrs: Sequence[int], domain: int, k: int, budget: _Budget
-) -> Optional[tuple[int, list[int]]] | str:
-    """Search k-subsets of the branch side for a common non-neighborhood of
-    size >= k on the other side.
-
-    ``non_nbrs`` lists, in the order the branch-side vertices are tried, each
-    one's non-neighbor mask within ``domain``, the other side's domain. The
-    returned witness is the first k-subset of positions in that order, in
-    ``itertools.combinations`` order, whose common non-neighborhood has >= k
-    bits (which need not be the globally lexicographically least witness).
-    The probe passes ascending (degree, index) order and the proof
-    descending-degree order, ``(-degree, index)``; a search that stays within
-    the probe's cap reports the probe's witness, any other the proof's.
-    Returns (non_neighbor_mask, chosen positions), None when the search space
-    is exhausted, or "budget".
-    """
-    if not budget.tick():
-        return "budget"
-    live = _live(non_nbrs, k)
-    return _search(non_nbrs, domain, k, budget, live, 0, len(live) - k + 1)
-
-
-def _search(
-    non_nbrs: Sequence[int], domain: int, k: int, budget: _Budget, live: list[int], first: int, stop: int
-) -> Optional[tuple[int, list[int]]] | str:
-    """The top-level branches of ``_branch_bound`` that pick ``live[first]``
-    up to ``live[stop - 1]`` first, searched in order.
-
-    Each node carries its live candidates: the later positions that keep the
-    common non-neighborhood at >= k bits. Common masks only shrink, so a node
-    with fewer live candidates than picks still needed has no completion; a
-    frame's stop index is the first candidate with too few after it. The
-    filter that finds a node's live candidates gives up as soon as more have
-    failed than the node can spare, since the node is then pruned whatever
-    the rest give. The search runs on an explicit stack, so its depth is
-    bounded by k only.
-    """
-    chosen: list[int] = []
-    # One frame per depth: [common mask, live candidates, next index, stop index].
-    stack: list[list] = [[domain, live, first, stop]]
-    while stack:
-        frame = stack[-1]
-        common, live, i, stop = frame
-        if i >= stop:
-            stack.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        frame[2] = i + 1
-        pos = live[i]
-        shrunk = common & non_nbrs[pos]
-        if not budget.tick():
-            return "budget"
-        need = k - len(chosen)  # picks still needed, this one included
-        if need == 1:
-            chosen.append(pos)
-            return shrunk, chosen
-        rest: list[int] = []
-        spare = len(live) - i - need  # the later candidates that may fail before this node is pruned
-        for p in live[i + 1 :]:
-            if (shrunk & non_nbrs[p]).bit_count() >= k:
-                rest.append(p)
-            elif spare:
-                spare -= 1
-            else:
-                break
-        else:
-            chosen.append(pos)
-            stack.append([shrunk, rest, 0, len(rest) - need + 2])
-    return None
-
-
 class _Proof:
     """The descending-degree search that runs once the probe stops at its
     cap, with ``limit`` nodes below its root.
@@ -203,16 +92,17 @@ class _Proof:
 
         def branch(first: int) -> tuple[Optional[tuple[int, list[int]]] | str, int]:
             start = budget.nodes
-            return _search(non_nbrs, other, k, budget, live, first, first + 1), budget.nodes - start
+            return _search(non_nbrs, other, k, k, budget, live, first, first + 1), budget.nodes - start
 
         branches = len(live) - k + 1
         self.forks = OrderedForks(branch, branches, branches - 1)
 
     def run(self, budget: _Budget) -> Optional[tuple[int, list[int]]] | str:
-        """The proof's outcome, as ``_branch_bound`` gives it, counted on
-        ``budget``: the branches' outcomes in branch order, their nodes added
-        up, to the first witness or until the sum passes the limit (then
-        ``limit + 1`` nodes, as ``_Budget`` reports)."""
+        """The proof's outcome, as ``_search`` gives it from the root, counted
+        on ``budget`` with one node for the root: the branches' outcomes in
+        branch order, their nodes added up, to the first witness or until
+        the sum passes the limit (then ``limit + 1`` nodes, as ``_Budget``
+        reports)."""
         if not budget.tick():
             return "budget"
         for outcome, nodes in self.forks:
@@ -244,8 +134,16 @@ def has_kxk_independent_set(
     ascending-degree probe of at most ``_PROBE_NODES`` nodes runs first; if
     it stops at its cap, a descending-degree search runs to completion within
     what is left of ``node_budget``. ``nodes_explored`` counts the
-    nodes of both. A domain with fewer than k vertices holds no witness and
-    costs no node.
+    nodes of both, and one for each root. A domain with fewer than k
+    vertices holds no witness and costs no node.
+
+    Both phases run ``core._search`` on the branch side's non-neighbor
+    masks, in their order, with threshold k. So the witness is the first
+    k-subset of branch-side vertices in that order, in
+    ``itertools.combinations`` order, whose common non-neighborhood has k or
+    more vertices, with its k lowest (which need not be the globally
+    lexicographically least witness): the probe's, when the search stays
+    within the probe's cap, and otherwise the proof's.
     """
     if node_budget < 1:
         raise ValueError("node budget must be >= 1")
@@ -273,8 +171,10 @@ def has_kxk_independent_set(
         # root is known before the probe ends.
         limit = node_budget - _PROBE_NODES - 2
         budget.pause(min(_PROBE_SLICE, _PROBE_NODES), lambda: proof.append(_Proof(keyed, rows, other, k, limit)))
+    non_nbrs = [other & ~rows[w] for w in order]
+    live = _live(non_nbrs, k)
     try:
-        outcome = _branch_bound([other & ~rows[w] for w in order], other, k, budget)
+        outcome = _search(non_nbrs, other, k, k, budget, live, 0, len(live) - k + 1) if budget.tick() else "budget"
         if outcome == "budget" and proof:
             budget.limit = node_budget
             order = proof[0].order

@@ -1,0 +1,200 @@
+"""Mutation check: each listed mutant of a fast path must fail its tests.
+
+The script copies ``src/`` to a temporary directory and runs the listed
+tests there once unchanged, which must pass. Then, for each mutant, it
+replaces the mutant's old text, which must occur exactly once in its file,
+by the new text in the copy, runs the mutant's tests on the copy with one
+pytest, and puts the file back. A mutant is killed when pytest fails or
+runs past ``TIMEOUT_S``, and survives when every test passes. The tests
+are the repository's own; pytest's ``pythonpath`` option points them at the
+copy.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python3 tests/mutate.py              # every mutant
+    python3 tests/mutate.py threshold    # the mutants whose name holds "threshold"
+
+It prints one line per mutant and exits 0 if every mutant was killed, 1 if
+one survived or could not be applied, and 2 if the unchanged copy fails.
+pytest collects only ``test_*.py`` files, so the test suite never runs this.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+HALL = "tests/test_superconc.py::TestHallScan"
+SUBSET = "tests/test_core.py::TestSubsetSearch"
+SAMPLER = "tests/test_core.py::TestSubsetSampler"
+BALANCE = "tests/test_superconc.py::TestBalance"
+POOL_FDS = "tests/test_witness.py::TestSplitProof::test_no_fd_or_child_outlives_a_pool"
+
+MUTANTS = [
+    Mutant(
+        "search threshold >= made >",
+        "zarank/core.py",
+        "if (shrunk & rows[p]).bit_count() >= threshold:",
+        "if (shrunk & rows[p]).bit_count() > threshold:",
+        (SUBSET, HALL),
+    ),
+    Mutant(
+        "filter spare one short",
+        "zarank/core.py",
+        "spare = len(live) - i - need  #",
+        "spare = len(live) - i - need - 1  #",
+        (SUBSET, "tests/test_witness.py::TestHasKxk::test_early_exit_filter_changes_only_time"),
+    ),
+    Mutant(
+        "budget tick <= made <",
+        "zarank/core.py",
+        "return self.nodes <= self.limit or self._resume()",
+        "return self.nodes < self.limit or self._resume()",
+        ("tests/test_witness.py::TestHasKxk::test_one_budget_spans_probe_and_proof",),
+    ),
+    Mutant(
+        "Hall threshold one short",
+        "zarank/superconc.py",
+        "threshold = size - k + 1",
+        "threshold = size - k",
+        (HALL,),
+    ),
+    Mutant(
+        "Hall prune |N(P)| >= k made > k",
+        "zarank/superconc.py",
+        "t_combo = t_of[grown] if size >= k else first_t",
+        "t_combo = t_of[grown] if size > k else first_t",
+        (HALL,),
+    ),
+    Mutant(
+        "lex rank one past",
+        "zarank/superconc.py",
+        "for x in range(start, c):",
+        "for x in range(start, c + 1):",
+        (HALL,),
+    ),
+    Mutant(
+        "sampler rejection by modulo",
+        "zarank/core.py",
+        "            while r >= width:\n                r = getrandbits(k)\n",
+        "            r %= width\n",
+        (SAMPLER,),
+    ),
+    Mutant(
+        "sampler draws an extra bit",
+        "zarank/core.py",
+        "k = width.bit_length()",
+        "k = width.bit_length() + 1",
+        (SAMPLER,),
+    ),
+    Mutant(
+        "bits byte base one short",
+        "zarank/core.py",
+        "base += 8",
+        "base += 7",
+        ("tests/test_core.py::TestBits",),
+    ),
+    Mutant(
+        "transpose rows unreversed",
+        "zarank/core.py",
+        "for row in reversed(rows)]",
+        "for row in rows]",
+        ("tests/test_core.py::TestTranspose",),
+    ),
+    Mutant(
+        "balance target floor for ceiling",
+        "zarank/superconc.py",
+        "-((den - 2 * den * follow_min) // (2 * num))",
+        "(2 * den * follow_min - den) // (2 * num)",
+        (BALANCE,),
+    ),
+    Mutant(
+        "balance drops x > n",
+        "zarank/superconc.py",
+        "if x > n or y > n:",
+        "if y > n:",
+        (BALANCE,),
+    ),
+    Mutant(
+        "pool leaves its token pipe open",
+        "zarank/forks.py",
+        "        for fd in self.fds:\n            os.close(fd)\n",
+        "",
+        (POOL_FDS,),
+    ),
+    Mutant(
+        "pool keeps its popen fds",
+        "zarank/forks.py",
+        "            proc.close()  #",
+        "            pass  #",
+        (POOL_FDS,),
+    ),
+]
+
+
+def tests_pass(src: Path, tests: tuple[str, ...]) -> bool:
+    """True if every test passes with ``src`` first on the import path;
+    False if one fails or they run past ``TIMEOUT_S``."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-o", f"pythonpath={src}", *tests]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    try:
+        done = subprocess.run(
+            cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return False
+    return done.returncode == 0
+
+
+def main(argv: list[str]) -> int:
+    mutants = [m for m in MUTANTS if not argv or any(word in m.name for word in argv)]
+    if not mutants:
+        print(f"no mutant name holds any of {argv}")
+        return 1
+    with tempfile.TemporaryDirectory(prefix="zarank-mutate-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        every_test = tuple(dict.fromkeys(test for m in mutants for test in m.tests))
+        if not tests_pass(src, every_test):
+            print("the unchanged copy fails its tests; no mutant was run")
+            return 2
+        survived = 0
+        for m in mutants:
+            path = src / m.file
+            text = path.read_text(encoding="utf-8")
+            if text.count(m.old) != 1:
+                print(f"NOT APPLIED  {m.name}: its old text occurs {text.count(m.old)} times in {m.file}")
+                survived += 1
+                continue
+            path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+            start = time.perf_counter()
+            try:
+                killed = not tests_pass(src, m.tests)
+            finally:
+                path.write_text(text, encoding="utf-8")
+            survived += not killed
+            print(f"{'killed' if killed else 'SURVIVED':<12} {m.name} ({time.perf_counter() - start:.1f} s)")
+    print(f"{len(mutants) - survived} of {len(mutants)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -190,6 +190,18 @@ def bitwise_transpose(rows: Sequence[int], n_cols: int) -> list[int]:
     ]
 
 
+def brute_first_kset(rows: Sequence[int], k: int, threshold: int) -> Optional[tuple[int, ...]]:
+    """The first ``combinations`` k-subset of positions of ``rows`` whose
+    rows' AND has at least ``threshold`` bits, or None."""
+    for combo in combinations(range(len(rows)), k):
+        common = rows[combo[0]]
+        for pos in combo[1:]:
+            common &= rows[pos]
+        if bin(common).count("1") >= threshold:
+            return combo
+    return None
+
+
 def randrange_subsets(n: int, rng, sizes: Sequence[int]) -> list[list[int]]:
     """Partial Fisher-Yates on a fresh list per draw, one
     ``rng.randrange(i, n)`` per swap."""

@@ -104,6 +104,14 @@ class TestVerifyCommand:
         assert rc == 2
         assert "bicliques[0].left[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["verify --family", "sc-verify --layered"])
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys, flag):
+        # Written as text: save_json would itself recurse on this document.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main([*flag.split(), str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_deep_witness_writes_report(self, tmp_path, capsys):
         # k = 1100 picks 1100 branch vertices; the search must not recurse per pick.
         empty = write_json(tmp_path / "empty.json", {"n": 1200, "k": 1100, "bicliques": []})

@@ -1,5 +1,7 @@
+import functools
 import inspect
 import json
+import operator
 import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bitwise_transpose, lowest_bit_positions, randrange_subsets
+from oracles import bitwise_transpose, brute_first_kset, lowest_bit_positions, randrange_subsets
 from zarank.core import (
     BicliqueFamily,
     BipartiteGraph,
@@ -16,6 +18,9 @@ from zarank.core import (
     RandomSource,
     SchemaError,
     SubsetSampler,
+    _Budget,
+    _live,
+    _search,
     bits,
     family_from_json,
     family_to_json,
@@ -210,6 +215,30 @@ class TestTranspose:
                     continue
                 assert "middle_in" in vars(balanced)
                 assert list(balanced.middle_in) == transpose_masks(balanced.adj_vm, m)
+
+
+class TestSubsetSearch:
+    def test_first_kset_matches_brute_force(self):
+        # The witness search passes threshold k, the Hall search other values.
+        rng = random.Random(67)
+        found = {True: 0, False: 0}
+        for _ in range(600):
+            n, width = rng.randint(1, 10), rng.randint(1, 10)
+            p = rng.choice([0.3, 0.6, 0.85])
+            rows = [sum(1 << b for b in range(width) if rng.random() < p) for _ in range(n)]
+            k = rng.randint(1, n)
+            threshold = rng.choice([k, rng.randint(1, width + 1)])
+            live = _live(rows, threshold)
+            got = _search(rows, (1 << width) - 1, k, threshold, _Budget(float("inf")), live, 0, len(live) - k + 1)
+            expect = brute_first_kset(rows, k, threshold)
+            found[threshold == k] += expect is not None
+            if expect is None:
+                assert got is None
+            else:
+                common, chosen = got
+                assert tuple(chosen) == expect
+                assert common == functools.reduce(operator.and_, (rows[pos] for pos in expect))
+        assert min(found.values()) > 50
 
 
 class TestSerialization:

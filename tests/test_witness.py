@@ -59,8 +59,8 @@ def first_combination_witness(g, k, descending=False):
     return None
 
 
-def full_filter_search(non_nbrs, domain, k, budget, live, first, stop):
-    """``witness._search`` as it was before its candidate filter could stop
+def full_filter_search(non_nbrs, domain, k, threshold, budget, live, first, stop):
+    """``core._search`` as it was before its candidate filter could stop
     early: each node's filter scans every later candidate in one list
     comprehension. Kept here only as the reference for node counts."""
     chosen = []
@@ -82,7 +82,7 @@ def full_filter_search(non_nbrs, domain, k, budget, live, first, stop):
         if need == 1:
             chosen.append(pos)
             return shrunk, chosen
-        rest = [p for p in live[i + 1 :] if (shrunk & non_nbrs[p]).bit_count() >= k]
+        rest = [p for p in live[i + 1 :] if (shrunk & non_nbrs[p]).bit_count() >= threshold]
         if len(rest) >= need - 1:
             chosen.append(pos)
             stack.append([shrunk, rest, 0, len(rest) - need + 2])
@@ -428,13 +428,13 @@ class TestSplitProof:
         family = random_family(150, 10, [(15, 15)] * 111, RandomSource(2))
         g = union_of(family)
         exits = []
-        close = OrderedForks.close
+        close = multiprocessing.process.BaseProcess.close
 
-        def recorded_close(pool):
-            close(pool)
-            exits.extend(proc.exitcode for proc in pool.procs)
+        def recorded_close(proc):  # the pool closes each worker once it has reaped it
+            exits.append(proc.exitcode)
+            close(proc)
 
-        monkeypatch.setattr(OrderedForks, "close", recorded_close)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "close", recorded_close)
         expect = self.search(monkeypatch, g, 10, 10_000_000, 1)
         assert expect.found is True
         assert zarank.witness._PROBE_SLICE < expect.nodes_explored == 4_038 <= zarank.witness._PROBE_NODES
@@ -501,7 +501,8 @@ class TestSplitProof:
     def test_no_fd_or_child_outlives_a_pool(self, monkeypatch, union150, tmp_path):
         # This process's open fds and live children are the same before and
         # after a split proof that the probe settles, one that merges to
-        # absence, one that raises on a lost worker, and a parallel sweep.
+        # absence, one that raises on a lost worker, a parallel sweep, and a
+        # pool that is closed twice while it and its workers stay referenced.
         settled = union_of(random_family(150, 10, [(15, 15)] * 111, RandomSource(2)))
         family = {"n": 8, "k": 2, "bicliques": [{"left": [0], "right": [0]}]}
         save_json(tmp_path / "family.json", family)
@@ -515,11 +516,21 @@ class TestSplitProof:
                     has_kxk_independent_set(union150, 10)
             return True
 
+        kept = []
+
+        def closed_pool_kept():
+            with OrderedForks(lambda task: task, 3, 2) as pool:
+                kept.append((pool, pool.procs))  # the pool and its worker objects
+                assert len(pool.procs) == 2 and list(pool) == [0, 1, 2]
+            pool.close()
+            return True
+
         cases = [
             lambda: has_kxk_independent_set(settled, 10).found is True,
             lambda: has_kxk_independent_set(union150, 10).found is False,
             lost_worker,
             lambda: main(["sweep", "--spec", str(tmp_path / "spec.json"), "--jobs", "2", "--force"]) == 1,
+            closed_pool_kept,
         ]
         self.use_cpus(monkeypatch, 3)
         for case in cases:
