@@ -1,7 +1,9 @@
 """Depth-two superconcentrator verification and degree-decomposition audits.
 
-A (S, T, k) query is a unit-capacity flow problem with split middle vertices,
-so the flow value is the maximum number of vertex disjoint V-M-W paths.
+A (S, T, k) query asks for k vertex disjoint V-M-W paths. With each middle
+split into an in side and an out side, their maximum number is the size of
+a maximum bipartite matching, out sides and sources against in sides and
+sinks, minus m; greedy paths and then Kuhn's augmenting searches find it.
 Exhaustive verification scans (k, S, T) in lex order. Once every smaller k
 has passed, Menger's theorem reduces a k to the Hall-type condition
 |N(S) & N(T)| >= k over bitmask neighbourhoods, so a prefix 1..b of k values
@@ -78,120 +80,86 @@ def _depth_two_flow(
     adj_vm: Sequence[int], adj_mw: Sequence[int], s_list: Sequence[int], t_mask: int
 ) -> int:
     """Unit-capacity max-flow from the sources ``s_list`` to the sinks in
-    ``t_mask`` through split middle vertices, on bitmasks.
+    ``t_mask`` through split middle vertices, as a bipartite matching on
+    bitmasks.
 
-    Greedy paths come first: each source, in ascending order, takes the
-    lowest unused middle that still reaches a free sink. Then every round runs
-    one BFS over the residual network with frontiers kept as masks over the
-    sources, middle-in, middle-out and sink nodes, and flips the shortest
-    augmenting path it finds. Residual moves: s -> m-in along an edge without
-    flow, m-in -> s back along the edge with flow, m-in -> m-out for an
-    unused middle, m-out -> m-in for a used one, m-out -> t along an edge
-    without flow, t -> m-out back along the edge with flow.
+    Split each middle u into an in side and an out side. The left side holds
+    the out sides and the sources, the right side the in sides and the sinks;
+    source s is joined to in(u) for each edge s -> u, out(u) to in(u), and
+    out(u) to each sink t with an edge u -> t. A middle adds two edges to a
+    matching only on a path s - in(u), out(u) - t, and at most one otherwise,
+    so a maximum matching has m edges more than there are disjoint V-M-W
+    paths. Matching every middle to itself gives m edges and leaves only the
+    sources free, so each source with an augmenting path adds one path, and
+    the flow is the number of sources that augment. A free vertex with no
+    augmenting path never gains one after other augmentations (Kuhn's lemma),
+    so one pass over the sources suffices.
+
+    A greedy pass first gives each source, in ascending order, the lowest idle
+    middle that still reaches a free sink: an augmenting path of length three.
+    Then one Kuhn depth-first search runs from each source the greedy pass
+    left, on an explicit stack, with a ``seen`` mask over the right ids reset
+    for every source; on success each frame's left takes the right it tried
+    last. Each left tries a free sink first, then an idle middle's in side or
+    a taken sink, then the rest. On the flows of large-shallow's sampled run
+    and of planted n = 256 and 512 superconcentrators, dropping the greedy
+    pass made them 2.1-2.7x slower, dropping the free-sink preference 1.4-1.6x
+    and dropping the idle-middle preference 1.25-1.4x.
     """
+    m = len(adj_mw)
     out = [row & t_mask for row in adj_mw]
-    mid_of_s: dict[int, int] = {}
-    src_of_m: dict[int, int] = {}
-    sink_of_m: dict[int, int] = {}
-    mid_of_t: dict[int, int] = {}
-    used = 0  # middles that carry a path
-    free_t = t_mask
+    # Left ids: u is middle u's out side, m + s is source s. Right ids: u is
+    # middle u's in side, m + t is sink t.
+    mate: dict[int, int] = {}  # right -> left; in side u defaults to out side u
+    free = t_mask  # the sinks no out side has taken
+    used = 0  # the in sides a source has taken
+    flow = 0
+    rest = []
     for s in s_list:
         cand = adj_vm[s] & ~used
         while cand:
             low = cand & -cand
             u = low.bit_length() - 1
-            reach = out[u] & free_t
+            reach = out[u] & free
             if reach:
                 t_low = reach & -reach
-                t = t_low.bit_length() - 1
-                mid_of_s[s] = u
-                src_of_m[u] = s
-                sink_of_m[u] = t
-                mid_of_t[t] = u
+                mate[u] = m + s
+                mate[m + t_low.bit_length() - 1] = u
                 used |= low
-                free_t ^= t_low
+                free ^= t_low
+                flow += 1
                 break
             cand ^= low
+        else:
+            rest.append(s)
 
-    while free_t:
-        seen_s = 0
-        for s in s_list:
-            if s not in mid_of_s:
-                seen_s |= 1 << s
-        if not seen_s:
-            break
-        seen_i = seen_o = seen_t = 0
-        levels = [(seen_s, 0, 0, 0)]
-        hit = 0
-        while not hit:
-            fs, fi, fo, ft = levels[-1]
-            ni = fo & used  # m-out -> m-in, backward through a used middle
-            no = fi & ~used  # m-in -> m-out through an unused middle
-            ns = nt = 0
-            for s in bits(fs):
-                ni |= adj_vm[s]
-            for u in bits(fi & used):
-                ns |= 1 << src_of_m[u]
-            for u in bits(fo):
-                nt |= out[u]
-            for t in bits(ft):
-                no |= 1 << mid_of_t[t]
-            ns &= ~seen_s
-            ni &= ~seen_i
-            no &= ~seen_o
-            nt &= ~seen_t
-            if not (ns or ni or no or nt):
-                return len(mid_of_s)
-            seen_s |= ns
-            seen_i |= ni
-            seen_o |= no
-            seen_t |= nt
-            levels.append((ns, ni, no, nt))
-            hit = nt & free_t
-
-        # Walk back one level at a time; kinds are 0 = s, 1 = m-in, 2 = m-out, 3 = t.
-        t = (hit & -hit).bit_length() - 1
-        path = [(3, t)]
-        kind, node = 3, t
-        for fs, fi, fo, ft in reversed(levels[:-1]):
-            if kind == 3:
-                kind = 2
-                node = next(u for u in bits(fo) if out[u] >> node & 1)
-            elif kind == 2:
-                if used >> node & 1:
-                    kind, node = 3, sink_of_m[node]
-                else:
-                    kind = 1
-            elif kind == 1:
-                if used >> node & 1 and fo >> node & 1:
-                    kind = 2
-                else:
-                    kind = 0
-                    node = next(s for s in bits(fs) if adj_vm[s] >> node & 1)
-            else:
-                kind, node = 1, mid_of_s[node]
-            path.append((kind, node))
-        path.reverse()
-
-        # Flip the path. A forward move out of s or m-out sets its partner and
-        # m-in -> m-out starts using a middle, m-out -> m-in frees it. The
-        # backward moves m-in -> s and t -> m-out need no update: the move
-        # after them overwrites what they undo.
-        for (ka, a), (kb, b) in zip(path, path[1:]):
-            if ka == 0:
-                mid_of_s[a] = b
-                src_of_m[b] = a
-            elif ka == 1 and kb == 2:
-                used |= 1 << a
-            elif ka == 2 and kb == 1:
-                used &= ~(1 << a)
-                del src_of_m[a], sink_of_m[a]
-            elif ka == 2:
-                sink_of_m[a] = b
-                mid_of_t[b] = a
-        free_t &= ~(1 << t)
-    return len(mid_of_s)
+    free <<= m
+    for s in rest:
+        seen = 0
+        stack = [[m + s, adj_vm[s], -1]]  # frames [left, its rights, the right tried]
+        while stack:
+            frame = stack[-1]
+            cand = frame[1] & ~seen
+            if not cand:
+                stack.pop()
+                continue
+            pick = cand & free or cand & ~used or cand
+            low = pick & -pick
+            seen |= low
+            r = frame[2] = low.bit_length() - 1
+            if low & free:
+                free ^= low
+                for x, _, r in stack:
+                    mate[r] = x
+                    if x >= m:  # a source takes an in side
+                        used |= 1 << r
+                    elif x == r:  # an out side takes its own in side back
+                        used ^= 1 << r
+                flow += 1
+                break
+            x = mate.get(r, r)
+            stack.append([x, out[x] << m | 1 << x if x < m else adj_vm[x - m], -1])
+    return flow
 
 
 def max_disjoint_paths(g: LayeredGraph, sources: Iterable[int], sinks: Iterable[int]) -> int:
@@ -347,9 +315,10 @@ def verify_superconcentrator(
     Hall-type violation, and any other k by a max-flow per pair.
     ``pairs_checked`` counts the pairs up to and including the counterexample,
     as a pair-by-pair scan would, and ``pair_budget`` caps that total pair
-    count before any work starts. k values must be plain ints. Sampled mode draws
-    ``samples`` uniform pairs per k, runs a max-flow on each, and can only
-    refute.
+    count before any work starts; the count stops at the first k whose
+    running total passes the cap. k values must be plain ints. Sampled mode
+    draws ``samples`` uniform pairs per k, runs a max-flow on each, and can
+    only refute.
     """
     n = g.n
     if k_values == "all":
@@ -368,11 +337,14 @@ def verify_superconcentrator(
         raise ValueError(f"unknown verification mode {mode!r}")
 
     if mode == "exhaustive":
-        total = sum(math.comb(n, k) ** 2 for k in ks)
-        if total > pair_budget:
-            raise ValueError(
-                f"exhaustive verification needs {total} pair checks, budget is {pair_budget}"
-            )
+        total = 0
+        for k in ks:
+            total += math.comb(n, k) ** 2
+            if total > pair_budget:
+                raise ValueError(
+                    f"exhaustive verification of the k values up to {k} needs more pair checks"
+                    f" than the budget allows, budget is {pair_budget}"
+                )
         return _exhaustive_scan(g, ks)
 
     if samples < 1:

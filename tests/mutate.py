@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, relative to the repository root
 
 
+FLOW = "tests/test_superconc.py::TestFlow"
 HALL = "tests/test_superconc.py::TestHallScan"
 SUBSET = "tests/test_core.py::TestSubsetSearch"
 SAMPLER = "tests/test_core.py::TestSubsetSampler"
@@ -49,6 +50,41 @@ BALANCE = "tests/test_superconc.py::TestBalance"
 POOL_FDS = "tests/test_witness.py::TestSplitProof::test_no_fd_or_child_outlives_a_pool"
 
 MUTANTS = [
+    Mutant(
+        "flow flips the last frame only",
+        "zarank/superconc.py",
+        "for x, _, r in stack:",
+        "for x, _, r in stack[-1:]:",
+        (FLOW,),
+    ),
+    Mutant(
+        "flow skips the Kuhn phase",
+        "zarank/superconc.py",
+        "    for s in rest:\n",
+        "    for s in rest[:0]:\n",
+        (FLOW,),
+    ),
+    Mutant(
+        "flow keeps seen across sources",
+        "zarank/superconc.py",
+        "seen = 0",
+        "seen = locals().get('seen', 0)",
+        (FLOW,),
+    ),
+    Mutant(
+        "flow greedy takes used middles",
+        "zarank/superconc.py",
+        "cand = adj_vm[s] & ~used",
+        "cand = adj_vm[s]",
+        (FLOW,),
+    ),
+    Mutant(
+        "flow looks an idle in side up as free",
+        "zarank/superconc.py",
+        "if low & free:",
+        "if low & free or r not in mate:",
+        (FLOW,),
+    ),
     Mutant(
         "search threshold >= made >",
         "zarank/core.py",

@@ -10,6 +10,7 @@ on a renumbered copy.
 
 from __future__ import annotations
 
+from collections import deque
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import combinations
@@ -149,6 +150,55 @@ def brute_max_two_paths(
         return value
 
     return best(0, 0, 0)
+
+
+def edmonds_karp_two_paths(
+    adj_vm: Sequence[int], adj_mw: Sequence[int], sources: Sequence[int], sinks: Sequence[int]
+) -> int:
+    """Maximum system of vertex-disjoint V-M-W paths as a maximum flow, by
+    Edmonds-Karp on an explicit node-split network: a super source feeds each
+    source, each middle is an in node and an out node joined by one arc, and
+    each sink feeds a super sink; every arc has capacity one. Polynomial, so
+    it checks graphs far past ``brute_max_two_paths``'s reach."""
+    n, m = len(adj_vm), len(adj_mw)
+    top, bottom = "source", "sink"
+    residual: dict[object, dict[object, int]] = {top: {}, bottom: {}}
+
+    def arc(a: object, b: object) -> None:
+        residual.setdefault(a, {})[b] = 1
+        residual.setdefault(b, {}).setdefault(a, 0)
+
+    for v in set(sources):
+        arc(top, ("v", v))
+    for w in set(sinks):
+        arc(("w", w), bottom)
+    for u in range(m):
+        arc(("in", u), ("out", u))
+        for v in range(n):
+            if adj_vm[v] >> u & 1:
+                arc(("v", v), ("in", u))
+        for w in range(n):
+            if adj_mw[u] >> w & 1:
+                arc(("out", u), ("w", w))
+    flow = 0
+    while True:
+        parent: dict[object, object] = {top: None}
+        queue = deque([top])
+        while queue and bottom not in parent:
+            a = queue.popleft()
+            for b, room in residual[a].items():
+                if room and b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        if bottom not in parent:
+            return flow
+        b = bottom
+        while parent[b] is not None:
+            a = parent[b]
+            residual[a][b] -= 1
+            residual[b][a] += 1
+            b = a
+        flow += 1
 
 
 def decimal_log2_fraction(value: Fraction, prec: int = 60) -> Decimal:

@@ -1,10 +1,11 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
 
-from oracles import brute_max_two_paths, scan_balance_degrees
+from oracles import brute_max_two_paths, edmonds_karp_two_paths, scan_balance_degrees
 from zarank.core import LayeredGraph, RandomSource, transpose_masks
 from zarank.superconc import (
     balance_degrees,
@@ -109,6 +110,23 @@ class TestFlow:
                         g.adj_vm, g.adj_mw, S, T
                     ), (g, S, T)
 
+    def test_matches_edmonds_karp_on_larger_graphs(self):
+        # Sparse graphs up to n = 60, m = 80 with |S| = |T|, as sc-verify
+        # asks: the greedy pass leaves sources to the augmenting searches,
+        # and a search that kept its seen mask from the last source would
+        # miss paths on some of them.
+        rng = random.Random(29)
+        deficits = 0
+        for _ in range(300):
+            n, m = rng.randint(1, 60), rng.randint(0, 80)
+            g = random_layered(rng, n, m, rng.uniform(0.03, 0.1), rng.uniform(0.03, 0.1))
+            k = rng.randint(0, n)
+            S, T = rng.sample(range(n), k), rng.sample(range(n), k)
+            flow = max_disjoint_paths(g, S, T)
+            assert flow == edmonds_karp_two_paths(g.adj_vm, g.adj_mw, S, T), (g, S, T)
+            deficits += flow < k
+        assert deficits > 100
+
 
 class TestVerify:
     def test_complete_tripartite_passes_all_k(self):
@@ -199,6 +217,17 @@ class TestVerify:
     def test_budget_enforced(self):
         with pytest.raises(ValueError):
             verify_superconcentrator(complete_layered(10, 10), "all", pair_budget=100)
+
+    def test_budget_refusal_stops_at_the_first_k_past_it(self):
+        # Summing C(n, k)^2 over every k before the comparison took seconds
+        # here, and the total overran int-to-str's digit limit in the message.
+        g = LayeredGraph(8000, 0, (0,) * 8000, ())
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="budget is 2000000"):
+            verify_superconcentrator(g, "all")
+        with pytest.raises(ValueError, match=r"up to 4000 .* budget is 2000000"):
+            verify_superconcentrator(g, [4000, 7999])
+        assert time.perf_counter() - start < 0.5
 
     def test_monotone_under_edge_addition(self):
         # Adding edges keeps a certified graph certified.
