@@ -11,13 +11,18 @@ union graph is built once per attack, and each trial searches it restricted
 to its survivors. Any witness found is re-verified against every biclique of
 the family before it is reported: an attacked biclique has a deleted side
 disjoint from the survivors, so it cannot contribute an edge between them.
+
+The two sides differ only in their survival probabilities (p_i on the left,
+1 - p_i on the right), so each step that treats a side is one routine called
+once per side: ``_side`` plans it, ``_truncate`` rebalances its survivors, and
+``_surviving_pairs`` counts the edges that bicliques place between survivors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bounds import NormalizedProfile, asymmetric_condition, profile_from_family
 from .core import BicliqueFamily, RandomSource, bits, mask_of, union_of
@@ -126,20 +131,48 @@ class DeletionTrace:
     found: bool
 
 
+class _Side(NamedTuple):
+    """One side of a plan: per-vertex deletion exponents d_v and attack
+    counts s_v, the threshold d, and the kept half with its mask."""
+
+    d_v: tuple[float, ...]
+    s_v: tuple[int, ...]
+    d: float
+    focus: tuple[int, ...]
+    mask: int
+
+
+def _side(n: int, masks: Sequence[int], survive: dict[int, float], fixed_d: Optional[float]) -> _Side:
+    """The plan of one side. ``survive`` maps each attacked index to the
+    probability that this side of its biclique survives; a member of it gains
+    log2(1 / q) in d_v. The kept half is the first ceil(n / 2) vertices with
+    d_v <= d, where d is ``fixed_d`` or the median of d_v."""
+    d_v = [0.0] * n
+    s_v = [0] * n
+    for i, q in survive.items():
+        # Members exist only if this side is nonempty, in which case its
+        # survival probability is strictly positive.
+        if masks[i]:
+            w = math.log2(1.0 / q)
+            for v in bits(masks[i]):
+                d_v[v] += w
+                s_v[v] += 1
+    half = (n + 1) // 2
+    d = float(fixed_d) if fixed_d is not None else sorted(d_v)[half - 1]
+    focus = tuple([v for v in range(n) if d_v[v] <= d][:half])
+    return _Side(tuple(d_v), tuple(s_v), d, focus, mask_of(focus))
+
+
 class _AttackPlan:
-    """Everything about an attack that does not depend on the coin flips."""
+    """Everything about an attack that does not depend on the coin flips.
+    Each side is planned by the one routine ``_side``."""
 
     def __init__(self, family: BicliqueFamily, config: AttackConfig):
         self.family = family
         self.config = config
-        n = family.n
         profile = profile_from_family(family)
-        self.profile = profile
         self.attacked, self.kept = classify(profile, config.mode, config.marked)
         self.marked = self.kept if config.mode == "asymmetric" else None
-
-        self.left_masks = family.left
-        self.right_masks = family.right
 
         # Side-deletion probabilities for attacked indices: delete the right
         # side of biclique i with probability p_i, the left side otherwise.
@@ -155,106 +188,54 @@ class _AttackPlan:
             else:
                 self.p[i] = 0.5
 
-        d_v_left = [0.0] * n
-        d_v_right = [0.0] * n
-        s_v_left = [0] * n
-        s_v_right = [0] * n
-        for i in self.attacked:
-            p = self.p[i]
-            # Members exist on a side only if that side is nonempty, in which
-            # case the corresponding probability is strictly positive.
-            if self.left_masks[i]:
-                w_left = math.log2(1.0 / p)
-                for v in bits(self.left_masks[i]):
-                    d_v_left[v] += w_left
-                    s_v_left[v] += 1
-            if self.right_masks[i]:
-                w_right = math.log2(1.0 / (1.0 - p))
-                for w in bits(self.right_masks[i]):
-                    d_v_right[w] += w_right
-                    s_v_right[w] += 1
-        self.d_v_left = tuple(d_v_left)
-        self.d_v_right = tuple(d_v_right)
-        self.s_v_left = tuple(s_v_left)
-        self.s_v_right = tuple(s_v_right)
-
-        half = (n + 1) // 2
-        if config.fixed_d is not None:
-            self.d_left = self.d_right = float(config.fixed_d)
-        else:
-            self.d_left = sorted(d_v_left)[half - 1]
-            self.d_right = sorted(d_v_right)[half - 1]
-        self.v_prime = [v for v in range(n) if d_v_left[v] <= self.d_left][:half]
-        self.w_prime = [w for w in range(n) if d_v_right[w] <= self.d_right][:half]
-        self.v_prime_mask = sum(1 << v for v in self.v_prime)
-        self.w_prime_mask = sum(1 << w for w in self.w_prime)
+        n = family.n
+        self.left = _side(n, family.left, self.p, config.fixed_d)
+        self.right = _side(n, family.right, {i: 1.0 - q for i, q in self.p.items()}, config.fixed_d)
 
         # The kept bicliques' union, rows and columns, shared by every trial:
         # a trial searches it restricted to its survivors.
-        kept_family = BicliqueFamily(
-            n,
-            family.k,
-            tuple(self.left_masks[i] for i in self.kept),
-            tuple(self.right_masks[i] for i in self.kept),
-        )
-        self.kept_graph = union_of(kept_family)
+        left, right = tuple(family.left[i] for i in self.kept), tuple(family.right[i] for i in self.kept)
+        self.kept_graph = union_of(BicliqueFamily(n, family.k, left, right))
         self.kept_edge_sum_expectation = sum(
-            self.left_masks[i].bit_count()
-            * self.right_masks[i].bit_count()
-            * 2.0 ** -(self.d_left + self.d_right)
-            for i in self.kept
+            a.bit_count() * b.bit_count() * 2.0 ** -(self.left.d + self.right.d) for a, b in zip(left, right)
         )
+
+
+def _truncate(gen, side: _Side, surv: int) -> int:
+    """Rebalance so each focus vertex survives with probability exactly
+    2^-d: a stage-one survivor (probability 2^-d_v) is kept with probability
+    2^-(d - d_v), one coin per stage-one survivor in ascending order."""
+    kept = 0
+    for v in side.focus:
+        if surv >> v & 1 and gen.random() < 2.0 ** -(side.d - side.d_v[v]):
+            kept |= 1 << v
+    return kept
+
+
+def _surviving_pairs(family: BicliqueFamily, indices: Iterable[int], x: int, y: int) -> int:
+    """Sum of |L_i & x| * |R_i & y| over the given bicliques: the edges they
+    place between x and y, counted with multiplicity."""
+    return sum((family.left[i] & x).bit_count() * (family.right[i] & y).bit_count() for i in indices)
 
 
 def _run_trial(plan: _AttackPlan, trial: int) -> DeletionTrace:
     config = plan.config
-    n = plan.family.n
-    k = plan.family.k
+    family = plan.family
+    k = family.k
     gen = config.rng.derive(trial).rng()
 
     deleted_side = []
-    deleted_left_union = 0
-    deleted_right_union = 0
+    deleted = {"left": 0, "right": 0}
     for i in plan.attacked:
-        if gen.random() < plan.p[i]:
-            deleted_side.append("right")
-            deleted_right_union |= plan.right_masks[i]
-        else:
-            deleted_side.append("left")
-            deleted_left_union |= plan.left_masks[i]
-
-    x_surv = plan.v_prime_mask & ~deleted_left_union
-    y_surv = plan.w_prime_mask & ~deleted_right_union
-
+        side = "right" if gen.random() < plan.p[i] else "left"
+        deleted_side.append(side)
+        deleted[side] |= getattr(family, side)[i]
+    x_surv = plan.left.mask & ~deleted["left"]
+    y_surv = plan.right.mask & ~deleted["right"]
     if config.truncation == "exact":
-        # Rebalance so each focus vertex survives with probability exactly
-        # 2^-d: a stage-one survivor (probability 2^-d_v) is kept with
-        # probability 2^-(d - d_v). Coin order is left side ascending, then
-        # right side ascending, one coin per stage-one survivor.
-        kept_mask = 0
-        for v in plan.v_prime:
-            if x_surv >> v & 1:
-                if gen.random() < 2.0 ** -(plan.d_left - plan.d_v_left[v]):
-                    kept_mask |= 1 << v
-        x_surv = kept_mask
-        kept_mask = 0
-        for w in plan.w_prime:
-            if y_surv >> w & 1:
-                if gen.random() < 2.0 ** -(plan.d_right - plan.d_v_right[w]):
-                    kept_mask |= 1 << w
-        y_surv = kept_mask
-
-    attacked_pairs = 0
-    for i in plan.attacked:
-        attacked_pairs += (plan.left_masks[i] & x_surv).bit_count() * (
-            plan.right_masks[i] & y_surv
-        ).bit_count()
-
-    kept_edge_sum = 0
-    for i in plan.kept:
-        kept_edge_sum += (plan.left_masks[i] & x_surv).bit_count() * (
-            plan.right_masks[i] & y_surv
-        ).bit_count()
+        # Coin order: left side ascending, then right side ascending.
+        x_surv = _truncate(gen, plan.left, x_surv)
+        y_surv = _truncate(gen, plan.right, y_surv)
 
     witness = None
     search_complete = True
@@ -265,12 +246,8 @@ def _run_trial(plan: _AttackPlan, trial: int) -> DeletionTrace:
         result = has_kxk_independent_set(graph, k, config.node_budget, x_surv, y_surv)
         search_complete = result.complete
         if result.found:
-            s_mask, t_mask = mask_of(result.S), mask_of(result.T)
-            for left, right in zip(plan.left_masks, plan.right_masks):
-                if left & s_mask and right & t_mask:
-                    raise AssertionError(
-                        "internal error: witness not independent in the full union graph"
-                    )
+            if _surviving_pairs(family, range(family.size), mask_of(result.S), mask_of(result.T)):
+                raise AssertionError("internal error: witness not independent in the full union graph")
             witness = (result.S, result.T)
 
     return DeletionTrace(
@@ -279,24 +256,24 @@ def _run_trial(plan: _AttackPlan, trial: int) -> DeletionTrace:
         trial=trial,
         seed=config.rng.seed,
         stream_id=config.rng.stream_id,
-        n=n,
+        n=family.n,
         k=k,
         marked=plan.marked,
         attacked=plan.attacked,
         kept=plan.kept,
         deleted_side=tuple(deleted_side),
-        d_left=plan.d_left,
-        d_right=plan.d_right,
-        d_v_left=plan.d_v_left,
-        d_v_right=plan.d_v_right,
-        s_v_left=plan.s_v_left,
-        s_v_right=plan.s_v_right,
-        v_prime=tuple(plan.v_prime),
-        w_prime=tuple(plan.w_prime),
+        d_left=plan.left.d,
+        d_right=plan.right.d,
+        d_v_left=plan.left.d_v,
+        d_v_right=plan.right.d_v,
+        s_v_left=plan.left.s_v,
+        s_v_right=plan.right.s_v,
+        v_prime=plan.left.focus,
+        w_prime=plan.right.focus,
         x_surv=tuple(bits(x_surv)),
         y_surv=tuple(bits(y_surv)),
-        attacked_edge_pairs_surviving=attacked_pairs,
-        kept_edge_sum_surviving=kept_edge_sum,
+        attacked_edge_pairs_surviving=_surviving_pairs(family, plan.attacked, x_surv, y_surv),
+        kept_edge_sum_surviving=_surviving_pairs(family, plan.kept, x_surv, y_surv),
         kept_union_edges_surviving=kept_union_edges,
         kept_edge_sum_expectation=plan.kept_edge_sum_expectation,
         witness=witness,
@@ -305,23 +282,24 @@ def _run_trial(plan: _AttackPlan, trial: int) -> DeletionTrace:
     )
 
 
+def _trials(family: BicliqueFamily, config: AttackConfig) -> Iterator[DeletionTrace]:
+    plan = _AttackPlan(family, config)
+    return (_run_trial(plan, trial) for trial in range(1, config.trials + 1))
+
+
 def run_attack(family: BicliqueFamily, config: AttackConfig) -> DeletionTrace:
     """Run trials until a witness is found; return its trace, or the last
     trial's trace if none succeeds. A fruitless attack is evidence, not an
     error."""
-    plan = _AttackPlan(family, config)
-    trace = None
-    for trial in range(1, config.trials + 1):
-        trace = _run_trial(plan, trial)
+    for trace in _trials(family, config):
         if trace.found:
-            return trace
+            break
     return trace
 
 
 def run_attack_trials(family: BicliqueFamily, config: AttackConfig) -> list[DeletionTrace]:
     """Run every trial regardless of success; for statistics gathering."""
-    plan = _AttackPlan(family, config)
-    return [_run_trial(plan, trial) for trial in range(1, config.trials + 1)]
+    return list(_trials(family, config))
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ SUBSET = "tests/test_core.py::TestSubsetSearch"
 SAMPLER = "tests/test_core.py::TestSubsetSampler"
 BALANCE = "tests/test_superconc.py::TestBalance"
 POOL_FDS = "tests/test_witness.py::TestSplitProof::test_no_fd_or_child_outlives_a_pool"
+ATTACK = ("tests/test_attack.py", "tests/test_reports.py")
 
 MUTANTS = [
     Mutant(
@@ -168,6 +169,69 @@ MUTANTS = [
         "if x > n or y > n:",
         "if y > n:",
         (BALANCE,),
+    ),
+    Mutant(
+        "attack right side survives with p",
+        "zarank/attack.py",
+        "{i: 1.0 - q for i, q in self.p.items()}",
+        "dict(self.p)",
+        ATTACK,
+    ),
+    Mutant(
+        "attack focus threshold <= made <",
+        "zarank/attack.py",
+        "for v in range(n) if d_v[v] <= d]",
+        "for v in range(n) if d_v[v] < d]",
+        ATTACK,
+    ),
+    Mutant(
+        "attack right truncation uses the left d",
+        "zarank/attack.py",
+        "_truncate(gen, plan.right, y_surv)",
+        "_truncate(gen, plan.right._replace(d=plan.left.d), y_surv)",
+        ATTACK,
+    ),
+    Mutant(
+        "attack kept sum over the attacked bicliques",
+        "zarank/attack.py",
+        "_surviving_pairs(family, plan.kept, x_surv, y_surv)",
+        "_surviving_pairs(family, plan.attacked, x_surv, y_surv)",
+        ATTACK,
+    ),
+    Mutant(
+        "attack deleted side swapped",
+        "zarank/attack.py",
+        'side = "right" if gen.random() < plan.p[i] else "left"',
+        'side = "left" if gen.random() < plan.p[i] else "right"',
+        ATTACK,
+    ),
+    Mutant(
+        "attack median index one past",
+        "zarank/attack.py",
+        "sorted(d_v)[half - 1]",
+        "sorted(d_v)[half]",
+        ATTACK,
+    ),
+    Mutant(
+        "attack skips the right truncation",
+        "zarank/attack.py",
+        "y_surv = _truncate(gen, plan.right, y_surv)",
+        "y_surv = y_surv",
+        ATTACK,
+    ),
+    Mutant(
+        "attack s_v on the wrong side",
+        "zarank/attack.py",
+        "s_v_left=plan.left.s_v,",
+        "s_v_left=plan.right.s_v,",
+        ATTACK,
+    ),
+    Mutant(
+        "attack skips the full-union re-verification",
+        "zarank/attack.py",
+        "if _surviving_pairs(family, range(family.size), mask_of(result.S), mask_of(result.T)):",
+        "if False:",
+        ATTACK,
     ),
     Mutant(
         "pool leaves its token pipe open",

@@ -14,8 +14,9 @@ from zarank.attack import (
     survivor_statistics,
 )
 from zarank.bounds import profile_from_family, profile_from_normalized
-from zarank.core import BicliqueFamily, RandomSource, jsonable, union_of
-from zarank.witness import has_kxk_independent_set
+from zarank.cli import main
+from zarank.core import BicliqueFamily, RandomSource, jsonable, save_json, union_of
+from zarank.witness import WitnessResult, has_kxk_independent_set
 
 
 def rectangle_is_independent(g, s_indices, t_indices):
@@ -99,6 +100,23 @@ class TestRunAttack:
                 s, t = trace.witness
                 assert len(s) == 6 and len(t) == 6
                 assert rectangle_is_independent(g, s, t)
+
+    def test_witness_meeting_a_biclique_is_an_internal_error(self, monkeypatch, tmp_path, capsys):
+        # A witness from the kept-graph search is reported only if no biclique
+        # of the family has an edge inside it. A search that returns S x T
+        # holding biclique 0's edge (0, 0) must be refused, and the CLI must
+        # exit 3 (internal error), not 1 (refuted).
+        def bad_search(g, k, node_budget, left, right):
+            return WitnessResult(True, (0, 1), (0, 1), 1, True)
+
+        monkeypatch.setattr(zarank.attack, "has_kxk_independent_set", bad_search)
+        fam = BicliqueFamily.from_index_lists(8, 2, [([0], [0])])
+        with pytest.raises(AssertionError, match="not independent in the full union graph"):
+            run_attack_trials(fam, AttackConfig(mode="symmetric", rng=RandomSource(1)))
+        path = tmp_path / "family.json"
+        save_json(path, {"n": 8, "k": 2, "bicliques": [{"left": [0], "right": [0]}]})
+        assert main(["attack", "--family", str(path), "--mode", "sym", "--seed", "1"]) == 3
+        assert "not independent in the full union graph" in capsys.readouterr().err
 
     def test_determinism(self):
         fam = only_large_family(32, 4, 5, 9, seed=2)

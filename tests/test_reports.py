@@ -3,7 +3,9 @@
 
 Each SHA-256 below is of ``canonical_dumps(jsonable(report))`` for one small
 fixed instance. The hashes were recorded while each report type still had an
-encoder of its own, so they hold the JSON those encoders wrote.
+encoder of its own, so they hold the JSON those encoders wrote. The
+``deletion_traces_*`` pins hold every trial of one attack; they were recorded
+while each side of the attack plan still had code of its own.
 """
 
 import ast
@@ -73,6 +75,11 @@ def _complete_layered(n: int) -> LayeredGraph:
 SYMMETRIC = BicliqueFamily.from_index_lists(
     16, 3, [(range(8), range(8, 16)), ([8, 9, 10], [0, 1, 2]), ([], []), (range(12), range(4, 16))]
 )
+# The default marked set keeps only biclique 1, so asymmetric mode attacks
+# 0 and 2, whose unequal sides give p_0 = 7/11 and p_2 = 6/11.
+UNEVEN = BicliqueFamily.from_index_lists(
+    16, 3, [(range(14), range(8, 16)), ([8, 9, 10], [0, 1, 2]), (range(12), range(6, 16))]
+)
 
 
 REPORTS = {
@@ -85,6 +92,15 @@ REPORTS = {
     "certificate_relaxed": lambda: certify_union_bound(12, 3, [(4, 4)] * 10 + [(2, 7)], "relaxed"),
     "deletion_trace": lambda: run_attack_trials(FAMILY, ATTACK)[0],
     "survivor_statistics": lambda: survivor_statistics(run_attack_trials(FAMILY, ATTACK)),
+    "deletion_traces_symmetric_exact": lambda: run_attack_trials(
+        SYMMETRIC, AttackConfig(mode="symmetric", rng=RandomSource(5, 1), trials=4)
+    ),
+    "deletion_traces_symmetric_none": lambda: run_attack_trials(
+        SYMMETRIC, AttackConfig(mode="symmetric", rng=RandomSource(5, 1), trials=4, truncation="none")
+    ),
+    "deletion_traces_asymmetric_fixed_d": lambda: run_attack_trials(
+        UNEVEN, AttackConfig(mode="asymmetric", rng=RandomSource(5, 1), trials=4, fixed_d=1.5)
+    ),
     "sc_verdict_counterexample": lambda: verify_superconcentrator(_thin(), [3]),
     "sc_verdict_certified": lambda: verify_superconcentrator(_complete_layered(5)),
     "sc_verdict_sampled": lambda: verify_superconcentrator(
@@ -104,6 +120,9 @@ PINNED = {
     "certificate_relaxed": "83aae5799a49593074496f0b0b6e8e3db4a71bf2c2ef3d58b0d2f7e95809a7dc",
     "deletion_trace": "e00258010c943e608e10201d87861f5dff5ae99e1a50c55ef5366b5dd0123f9a",
     "survivor_statistics": "a849c866943f81444aeefa7b0f1652d82dc615d0b4c6714796987a3c7e6c7f42",
+    "deletion_traces_symmetric_exact": "cb0038bf2765ff3dc288d65a65cbe1a5a743c7e0db361f1b0dbbebd0cff0d030",
+    "deletion_traces_symmetric_none": "a34483ec85b3e1a02da24fd3478d22f584007fe6f6b18166efeb68f532f2a15d",
+    "deletion_traces_asymmetric_fixed_d": "b44a715eb56e4e87de76235fc80c4420adac4267ce8269dcf27ee2f38ffcf225",
     "sc_verdict_counterexample": "0c0e58fc0aae6b4373237fc6f259428933b4403513d29ea8b3002a498b2d6ed5",
     "sc_verdict_certified": "7bfb2ff8a5239c49c15a7eb658edc406c4e8db98d22791b36c11d26c986ed245",
     "sc_verdict_sampled": "642daeb12eca3aa3ce8ce8745286671353001f530d4174e9a0c77f7fd8952fd0",
