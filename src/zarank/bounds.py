@@ -116,7 +116,12 @@ def kst_check(g: BipartiteGraph, k: int) -> ConditionCheck:
     """Average-degree counting check: n * C(n - dbar, k) / C(n, k) <= k - 1.
 
     Every square bipartite graph with no k x k independent set satisfies it.
-    Computed in log space so n in the thousands cannot overflow.
+    The reported lhs is computed in log space, so n in the thousands cannot
+    overflow. ``satisfied`` is decided in integers, since projective-plane
+    complements meet the bound with equality and the float lhs can round
+    above it: with E edges, n - dbar = (n^2 - E)/n, and multiplied through by
+    n^k k! the check is n * prod(n^2 - E - i*n) <= (k - 1) * n^k * prod(n - i)
+    over i < k, where C(x, k) = 0 for x < k makes the left side 0.
     """
     if g.n_left != g.n_right:
         raise ValueError("counting check requires equal side sizes")
@@ -126,8 +131,10 @@ def kst_check(g: BipartiteGraph, k: int) -> ConditionCheck:
     dbar = g.average_degree()
     log2_lhs = math.log2(n) + log2_binomial(n - dbar, k) - log2_binomial(n, k)
     lhs = 0.0 if log2_lhs == -math.inf else 2.0 ** log2_lhs
-    rhs = float(k - 1)
-    return ConditionCheck(lhs, rhs, lhs <= rhs)
+    missing = n * n - g.edge_count
+    scaled_lhs = n * math.prod(missing - i * n for i in range(k)) if missing >= k * n else 0
+    satisfied = scaled_lhs <= (k - 1) * n ** k * math.prod(range(n - k + 1, n + 1))
+    return ConditionCheck(lhs, float(k - 1), satisfied)
 
 
 def kst_degree_lower_bound(n: int, k: int) -> DegreeBound:

@@ -3,8 +3,9 @@
 Subcommands: bounds, construct, verify, attack, sc-verify, sc-analyze, sweep.
 Every randomized subcommand takes an explicit --seed; reruns with identical
 inputs, seed and version produce byte-identical reports. Exit codes: 0 for a
-clean run, 1 when the run found a refutation (a witness, a counterexample, or
-a failed construction), 2 for usage or validation errors, 3 for an internal
+clean run, a search whose node budget ran out among them, 1 when the run
+found a refutation (a witness, a counterexample, or a failed construction),
+2 for usage or validation errors, 3 for an internal
 error (any other exception, such as ``MemoryError`` or a witness that failed
 re-verification).
 
@@ -32,6 +33,7 @@ from typing import Callable, Optional
 from . import __version__
 from .bounds import Constants, bound_report  # Constants gives the theorem flags' defaults
 from .core import (
+    DEFAULT_NODE_BUDGET,
     RandomSource,
     SchemaError,
     family_from_json,
@@ -66,18 +68,19 @@ def _at_least_one(value: int, where: str) -> int:
     return value
 
 
-def _budget(given: Optional[int], env: str, default: int) -> int:
-    """A budget: the one given, else the environment's, else ``default``."""
+def _budget(given: Optional[int]) -> int:
+    """A node budget: the one given, else ``ZARANK_WITNESS_BUDGET``'s, else
+    ``DEFAULT_NODE_BUDGET``."""
     if given is not None:
         return given
-    raw = os.environ.get(env)
+    raw = os.environ.get("ZARANK_WITNESS_BUDGET")
     if raw is None:
-        return default
+        return DEFAULT_NODE_BUDGET
     try:
         value = int(raw)
     except ValueError as exc:
-        raise SchemaError(f"environment variable {env}={raw!r} is not an integer") from exc
-    return _at_least_one(value, f"environment variable {env}")
+        raise SchemaError(f"environment variable ZARANK_WITNESS_BUDGET={raw!r} is not an integer") from exc
+    return _at_least_one(value, "environment variable ZARANK_WITNESS_BUDGET")
 
 
 def _refuse_overwrite(path, force: bool) -> None:
@@ -214,12 +217,11 @@ def _check_params(params: tuple[Param, ...], given: dict, where: Callable[[str],
 def run_construct(p: dict) -> tuple[dict, bool]:
     """The certificate doc; its ``family`` key holds the last family drawn."""
     from .construct import certify_union_bound, construct_until_verified
-    from .witness import DEFAULT_NODE_BUDGET
 
     cert = certify_union_bound(p["n"], p["k"], p["sizes"], p["mode"])
     outcome = construct_until_verified(
         p["n"], p["k"], p["sizes"], RandomSource(p["seed"], p["stream"]),
-        p["max_attempts"], _budget(p["budget"], "ZARANK_WITNESS_BUDGET", DEFAULT_NODE_BUDGET),
+        p["max_attempts"], _budget(p["budget"]),
     )
     verified = outcome.verification.found is False
     doc = {
@@ -236,7 +238,7 @@ def run_construct(p: dict) -> tuple[dict, bool]:
 
 
 def run_verify(p: dict) -> tuple[dict, bool]:
-    from .witness import DEFAULT_NODE_BUDGET, has_kxk_independent_set
+    from .witness import has_kxk_independent_set
 
     if p["family"] is not None:
         family = _load_family(p["family"])
@@ -245,14 +247,12 @@ def run_verify(p: dict) -> tuple[dict, bool]:
         if p["k"] is None:
             raise SchemaError("k is required with a graph")
         graph, k = graph_from_json(load_json(p["graph"])), p["k"]
-    budget = _budget(p["budget"], "ZARANK_WITNESS_BUDGET", DEFAULT_NODE_BUDGET)
-    result = has_kxk_independent_set(graph, k, budget)
+    result = has_kxk_independent_set(graph, k, _budget(p["budget"]))
     return {"version": __version__, "k": k, "witness": jsonable(result)}, bool(result.found)
 
 
 def run_attack(p: dict) -> tuple[dict, bool]:
     from .attack import AttackConfig, run_attack_trials, survivor_statistics
-    from .witness import DEFAULT_NODE_BUDGET
 
     config = AttackConfig(
         mode={"sym": "symmetric", "asym": "asymmetric"}.get(p["mode"], p["mode"]),
@@ -261,7 +261,7 @@ def run_attack(p: dict) -> tuple[dict, bool]:
         marked=p["marked"],
         truncation=p["truncation"],
         fixed_d=p["fixed_d"],
-        node_budget=_budget(p["budget"], "ZARANK_WITNESS_BUDGET", DEFAULT_NODE_BUDGET),
+        node_budget=_budget(p["budget"]),
     )
     traces = run_attack_trials(_load_family(p["family"]), config)
     hits = [t for t in traces if t.found]
@@ -286,7 +286,7 @@ def run_bounds(p: dict) -> tuple[dict, bool]:
 
 
 def run_sc_verify(p: dict) -> tuple[dict, bool]:
-    from .superconc import DEFAULT_PAIR_BUDGET, verify_superconcentrator
+    from .superconc import verify_superconcentrator
 
     g = layered_from_json(load_json(p["layered"]))
     ks = _parse_k_range(p["k_range"], g.n)
@@ -295,11 +295,10 @@ def run_sc_verify(p: dict) -> tuple[dict, bool]:
         if p["seed"] is None:
             raise SchemaError("a seed is required in sampled mode")
         rng = RandomSource(p["seed"], p["stream"])
-    budget = _budget(p["pair_budget"], "ZARANK_PAIR_BUDGET", DEFAULT_PAIR_BUDGET)
     verdict = verify_superconcentrator(
-        g, ks, mode=p["mode"], samples=p["samples"], rng=rng, pair_budget=budget
+        g, ks, mode=p["mode"], samples=p["samples"], rng=rng, node_budget=_budget(p["pair_budget"])
     )
-    return {"version": __version__, "verdict": jsonable(verdict)}, not verdict.is_superconcentrator
+    return {"version": __version__, "verdict": jsonable(verdict)}, verdict.is_superconcentrator is False
 
 
 def run_sc_analyze(p: dict) -> tuple[dict, bool]:
@@ -378,6 +377,8 @@ def _show_sc_verify(doc: dict) -> None:
         print(f"counterexample at k={ce['k']}: S={ce['S']} T={ce['T']} max_flow={ce['max_flow']}")
     elif verdict["certified"]:
         print(f"superconcentrator verified exhaustively ({verdict['pairs_checked']} pairs)")
+    elif verdict["is_superconcentrator"] is None:
+        print(f"inconclusive: node budget exhausted after {verdict['pairs_checked']} pairs decided")
     else:
         print(f"no counterexample in {verdict['pairs_checked']} sampled pairs (not a certificate)")
 
@@ -497,7 +498,7 @@ COMMANDS = {
             Param("samples", int, 100),
             Param("seed", int),
             _STREAM,
-            Param("pair_budget", int, parse=_at_least_one),
+            Param("pair_budget", int, help="node budget of the exhaustive search", parse=_at_least_one),
         ),
         (
             "layered", "k_range", "mode", "samples", "seed",

@@ -288,6 +288,9 @@ class LayeredGraph:
 # ---------------------------------------------------------------------------
 
 
+DEFAULT_NODE_BUDGET = 10_000_000  # every search's node budget unless one is given
+
+
 class _Budget:
     """Counts search nodes: ``tick`` fails once they pass ``limit``.
 

@@ -13,8 +13,10 @@ violates. The T side is the k-subset search the witness search uses: each
 middle u spans the biclique in(u) x out(u), so T violates against N(S)
 exactly when the masks N(S) & ~N(w), w in T, keep |N(S)| - k + 1 common
 bits, and ``core._search`` finds the lex-first such T. A k reached past a
-gap in the list runs a max-flow per pair. Either way the counterexample's
-flow is run for the report. Sampled verification runs a max-flow per pair.
+gap in the list runs a max-flow per pair. One node budget counts the
+S-prefix steps, the T search's nodes and those flows, and a scan that
+spends it ends inconclusive. Either way the counterexample's flow is run
+for the report. Sampled verification runs a max-flow per pair.
 The audits reproduce the bookkeeping of the two lower bound arguments at
 instance scale: degree balancing, the High/Medium/Low split against (n/k)
 times a threshold, the disjoint ladder of k values, and the entropy
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bounds import (
@@ -36,6 +38,7 @@ from .bounds import (
     symmetric_condition,
 )
 from .core import (
+    DEFAULT_NODE_BUDGET,
     BicliqueFamily,
     LayeredGraph,
     RandomSource,
@@ -67,7 +70,6 @@ __all__ = [
     "tradeoff_audit",
 ]
 
-DEFAULT_PAIR_BUDGET = 2_000_000
 _MAX_RUNGS = 512  # cap on threshold_ladder's length
 
 
@@ -181,9 +183,11 @@ class Counterexample(NamedTuple):
 
 @dataclass(frozen=True)
 class ScVerdict:
-    """Verification outcome. Sampled mode can refute but never certify."""
+    """Verification outcome: ``is_superconcentrator`` is True, False with a
+    counterexample, or None when the exhaustive search's node budget ran
+    out. Sampled mode can refute but never certify."""
 
-    is_superconcentrator: bool
+    is_superconcentrator: Optional[bool]
     counterexample: Optional[Counterexample]
     k_checked: tuple[int, ...]
     mode: str
@@ -193,7 +197,7 @@ class ScVerdict:
     certified: bool = field(init=False)  # a superconcentrator, found in exhaustive mode
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "certified", self.is_superconcentrator and self.mode == "exhaustive")
+        object.__setattr__(self, "certified", self.is_superconcentrator is True and self.mode == "exhaustive")
 
 
 def _lex_rank(combo: Sequence[int], n: int) -> int:
@@ -212,8 +216,8 @@ def _lex_rank(combo: Sequence[int], n: int) -> int:
 def _first_kset(rows: Sequence[int], k: int, cols: Sequence[int], budget: _Budget):
     """The lex-first Hall violation: the first k-subset S of range(len(rows))
     that a depth-first search over its prefixes reaches, paired with the
-    lex-first k-subset T of range(len(cols)) that violates against it, or
-    None.
+    lex-first k-subset T of range(len(cols)) that violates against it,
+    None, or "budget".
 
     A prefix P is extended while some k-set T has |N(P) & N(T)| < k, where
     N(P) is the union of its rows and N(T) that of its ``cols``: every T
@@ -221,10 +225,11 @@ def _first_kset(rows: Sequence[int], k: int, cols: Sequence[int], budget: _Budge
     ``_search`` finds on the rows ``N(P) & ~cols[w]``, whose AND keeps
     |N(P)| - k + 1 bits exactly when T violates. That search runs once per
     distinct N(P), in the identity order, and counts its nodes on
-    ``budget``. Unions only grow as a prefix is extended, so no extension
-    of a prefix that fails passes either. The search pays off when these
-    prunes fire well above depth k; where they fire only near it, the
-    search can take longer than visiting every pair (README, Performance).
+    ``budget``, as does each step to a prefix. Unions only grow as a prefix
+    is extended, so no extension of a prefix that fails passes either. The
+    search pays off when these prunes fire well above depth k; where they
+    fire only near it, the search can take longer than visiting every pair
+    (README, Performance).
     """
     n = len(rows)
     chosen: list[int] = []
@@ -236,6 +241,8 @@ def _first_kset(rows: Sequence[int], k: int, cols: Sequence[int], budget: _Budge
     while stack:
         acc, untried = stack[-1]
         for i in untried:
+            if not budget.tick():
+                return "budget"
             grown = acc | rows[i]
             size = grown.bit_count()
             if size >= k and grown not in t_of:
@@ -243,6 +250,8 @@ def _first_kset(rows: Sequence[int], k: int, cols: Sequence[int], budget: _Budge
                 threshold = size - k + 1
                 live = _live(t_rows, threshold)
                 found = _search(t_rows, grown, k, threshold, budget, live, 0, len(live) - k + 1)
+                if found == "budget":
+                    return found
                 t_of[grown] = None if found is None else tuple(found[1])
             t_combo = t_of[grown] if size >= k else first_t
             if t_combo is None:
@@ -259,9 +268,9 @@ def _first_kset(rows: Sequence[int], k: int, cols: Sequence[int], budget: _Budge
     return None
 
 
-def _exhaustive_scan(g: LayeredGraph, ks: list[int]) -> ScVerdict:
+def _exhaustive_scan(g: LayeredGraph, ks: list[int], node_budget: int) -> ScVerdict:
     """Every (k, S, T) in lex order, up to the first pair with fewer than k
-    disjoint paths.
+    disjoint paths or until ``node_budget`` nodes are spent.
 
     By Menger's theorem a pair of k-sets S, T has fewer than k disjoint paths
     iff some A in S, B in T have |N(A) & N(B)| < |A| + |B| - k; trimming the
@@ -270,23 +279,27 @@ def _exhaustive_scan(g: LayeredGraph, ks: list[int]) -> ScVerdict:
     failing pairs of k-sets are exactly the Hall violations |N(S) & N(T)| < k,
     and ``_first_kset`` finds the lex-first one instead of visiting every
     pair: a depth-first search over S-prefixes that asks the shared k-subset
-    search ``_search`` for each T, counting its nodes on one budget with no
-    limit. That holds at the k in position k - 1 of the sorted list; any
-    other k runs a max-flow per pair. Either way the counterexample's flow
-    is run for the report, which confirms its deficit, and
-    ``pairs_checked`` is its lex rank, counting every pair of the earlier
-    levels.
+    search ``_search`` for each T. That holds at the k in position k - 1 of
+    the sorted list; any other k runs a max-flow per pair. One budget counts
+    the S-prefix steps, the T search's nodes and the pairs given a flow;
+    once they pass ``node_budget`` the verdict is None, and
+    ``pairs_checked`` counts the pairs of the levels already decided.
+    Otherwise the counterexample's flow is run for the report, which
+    confirms its deficit, and ``pairs_checked`` is its lex rank, counting
+    every pair of the earlier levels.
     """
     n = g.n
     pairs_before = 0
-    budget = _Budget(math.inf)
+    budget = _Budget(node_budget)
     for pos, k in enumerate(ks):
         size = math.comb(n, k)
         if k == pos + 1:
             found = _first_kset(g.adj_vm, k, g.into_w, budget)
         else:
-            every_pair = product(combinations(range(n), k), repeat=2)
-            found = next((pair for pair in every_pair if max_disjoint_paths(g, *pair) < k), None)
+            pairs = ((s, t) for s in combinations(range(n), k) for t in combinations(range(n), k))
+            found = next((pair for pair in pairs if not budget.tick() or max_disjoint_paths(g, *pair) < k), None)
+        if budget.nodes > budget.limit:  # either search stops at the tick that passes the limit
+            return ScVerdict(None, None, tuple(ks), "exhaustive", pairs_before)
         if found is not None:
             s_combo, t_combo = found
             flow = max_disjoint_paths(g, s_combo, t_combo)
@@ -305,7 +318,7 @@ def verify_superconcentrator(
     mode: str = "exhaustive",
     samples: int = 100,
     rng: Optional[RandomSource] = None,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ScVerdict:
     """Check k disjoint paths for every (or a sampled set of) S, T pairs.
 
@@ -314,11 +327,13 @@ def verify_superconcentrator(
     smaller k values are all in the list is decided by a pruned search for a
     Hall-type violation, and any other k by a max-flow per pair.
     ``pairs_checked`` counts the pairs up to and including the counterexample,
-    as a pair-by-pair scan would, and ``pair_budget`` caps that total pair
-    count before any work starts; the count stops at the first k whose
-    running total passes the cap. k values must be plain ints. Sampled mode
-    draws ``samples`` uniform pairs per k, runs a max-flow on each, and can
-    only refute.
+    as a pair-by-pair scan would. The searches spend at most ``node_budget``
+    nodes: an S-prefix step, a T search node or a pair given a flow costs
+    one. A search that runs out returns ``is_superconcentrator=None``, with
+    ``pairs_checked`` counting the pairs of the levels already decided. k
+    values must be plain ints. Sampled mode draws ``samples`` uniform pairs
+    per k, runs a max-flow on each, can only refute, and ignores
+    ``node_budget``.
     """
     n = g.n
     if k_values == "all":
@@ -337,15 +352,7 @@ def verify_superconcentrator(
         raise ValueError(f"unknown verification mode {mode!r}")
 
     if mode == "exhaustive":
-        total = 0
-        for k in ks:
-            total += math.comb(n, k) ** 2
-            if total > pair_budget:
-                raise ValueError(
-                    f"exhaustive verification of the k values up to {k} needs more pair checks"
-                    f" than the budget allows, budget is {pair_budget}"
-                )
-        return _exhaustive_scan(g, ks)
+        return _exhaustive_scan(g, ks, node_budget)
 
     if samples < 1:
         raise ValueError(f"sampled verification needs samples >= 1, got {samples}")

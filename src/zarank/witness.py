@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional, Sequence
 
+from .core import DEFAULT_NODE_BUDGET, BipartiteGraph, _Budget, _live, _search, bits, mask_of
 # transpose_masks is unused here; bench/tests checks the tracer wraps this binding.
-from .core import BipartiteGraph, _Budget, _live, _search, bits, mask_of, transpose_masks  # noqa: F401
+from .core import transpose_masks  # noqa: F401
 from .forks import OrderedForks
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "has_kxk_independent_set",
 ]
 
-DEFAULT_NODE_BUDGET = 10_000_000
 _PROBE_NODES = 20_000  # node cap of the ascending-order probe
 _PROBE_SLICE = 2_000  # probe nodes spent before the proof workers start; at most _PROBE_NODES
 

@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 FLOW = "tests/test_superconc.py::TestFlow"
 HALL = "tests/test_superconc.py::TestHallScan"
+SC_BUDGET = "tests/test_superconc.py::TestVerify"
 SUBSET = "tests/test_core.py::TestSubsetSearch"
 SAMPLER = "tests/test_core.py::TestSubsetSampler"
 BALANCE = "tests/test_superconc.py::TestBalance"
@@ -120,6 +121,34 @@ MUTANTS = [
         "t_combo = t_of[grown] if size >= k else first_t",
         "t_combo = t_of[grown] if size > k else first_t",
         (HALL,),
+    ),
+    Mutant(
+        "Hall drops the S-step tick",
+        "zarank/superconc.py",
+        '            if not budget.tick():\n                return "budget"\n            grown',
+        "            grown",
+        (SC_BUDGET,),
+    ),
+    Mutant(
+        "exhaustive scan budget unlimited",
+        "zarank/superconc.py",
+        "budget = _Budget(node_budget)",
+        "budget = _Budget(math.inf)",
+        (SC_BUDGET,),
+    ),
+    Mutant(
+        "pair scan draws every k-set first",
+        "zarank/superconc.py",
+        "pairs = ((s, t) for s in combinations(range(n), k) for t in combinations(range(n), k))",
+        "pairs = __import__('itertools').product(combinations(range(n), k), repeat=2)",
+        (SC_BUDGET,),
+    ),
+    Mutant(
+        "kst integer <= made <",
+        "zarank/bounds.py",
+        "satisfied = scaled_lhs <= (k - 1)",
+        "satisfied = scaled_lhs < (k - 1)",
+        ("tests/test_bounds.py::TestKstCheck",),
     ),
     Mutant(
         "lex rank one past",

@@ -14,7 +14,7 @@ from collections import deque
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 from typing import Optional, Sequence
 
 
@@ -37,6 +37,33 @@ def naive_bipartite_witness(
             if not (union & t_mask):
                 return s_combo, t_combo
     return None
+
+
+def counting_lhs(n: int, k: int, edges: int) -> Fraction:
+    """n * C(n - edges/n, k) / C(n, k) in exact rationals, the generalized
+    binomial C(x, k) = x(x-1)...(x-k+1)/k! taken as 0 for x < k."""
+    x = Fraction(n * n - edges, n)
+    if x < k:
+        return Fraction(0)
+    top = Fraction(1)
+    for i in range(k):
+        top *= x - i
+    return n * top / Fraction(comb(n, k) * factorial(k))
+
+
+def projective_plane_complement(p: int) -> list[int]:
+    """Rows of the complement of the point-line incidence graph of PG(2, p),
+    p prime: bit j of row i is set when point i is not on line j.
+
+    Points and lines are both the vectors of GF(p)^3 whose first nonzero
+    coordinate is 1, p^2 + p + 1 of each, and a point lies on a line when
+    their dot product is 0 mod p. Two points share exactly one line, so the
+    complement has no 2 x 2 independent set."""
+    vectors = [(1, a, b) for a in range(p) for b in range(p)] + [(0, 1, a) for a in range(p)] + [(0, 0, 1)]
+    return [
+        sum(1 << j for j, line in enumerate(vectors) if sum(x * y for x, y in zip(point, line)) % p)
+        for point in vectors
+    ]
 
 
 def compressed_domain_search(g, k: int, left: int, right: int, node_budget: int):

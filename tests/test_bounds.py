@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_min_over_subsets, naive_bipartite_witness
+from oracles import brute_min_over_subsets, counting_lhs, naive_bipartite_witness, projective_plane_complement
 from zarank.bounds import (
     Constants,
     asymmetric_condition,
@@ -21,7 +21,8 @@ from zarank.bounds import (
     profile_from_normalized,
     symmetric_condition,
 )
-from zarank.core import BicliqueFamily, BipartiteGraph, jsonable
+from zarank.cli import main
+from zarank.core import BicliqueFamily, BipartiteGraph, jsonable, load_json, save_json
 
 
 class TestBinaryEntropy:
@@ -98,6 +99,57 @@ class TestKstCheck:
                 continue
             assert kst_check(g, k).satisfied
             checked += 1
+
+    def test_satisfied_matches_exact_rationals(self):
+        rng = random.Random(13)
+        for _ in range(1000):
+            n = rng.randint(1, 12)
+            k = rng.randint(1, n)
+            cells = rng.sample(range(n * n), rng.randint(0, n * n))
+            adj = [0] * n
+            for cell in cells:
+                adj[cell // n] |= 1 << cell % n
+            check = kst_check(BipartiteGraph(n, n, tuple(adj)), k)
+            assert check.satisfied == (counting_lhs(n, k, len(cells)) <= k - 1)
+
+    @pytest.mark.parametrize("n, k, d", [(3, 2, 1), (5, 3, 1), (7, 2, 4), (7, 4, 1)])
+    def test_holds_with_equality_on_oracle_certified_circulants(self, n, k, d):
+        # At these (n, k) and average degree d the bound holds with equality:
+        # n * C(n - d, k) == (k - 1) * C(n, k). Row v is {v + s mod n : s in S}.
+        assert n * math.comb(n - d, k) == (k - 1) * math.comb(n, k)
+        certified = 0
+        for shifts in combinations(range(n), d):
+            adj = tuple(sum(1 << (v + s) % n for s in shifts) for v in range(n))
+            if naive_bipartite_witness(adj, n, n, k) is None:
+                assert kst_check(BipartiteGraph(n, n, adj), k).satisfied
+                certified += 1
+        assert certified >= 3
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_projective_plane_complement_meets_the_bound(self, p):
+        # The exact lhs is 1 = k - 1; the reported float reads 1.0000000000000013.
+        n = p * p + p + 1
+        g = BipartiteGraph(n, n, tuple(projective_plane_complement(p)))
+        assert g.edge_count == n * (n - p - 1)
+        assert naive_bipartite_witness(g.adj, n, n, 2) is None
+        check = kst_check(g, 2)
+        assert check.satisfied and check.rhs == 1.0
+        assert check.lhs == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_projective_plane_complement_through_the_cli(self, tmp_path, capsys, p):
+        # One biclique {v} x (lines not through v) per point.
+        n = p * p + p + 1
+        rows = projective_plane_complement(p)
+        bicliques = [{"left": [v], "right": [j for j in range(n) if rows[v] >> j & 1]} for v in range(n)]
+        family = tmp_path / "family.json"
+        save_json(family, {"n": n, "k": 2, "bicliques": bicliques})
+        assert main(["verify", "--family", str(family)]) == 0
+        assert capsys.readouterr().out.startswith("no 2x2 independent set (complete search")
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--family", str(family), "--json-out", str(out)]) == 0
+        assert "counting:  lhs=1 rhs=1 satisfied=True\n" in capsys.readouterr().out
+        assert load_json(out)["bounds"]["kst"]["satisfied"] is True
 
 
 class TestKstDegreeLowerBound:

@@ -187,10 +187,11 @@ class TestBudgets:
 
     @pytest.mark.parametrize("raw", ["0", "-1"])
     def test_environment_budget_below_one_rejected(self, tmp_path, capsys, monkeypatch, raw):
-        monkeypatch.setenv("ZARANK_PAIR_BUDGET", raw)
+        # sc-verify's node budget comes from the same variable as every search's.
+        monkeypatch.setenv("ZARANK_WITNESS_BUDGET", raw)
         layered = write_json(tmp_path / "layered.json", {"n": 2, "m": 1, "edges_vm": [[0, 0]], "edges_mw": [[0, 1]]})
         assert main(["sc-verify", "--layered", layered, "--mode", "sampled", "--seed", "1"]) == 2
-        assert "ZARANK_PAIR_BUDGET: expected an integer >= 1" in capsys.readouterr().err
+        assert "ZARANK_WITNESS_BUDGET: expected an integer >= 1" in capsys.readouterr().err
 
 
 class TestAttackCommand:
@@ -461,6 +462,26 @@ class TestScCommands:
         assert rc == 0
         assert "verified exhaustively" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("k_range, decided", [("all", 16), ("3..4", 0)])
+    def test_sc_verify_budget_out_exits_zero(self, tmp_path, layered_file, capsys, k_range, decided):
+        # K(4, 4, 4): k = 1 takes 4 S-prefix steps, and k = 2 runs out. From
+        # k = 3 on, past a gap, each of the 16 pairs at k = 3 costs one.
+        out = tmp_path / "sc.json"
+        argv = ["sc-verify", "--layered", layered_file, "--k-range", k_range, "--pair-budget", "5"]
+        assert main(argv + ["--json-out", str(out)]) == 0
+        assert capsys.readouterr().out == f"inconclusive: node budget exhausted after {decided} pairs decided\n"
+        verdict = load_json(out)["verdict"]
+        assert (verdict["is_superconcentrator"], verdict["certified"]) == (None, False)
+        assert verdict["pairs_checked"] == decided
+        assert '"is_superconcentrator": null' in out.read_text(encoding="utf-8")
+
+    def test_sc_verify_budget_from_the_environment(self, layered_file, capsys, monkeypatch):
+        monkeypatch.setenv("ZARANK_WITNESS_BUDGET", "5")
+        assert main(["sc-verify", "--layered", layered_file]) == 0
+        assert "inconclusive" in capsys.readouterr().out
+        assert main(["sc-verify", "--layered", layered_file, "--pair-budget", "10"]) == 0  # the flag wins
+        assert "verified exhaustively" in capsys.readouterr().out
+
     def test_sc_verify_sampled_requires_seed(self, layered_file, capsys):
         assert main(["sc-verify", "--layered", layered_file, "--mode", "sampled"]) == 2
 
@@ -690,6 +711,14 @@ class TestSweep:
         with open(tmp_path / "out.csv", encoding="utf-8") as fh:
             (row,) = csv.DictReader(fh)
         assert (row["found"], row["complete"], row["nodes_explored"]) == ("", "false", "2")
+
+    def test_sc_verify_budget_out_is_an_empty_cell(self, tmp_path, layered_file):
+        grid = {"layered": [layered_file], "seed": [0], "pair_budget": [5, 10]}
+        spec = {"command": "sc-verify", "grid": grid, "output_csv": "out.csv"}
+        assert main(["sweep", "--spec", write_json(tmp_path / "spec.json", spec)]) == 0
+        with open(tmp_path / "out.csv", encoding="utf-8") as fh:
+            rows = [(row["is_superconcentrator"], row["pairs_checked"]) for row in csv.DictReader(fh)]
+        assert rows == [("", "16"), ("true", "69")]
 
     def test_required_axis_may_come_from_params(self, tmp_path, sparse_family_file):
         spec = {

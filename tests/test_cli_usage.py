@@ -33,13 +33,13 @@ PINNED = {
     "bad_choice": (2, "41b24a99474c4dda83d39b4449ad7848bd832e9900b549510815b0e88456a72d"),
     "empty": (2, "9adab08cc0de9cc2ff9faea5c3b327e80b7b817b844288ff9cea64183cf6af45"),
     "flag_before_command": (2, "45a43d47cf6a3e13c3b8728d6f32582cadd583de8349ed963bff20667de9cba1"),
-    "help": (0, "e843ec2599752f8ef7309de1f3bb267030c9f7571b1ab23dd1f9b04748bae909"),
+    "help": (0, "a689d5fcf192edf3240a8161afb70d816c6552fb97481c56a906139662736e91"),
     "help_after_flags": (0, "422ffce2c8b482a3da220929dadbb276d79d3b645fa978c09c67fc267465ca27"),
     "help_attack": (0, "9f3d485bc3baae97a0d0c8f7b11ec9c085f1d48ba446f3d329be98773648ccbf"),
     "help_bounds": (0, "3479bf232119ad8543a50b0652065d57332c710f3240f4336afd6167410756f4"),
     "help_construct": (0, "422ffce2c8b482a3da220929dadbb276d79d3b645fa978c09c67fc267465ca27"),
     "help_sc-analyze": (0, "9396cb2393ef6918508d133c3c634477c3ce2d2332fcebde2f88efe71e99072c"),
-    "help_sc-verify": (0, "2d1549d2cb7d877a014a5c39919577a74e76c0a6720b06307cb3641359eabb49"),
+    "help_sc-verify": (0, "b8e0611dc769cb6ece6a7c8850f673c7397a3570d7f515ebe205497db30be892"),
     "help_sweep": (0, "96cf34482b05462cba7841ec92eb6284afd4bdee3da60fdeb6fc70e224b9a798"),
     "help_verify": (0, "c74281d0d8c9949c5082c0a990e39aae1d3240f4bd0da25da07556ac594b973e"),
     "missing_required_flag": (2, "45a43d47cf6a3e13c3b8728d6f32582cadd583de8349ed963bff20667de9cba1"),

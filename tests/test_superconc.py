@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from oracles import brute_max_two_paths, edmonds_karp_two_paths, scan_balance_degrees
+from zarank import superconc
 from zarank.core import LayeredGraph, RandomSource, transpose_masks
 from zarank.superconc import (
     balance_degrees,
@@ -215,19 +216,84 @@ class TestVerify:
             assert flow == brute_max_two_paths(g.adj_vm, g.adj_mw, S, T)
 
     def test_budget_enforced(self):
-        with pytest.raises(ValueError):
-            verify_superconcentrator(complete_layered(10, 10), "all", pair_budget=100)
+        # On K(10, 10, 10) no T search takes a node, so only the S-prefix
+        # steps count: 10, 9 and 8 decide k = 1, 2 and 3, and k = 4 runs out.
+        verdict = verify_superconcentrator(complete_layered(10, 10), "all", node_budget=30)
+        assert (verdict.is_superconcentrator, verdict.certified, verdict.counterexample) == (None, False, None)
+        assert verdict.pairs_checked == 16_525 == sum(math.comb(10, k) ** 2 for k in (1, 2, 3))
 
-    def test_budget_refusal_stops_at_the_first_k_past_it(self):
-        # Summing C(n, k)^2 over every k before the comparison took seconds
-        # here, and the total overran int-to-str's digit limit in the message.
+    def test_budget_is_spent_exactly(self):
+        # 10 + 9 + ... + 1 = 55 S-prefix steps certify K(10, 10, 10).
+        g = complete_layered(10, 10)
+        assert verify_superconcentrator(g, "all", node_budget=55).certified
+        short = verify_superconcentrator(g, "all", node_budget=54)
+        assert (short.is_superconcentrator, short.pairs_checked) == (None, math.comb(20, 10) - 2)  # k = 1..9
+
+    def test_budget_counts_each_pair_past_a_gap(self):
+        # k = 1 takes 10 S-prefix steps; k = 3, past the gap, one per pair.
+        g = complete_layered(10, 10)
+        pairs = math.comb(10, 3) ** 2
+        assert verify_superconcentrator(g, [1, 3], node_budget=10 + pairs).certified
+        short = verify_superconcentrator(g, [1, 3], node_budget=10 + pairs - 1)
+        assert (short.is_superconcentrator, short.pairs_checked) == (None, 100)
+        none_decided = verify_superconcentrator(g, range(3, 5), node_budget=100)
+        assert (none_decided.is_superconcentrator, none_decided.pairs_checked) == (None, 0)
+
+    def test_budget_binds_on_a_large_complete_graph(self):
+        # No T search takes a node here, so only the tick per S-prefix step
+        # bounds the ~n^2/2 steps.
+        start = time.perf_counter()
+        verdict = verify_superconcentrator(complete_layered(200, 200), "all", node_budget=1_000)
+        assert verdict.is_superconcentrator is None and not verdict.certified
+        assert verdict.pairs_checked == sum(math.comb(200, k) ** 2 for k in range(1, 6))
+        assert time.perf_counter() - start < 1.0
+
+    def test_budget_out_or_the_unlimited_verdict(self):
+        # Any budget gives the unlimited verdict or None; None counts whole
+        # levels, and a larger budget never turns a decision back into None.
+        rng = random.Random(67)
+        outcomes = set()
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            g = random_layered(rng, n, rng.randint(1, n + 2), rng.uniform(0.4, 1.0), rng.uniform(0.4, 1.0))
+            ks = "all" if rng.random() < 0.5 else sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            full = verify_superconcentrator(g, ks)
+            decided = False
+            for budget in range(1, 80):
+                verdict = verify_superconcentrator(g, ks, node_budget=budget)
+                if verdict.is_superconcentrator is None:
+                    assert not decided and verdict.counterexample is None
+                    levels = [sum(math.comb(n, k) ** 2 for k in full.k_checked[:i]) for i in range(n + 1)]
+                    assert verdict.pairs_checked in levels and verdict.pairs_checked <= full.pairs_checked
+                    outcomes.add(None)
+                else:
+                    assert verdict == full
+                    decided = True
+                    outcomes.add(full.is_superconcentrator)
+        assert outcomes == {None, True, False}
+
+    def test_edgeless_graph_refuted_at_k1_at_once(self, monkeypatch):
         g = LayeredGraph(8000, 0, (0,) * 8000, ())
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="budget is 2000000"):
-            verify_superconcentrator(g, "all")
-        with pytest.raises(ValueError, match=r"up to 4000 .* budget is 2000000"):
-            verify_superconcentrator(g, [4000, 7999])
+        verdict = verify_superconcentrator(g, "all")
+        assert (verdict.counterexample, verdict.pairs_checked) == ((1, (0,), (0,), 0), 1)
         assert time.perf_counter() - start < 0.5
+
+        # The per-pair scan past a gap must draw its k-sets as it goes:
+        # drawing all C(8000, 4000) of them first exhausts memory, so the
+        # k-sets come from a source that fails on the third one.
+        drawn = []
+
+        def few_combinations(items, k):
+            for combo in combinations(items, k):
+                drawn.append(k)
+                assert len(drawn) <= 2, "k-sets drawn ahead of the pairs"
+                yield combo
+
+        monkeypatch.setattr(superconc, "combinations", few_combinations)
+        past_a_gap = verify_superconcentrator(g, [4000, 7999])
+        assert past_a_gap.counterexample == (4000, tuple(range(4000)), tuple(range(4000)), 0)
+        assert past_a_gap.pairs_checked == 1
 
     def test_monotone_under_edge_addition(self):
         # Adding edges keeps a certified graph certified.
@@ -378,11 +444,11 @@ class TestMetamorphic:
             verdicts.add(expect)
         assert verdicts == {True, False}
 
-    def test_planted_n14_certified_past_the_default_budget(self):
+    def test_planted_n14_certified_under_the_default_budget(self):
+        # C(28, 14) - 1 pairs, about 4e7, far more than the default budget
+        # of 1e7 nodes that certifies them.
         g = planted_superconcentrator(random.Random(14), 14, 2, 0.1)
-        with pytest.raises(ValueError, match="budget"):
-            verify_superconcentrator(g, "all")
-        verdict = verify_superconcentrator(g, "all", pair_budget=math.comb(28, 14))
+        verdict = verify_superconcentrator(g, "all")
         assert verdict.certified and verdict.pairs_checked == math.comb(28, 14) - 1
 
 
