@@ -3,13 +3,15 @@
 A certificate is a log-space evaluation of (prod_i miss_i) * C(n, k)^2: when
 it is below 1 (log2 < 0), placing the given sizes uniformly at random yields,
 with positive probability, a union with no k x k independent set. Exact mode
-uses the hypergeometric miss probability; relaxed mode the exponential upper
-bound, so an exact certificate holds whenever a relaxed one does.
+uses the hypergeometric miss probability and compares the product with 1 in
+rationals; relaxed mode the exponential upper bound, so an exact certificate
+holds whenever a relaxed one does.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -109,7 +111,8 @@ def _log2_relaxed(alpha: float, beta: float) -> float:
 
 @dataclass(frozen=True)
 class ConstructionCertificate:
-    """Union-bound verdict: certified iff log2_failure_bound < 0."""
+    """Union-bound verdict: certified iff the failure bound is below 1, which
+    exact mode decides in rationals and relaxed mode as log2_failure_bound < 0."""
 
     n: int
     k: int
@@ -128,27 +131,39 @@ def _check_sizes(n: int, sizes: Sequence[tuple[int, int]]) -> None:
 def certify_union_bound(
     n: int, k: int, sizes: Iterable[tuple[int, int]], mode: str = "exact"
 ) -> ConstructionCertificate:
-    """Evaluate sum_i log2(miss_i) + 2 log2 C(n, k) entirely in log space."""
+    """Evaluate sum_i log2(miss_i) + 2 log2 C(n, k) in log space, once per
+    distinct size.
+
+    In exact mode ``certified`` is decided in rationals, prod_i miss_i *
+    C(n, k)^2 < 1, with each distinct size's miss probability raised to its
+    multiplicity, so a product of exactly 1 is never certified by rounding.
+    Relaxed mode decides on the float sum.
+    """
     if mode not in ("exact", "relaxed"):
         raise ValueError(f"unknown certificate mode {mode!r}")
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     sizes = [(int(m), int(n2)) for m, n2 in sizes]
     _check_sizes(n, sizes)
-    per_index = []
-    for m, n2 in sizes:
-        if mode == "exact":
-            per_index.append(_log2_fraction(miss_probability_exact_fraction(n, k, m, n2)))
-        else:
-            per_index.append(_log2_relaxed(m * k / n, n2 * k / n))
+    counts = Counter(sizes)
+    if mode == "exact":
+        misses = {size: miss_probability_exact_fraction(n, k, *size) for size in counts}
+        logs = {size: _log2_fraction(miss) for size, miss in misses.items()}
+    else:
+        logs = {(m, n2): _log2_relaxed(m * k / n, n2 * k / n) for m, n2 in counts}
+    per_index = tuple(logs[size] for size in sizes)
     total = sum(per_index) + 2.0 * math.log2(math.comb(n, k))
+    if mode == "exact":
+        certified = math.prod(misses[size] ** count for size, count in counts.items()) * math.comb(n, k) ** 2 < 1
+    else:
+        certified = total < 0.0
     return ConstructionCertificate(
         n=n,
         k=k,
         mode=mode,
-        per_index_log2_miss=tuple(per_index),
+        per_index_log2_miss=per_index,
         log2_failure_bound=total,
-        certified=total < 0.0,
+        certified=certified,
     )
 
 

@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "BicliqueFamily",
@@ -292,34 +292,16 @@ DEFAULT_NODE_BUDGET = 10_000_000  # every search's node budget unless one is giv
 
 
 class _Budget:
-    """Counts search nodes: ``tick`` fails once they pass ``limit``.
+    """Counts search nodes: ``tick`` fails once they pass ``limit``."""
 
-    ``pause(at, call)`` lowers the limit to ``at`` nodes. The tick that
-    passes it calls ``call()`` once and restores the limit, so the search
-    goes on from where it was.
-    """
-
-    __slots__ = ("nodes", "limit", "paused")
+    __slots__ = ("nodes", "limit")
 
     def __init__(self, limit: float):
         self.nodes = 0
         self.limit = limit
-        self.paused = None  # (limit, call) while a pause is pending
-
-    def pause(self, at: int, call: Callable[[], None]) -> None:
-        self.paused = (self.limit, call)
-        self.limit = at
 
     def tick(self) -> bool:
         self.nodes += 1
-        return self.nodes <= self.limit or self._resume()
-
-    def _resume(self) -> bool:
-        if self.paused is None:
-            return False
-        self.limit, call = self.paused
-        self.paused = None
-        call()
         return self.nodes <= self.limit
 
 
@@ -331,8 +313,8 @@ def _live(rows: Sequence[int], threshold: int) -> list[int]:
 
 def _search(
     rows: Sequence[int], domain: int, k: int, threshold: int, budget: _Budget, live: list[int], first: int, stop: int
-) -> Optional[tuple[int, list[int]]] | str:
-    """The first k-subset of positions of ``rows``, in
+) -> Iterator[Optional[tuple[int, list[int]]] | str]:
+    """Yields the first k-subset of positions of ``rows``, in
     ``itertools.combinations`` order over ``live``, whose common mask (the
     AND of ``domain`` and its rows) keeps ``threshold`` or more bits, among
     the subsets whose first pick is one of ``live[first]`` up to
@@ -349,8 +331,12 @@ def _search(
     candidate with too few after it. The filter that finds a node's live
     candidates gives up as soon as more have failed than the node can spare,
     since the node is then pruned whatever the rest give. The search runs on
-    an explicit stack, so its depth is bounded by k only. Returns (common
-    mask, chosen positions), None when no such subset exists, or "budget".
+    an explicit stack, so its depth is bounded by k only.
+
+    A generator: it yields (common mask, chosen positions), or None when no
+    such subset exists, and stops. When a tick fails it yields "budget"
+    instead, holding its stack; a caller that raises ``budget.limit`` and
+    calls ``next`` again resumes it at the node it had already counted.
     """
     chosen: list[int] = []
     # One frame per depth: [common mask, live candidates, next index, stop index].
@@ -367,11 +353,11 @@ def _search(
         pos = live[i]
         shrunk = common & rows[pos]
         if not budget.tick():
-            return "budget"
+            yield "budget"
         need = k - len(chosen)  # picks still needed, this one included
         if need == 1:
-            chosen.append(pos)
-            return shrunk, chosen
+            yield shrunk, chosen + [pos]
+            return
         rest: list[int] = []
         spare = len(live) - i - need  # the later candidates that may fail before this node is pruned
         for p in live[i + 1 :]:
@@ -384,7 +370,7 @@ def _search(
         else:
             chosen.append(pos)
             stack.append([shrunk, rest, 0, len(rest) - need + 2])
-    return None
+    yield None
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def _first_kset(rows: Sequence[int], k: int, cols: Sequence[int], budget: _Budge
                 t_rows = [grown & ~col for col in cols]
                 threshold = size - k + 1
                 live = _live(t_rows, threshold)
-                found = _search(t_rows, grown, k, threshold, budget, live, 0, len(live) - k + 1)
+                found = next(_search(t_rows, grown, k, threshold, budget, live, 0, len(live) - k + 1))
                 if found == "budget":
                     return found
                 t_of[grown] = None if found is None else tuple(found[1])

@@ -17,11 +17,13 @@ nodes searched are the same.
 
 The proof starts while the probe still runs. A probe that stops always
 stops at ``_PROBE_NODES + 1`` nodes, so the proof's budget is known in
-advance. Once the probe has spent ``_PROBE_SLICE`` nodes unsettled, the
+advance. The probe is a ``core._search`` generator whose limit starts at
+``_PROBE_SLICE`` nodes. When it yields "budget" there, unsettled, the
 proof's top-level branches (pick the i-th live candidate first, then search
 what remains after it) go to an ``OrderedForks`` pool, whose workers start
 on them at once; they share no state, since there is no incumbent. The
-parent goes on probing from where it was. If the probe settles, the pool is
+parent raises the probe's limit to its cap and resumes the same generator
+at the node it had already counted. If the probe settles, the pool is
 closed and the probe's result stands. Otherwise the parent takes the branch
 results in branch order, adds up their node counts, and stops at the first
 witness or once the sum passes the budget. Each process counts the branches
@@ -92,7 +94,7 @@ class _Proof:
 
         def branch(first: int) -> tuple[Optional[tuple[int, list[int]]] | str, int]:
             start = budget.nodes
-            return _search(non_nbrs, other, k, k, budget, live, first, first + 1), budget.nodes - start
+            return next(_search(non_nbrs, other, k, k, budget, live, first, first + 1)), budget.nodes - start
 
         branches = len(live) - k + 1
         self.forks = OrderedForks(branch, branches, branches - 1)
@@ -163,25 +165,30 @@ def has_kxk_independent_set(
         rows, branch, other = g.adj, left, right
     keyed = sorted(((rows[w] & other).bit_count(), w) for w in bits(branch))
     order = [w for _, w in keyed]
-    budget = _Budget(min(node_budget, _PROBE_NODES))
-    proof: list[_Proof] = []  # set up once the probe has spent its slice unsettled
-    if node_budget > _PROBE_NODES:
-        # A probe that stops always stops at _PROBE_NODES + 1 nodes, and the
-        # proof's root takes one more, so what the proof may spend below its
-        # root is known before the probe ends.
-        limit = node_budget - _PROBE_NODES - 2
-        budget.pause(min(_PROBE_SLICE, _PROBE_NODES), lambda: proof.append(_Proof(keyed, rows, other, k, limit)))
+    cap = min(node_budget, _PROBE_NODES)
+    budget = _Budget(min(cap, _PROBE_SLICE))
     non_nbrs = [other & ~rows[w] for w in order]
     live = _live(non_nbrs, k)
+    probe = _search(non_nbrs, other, k, k, budget, live, 0, len(live) - k + 1)
+    budget.tick()  # the root; the limit is at least 1
+    outcome = next(probe)
+    proof = None
     try:
-        outcome = _search(non_nbrs, other, k, k, budget, live, 0, len(live) - k + 1) if budget.tick() else "budget"
+        if outcome == "budget" and node_budget > _PROBE_NODES:
+            # A probe that stops always stops at _PROBE_NODES + 1 nodes, and
+            # the proof's root takes one more, so what the proof may spend
+            # below its root is known before the probe ends.
+            proof = _Proof(keyed, rows, other, k, node_budget - _PROBE_NODES - 2)
+        if outcome == "budget" and budget.limit < cap:  # stopped at the slice: go on to the cap
+            budget.limit = cap
+            outcome = next(probe)
         if outcome == "budget" and proof:
             budget.limit = node_budget
-            order = proof[0].order
-            outcome = proof[0].run(budget)
+            order = proof.order
+            outcome = proof.run(budget)
     finally:
-        for started in proof:
-            started.forks.close()
+        if proof:
+            proof.forks.close()
     if outcome == "budget":
         return WitnessResult(None, None, None, budget.nodes, False)
     if outcome is None:

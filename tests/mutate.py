@@ -48,7 +48,8 @@ SC_BUDGET = "tests/test_superconc.py::TestVerify"
 SUBSET = "tests/test_core.py::TestSubsetSearch"
 SAMPLER = "tests/test_core.py::TestSubsetSampler"
 BALANCE = "tests/test_superconc.py::TestBalance"
-POOL_FDS = "tests/test_witness.py::TestSplitProof::test_no_fd_or_child_outlives_a_pool"
+SPLIT = "tests/test_witness.py::TestSplitProof::"
+POOL_FDS = SPLIT + "test_no_fd_or_child_outlives_a_pool"
 ATTACK = ("tests/test_attack.py", "tests/test_reports.py")
 
 MUTANTS = [
@@ -104,9 +105,16 @@ MUTANTS = [
     Mutant(
         "budget tick <= made <",
         "zarank/core.py",
-        "return self.nodes <= self.limit or self._resume()",
-        "return self.nodes < self.limit or self._resume()",
+        "return self.nodes <= self.limit",
+        "return self.nodes < self.limit",
         ("tests/test_witness.py::TestHasKxk::test_one_budget_spans_probe_and_proof",),
+    ),
+    Mutant(
+        "probe resumes without raising the limit",
+        "zarank/witness.py",
+        "            budget.limit = cap\n            outcome = next(probe)\n",
+        "            outcome = next(probe)\n",
+        (SPLIT + "test_split_keeps_serial_node_count", SPLIT + "test_probe_witness_after_the_slice_kills_the_workers"),
     ),
     Mutant(
         "Hall threshold one short",
@@ -149,6 +157,20 @@ MUTANTS = [
         "satisfied = scaled_lhs <= (k - 1)",
         "satisfied = scaled_lhs < (k - 1)",
         ("tests/test_bounds.py::TestKstCheck",),
+    ),
+    Mutant(
+        "exact certificate < made <=",
+        "zarank/construct.py",
+        "* math.comb(n, k) ** 2 < 1",
+        "* math.comb(n, k) ** 2 <= 1",
+        ("tests/test_construct.py::TestCertificate",),
+    ),
+    Mutant(
+        "absent verdict skips the counting check",
+        "zarank/cli.py",
+        "if graph.n_left == graph.n_right and not kst_check(graph, k).satisfied:",
+        "if False:",
+        ("tests/test_cli.py::TestVerifyCommand::test_absent_verdict_failing_the_counting_check_exits_three",),
     ),
     Mutant(
         "lex rank one past",

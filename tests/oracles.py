@@ -250,6 +250,24 @@ def decimal_certificate(n: int, k: int, sizes: Sequence[tuple[int, int]], prec: 
     return total
 
 
+def exact_certificate(n: int, k: int, sizes: Sequence[tuple[int, int]]) -> bool:
+    """Exact-mode union-bound verdict, prod_i miss_i * C(n, k)^2 < 1, in
+    rationals and one biclique at a time: a side of m vertices, drawn one
+    by one without replacement, avoids a fixed k-set when every draw lands
+    among the n - k - i vertices left outside it."""
+
+    def avoid(m: int) -> Fraction:
+        p = Fraction(1)
+        for i in range(m):
+            p *= Fraction(max(n - k - i, 0), n - i)
+        return p
+
+    product = Fraction(comb(n, k) ** 2)
+    for m, n2 in sizes:
+        product *= 1 - (1 - avoid(m)) * (1 - avoid(n2))
+    return product < 1
+
+
 def lowest_bit_positions(mask: int) -> list[int]:
     """Set bit positions of ``mask``, ascending, peeling the lowest set bit."""
     out = []

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
+import zarank.construct
 import zarank.forks
 import zarank.witness
 from zarank import cli
 from zarank.cli import main
 from zarank.core import canonical_dumps, family_from_json, load_json, save_json, union_of
-from zarank.witness import has_kxk_independent_set
+from zarank.witness import WitnessResult, has_kxk_independent_set
 
 
 def write_json(path, doc):
@@ -135,6 +136,25 @@ class TestVerifyCommand:
         assert captured.err == "internal error: RuntimeError('boom')\n"
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
+
+    def test_absent_verdict_failing_the_counting_check_exits_three(
+        self, tmp_path, sparse_family_file, capsys, monkeypatch
+    ):
+        # A search that claims absence on a union with a witness is caught by
+        # the counting check, in verify and in a construct that verified.
+        def claims_absence(g, k, node_budget=None, left=None, right=None):
+            return WitnessResult(False, None, None, 1, True)
+
+        monkeypatch.setattr(zarank.witness, "has_kxk_independent_set", claims_absence)
+        monkeypatch.setattr(zarank.construct, "has_kxk_independent_set", claims_absence)
+        out = tmp_path / "witness.json"
+        assert main(["verify", "--family", sparse_family_file, "--json-out", str(out)]) == 3
+        assert "fails the k=2 counting check" in capsys.readouterr().err and not out.exists()
+        sizes = write_json(tmp_path / "sizes.json", [[1, 1]] * 3)
+        cert = tmp_path / "cert.json"
+        args = ["construct", "--n", "8", "--k", "2", "--sizes", sizes, "--seed", "1", "--out-cert", str(cert)]
+        assert main(args) == 3
+        assert "fails the k=2 counting check" in capsys.readouterr().err and not cert.exists()
 
     def test_lost_proof_worker_exits_three(self, tmp_path, sparse_family_file, capsys, monkeypatch):
         # A proof worker that dies without a result never reads as "absent".

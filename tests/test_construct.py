@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import decimal_certificate, enumerate_miss_probability
+from oracles import decimal_certificate, enumerate_miss_probability, exact_certificate
 from zarank.construct import (
     certify_union_bound,
     construct_until_verified,
@@ -129,6 +129,36 @@ class TestCertificate:
             assert exact.log2_failure_bound <= relaxed.log2_failure_bound + 1e-9
             if relaxed.certified:
                 assert exact.certified
+
+    def test_exact_verdict_matches_rational_oracle(self):
+        # A random grid of sizes, with repeats, empty sides and k up to n.
+        rng = random.Random(61)
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(2, 40)
+            k = rng.randint(1, n)
+            shapes = [(rng.randint(0, n), rng.randint(0, n)) for _ in range(rng.randint(1, 3))]
+            sizes = [rng.choice(shapes) for _ in range(rng.randint(0, 30))]
+            cert = certify_union_bound(n, k, sizes, "exact")
+            assert cert.certified == exact_certificate(n, k, sizes)
+            for log2_miss, (m, n2) in zip(cert.per_index_log2_miss, sizes):  # each size's own float
+                miss = miss_probability_exact_fraction(n, k, m, n2)
+                assert log2_miss == (math.log2(miss.numerator) - math.log2(miss.denominator) if miss else -math.inf)
+            verdicts.add(cert.certified)
+        assert verdicts == {True, False}
+
+    def test_product_of_exactly_one_is_not_certified(self):
+        # A side of n - k vertices against a full side misses the k x k
+        # rectangle with probability 1 / C(n, k), so the two orientations
+        # together meet the bound with equality; so do empty sides at k = n.
+        cases = [(n, k, [(n - k, n), (n, n - k)]) for n in range(2, 30) for k in range(1, n)]
+        cases += [(n, n, [(0, n), (n, 0), (0, 0)] * 3) for n in range(1, 12)]
+        cases += [(6, 2, [(4, 6), (0, 6), (6, 4), (0, 3)]), (1, 1, [])]
+        for n, k, sizes in cases:
+            assert not exact_certificate(n, k, sizes)
+            assert not certify_union_bound(n, k, sizes, "exact").certified
+            # one more biclique, which misses with probability below 1, certifies
+            assert certify_union_bound(n, k, sizes + [(1, 1)], "exact").certified
 
     def test_size_validation(self):
         with pytest.raises(ValueError):

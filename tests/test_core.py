@@ -229,7 +229,7 @@ class TestSubsetSearch:
             k = rng.randint(1, n)
             threshold = rng.choice([k, rng.randint(1, width + 1)])
             live = _live(rows, threshold)
-            got = _search(rows, (1 << width) - 1, k, threshold, _Budget(float("inf")), live, 0, len(live) - k + 1)
+            got = next(_search(rows, (1 << width) - 1, k, threshold, _Budget(float("inf")), live, 0, len(live) - k + 1))
             expect = brute_first_kset(rows, k, threshold)
             found[threshold == k] += expect is not None
             if expect is None:
@@ -239,6 +239,47 @@ class TestSubsetSearch:
                 assert tuple(chosen) == expect
                 assert common == functools.reduce(operator.and_, (rows[pos] for pos in expect))
         assert min(found.values()) > 50
+
+    def test_paused_search_resumes_where_it_stopped(self):
+        # A search stopped at any limit, then resumed with the limit raised,
+        # ends as an uninterrupted one: the same outcome and node count. So
+        # does one stopped at every node.
+        assert _Budget.__slots__ == ("nodes", "limit")
+        rng = random.Random(71)
+        found = {True: 0, False: 0}
+        stops = 0
+        for _ in range(300):
+            n, width = rng.randint(4, 14), rng.randint(4, 14)
+            p = rng.choice([0.5, 0.7, 0.85])
+            rows = [sum(1 << b for b in range(width) if rng.random() < p) for _ in range(n)]
+            k = rng.randint(2, min(6, n))
+            threshold = rng.choice([k, rng.randint(1, width + 1)])
+            live = _live(rows, threshold)
+
+            def search(budget):
+                return _search(rows, (1 << width) - 1, k, threshold, budget, live, 0, len(live) - k + 1)
+
+            whole = _Budget(float("inf"))
+            expect = next(search(whole))
+            found[threshold == k] += expect is not None
+            for limit in range(1, whole.nodes + 1):
+                budget = _Budget(limit)
+                paused = search(budget)
+                outcome = next(paused)
+                if limit < whole.nodes:
+                    assert outcome == "budget" and budget.nodes == limit + 1
+                    budget.limit = float("inf")
+                    outcome = next(paused)
+                    stops += 1
+                assert (outcome, budget.nodes) == (expect, whole.nodes)
+            budget = _Budget(1)
+            stepped = search(budget)
+            outcomes = [next(stepped)]
+            while outcomes[-1] == "budget":
+                budget.limit += 1
+                outcomes.append(next(stepped))
+            assert outcomes == ["budget"] * (whole.nodes - 1) + [expect] and budget.nodes == whole.nodes
+        assert min(found.values()) > 50 and stops > 500
 
 
 class TestSerialization:

@@ -62,7 +62,9 @@ def first_combination_witness(g, k, descending=False):
 def full_filter_search(non_nbrs, domain, k, threshold, budget, live, first, stop):
     """``core._search`` as it was before its candidate filter could stop
     early: each node's filter scans every later candidate in one list
-    comprehension. Kept here only as the reference for node counts."""
+    comprehension. A generator like it, which yields "budget" when a tick
+    fails and goes on from that node if resumed. Kept here only as the
+    reference for node counts."""
     chosen = []
     stack = [[domain, live, first, stop]]
     while stack:
@@ -77,16 +79,17 @@ def full_filter_search(non_nbrs, domain, k, threshold, budget, live, first, stop
         pos = live[i]
         shrunk = common & non_nbrs[pos]
         if not budget.tick():
-            return "budget"
+            yield "budget"
         need = k - len(chosen)
         if need == 1:
             chosen.append(pos)
-            return shrunk, chosen
+            yield shrunk, chosen
+            return
         rest = [p for p in live[i + 1 :] if (shrunk & non_nbrs[p]).bit_count() >= threshold]
         if len(rest) >= need - 1:
             chosen.append(pos)
             stack.append([shrunk, rest, 0, len(rest) - need + 2])
-    return None
+    yield None
 
 
 @pytest.fixture(scope="module")
