@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bounds import NormalizedProfile, asymmetric_condition, profile_from_family
-from .core import BicliqueFamily, RandomSource, bits, mask_of, union_of
-from .witness import DEFAULT_NODE_BUDGET, has_kxk_independent_set
+from .core import DEFAULT_NODE_BUDGET, BicliqueFamily, RandomSource, bits, mask_of, union_of
+from .witness import has_kxk_independent_set
 
 __all__ = [
     "AttackConfig",

@@ -24,7 +24,6 @@ import csv
 import importlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,21 +66,6 @@ def _at_least_one(value: int, where: str) -> int:
     if value < 1:
         raise SchemaError(f"{where}: expected an integer >= 1, got {value!r}")
     return value
-
-
-def _budget(given: Optional[int]) -> int:
-    """A node budget: the one given, else ``ZARANK_WITNESS_BUDGET``'s, else
-    ``DEFAULT_NODE_BUDGET``."""
-    if given is not None:
-        return given
-    raw = os.environ.get("ZARANK_WITNESS_BUDGET")
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SchemaError(f"environment variable ZARANK_WITNESS_BUDGET={raw!r} is not an integer") from exc
-    return _at_least_one(value, "environment variable ZARANK_WITNESS_BUDGET")
 
 
 def _refuse_overwrite(path, force: bool) -> None:
@@ -230,7 +214,7 @@ def run_construct(p: dict) -> tuple[dict, bool]:
     cert = certify_union_bound(p["n"], p["k"], p["sizes"], p["mode"])
     outcome = construct_until_verified(
         p["n"], p["k"], p["sizes"], RandomSource(p["seed"], p["stream"]),
-        p["max_attempts"], _budget(p["budget"]),
+        p["max_attempts"], p["budget"],
     )
     verified = outcome.verification.found is False
     if verified:
@@ -258,7 +242,7 @@ def run_verify(p: dict) -> tuple[dict, bool]:
         if p["k"] is None:
             raise SchemaError("k is required with a graph")
         graph, k = graph_from_json(load_json(p["graph"])), p["k"]
-    result = has_kxk_independent_set(graph, k, _budget(p["budget"]))
+    result = has_kxk_independent_set(graph, k, p["budget"])
     if result.found is False:
         _check_absent(graph, k)
     return {"version": __version__, "k": k, "witness": jsonable(result)}, bool(result.found)
@@ -274,7 +258,7 @@ def run_attack(p: dict) -> tuple[dict, bool]:
         marked=p["marked"],
         truncation=p["truncation"],
         fixed_d=p["fixed_d"],
-        node_budget=_budget(p["budget"]),
+        node_budget=p["budget"],
     )
     traces = run_attack_trials(_load_family(p["family"]), config)
     hits = [t for t in traces if t.found]
@@ -309,7 +293,7 @@ def run_sc_verify(p: dict) -> tuple[dict, bool]:
             raise SchemaError("a seed is required in sampled mode")
         rng = RandomSource(p["seed"], p["stream"])
     verdict = verify_superconcentrator(
-        g, ks, mode=p["mode"], samples=p["samples"], rng=rng, node_budget=_budget(p["pair_budget"])
+        g, ks, mode=p["mode"], samples=p["samples"], rng=rng, node_budget=p["pair_budget"]
     )
     return {"version": __version__, "verdict": jsonable(verdict)}, verdict.is_superconcentrator is False
 
@@ -428,7 +412,7 @@ class Command:
 
 
 _FAMILY = Param("family", Path, required=True)
-_WITNESS_BUDGET = Param("budget", int, help="witness search node budget", parse=_at_least_one)
+_WITNESS_BUDGET = Param("budget", int, DEFAULT_NODE_BUDGET, help="witness search node budget", parse=_at_least_one)
 _STREAM = Param("stream", int, 0)
 
 COMMANDS = {
@@ -511,7 +495,9 @@ COMMANDS = {
             Param("samples", int, 100),
             Param("seed", int),
             _STREAM,
-            Param("pair_budget", int, help="node budget of the exhaustive search", parse=_at_least_one),
+            Param(
+                "pair_budget", int, DEFAULT_NODE_BUDGET, help="node budget of the exhaustive search", parse=_at_least_one
+            ),
         ),
         (
             "layered", "k_range", "mode", "samples", "seed",

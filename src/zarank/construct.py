@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core import BicliqueFamily, RandomSource, SubsetSampler, union_of
-from .witness import DEFAULT_NODE_BUDGET, WitnessResult, has_kxk_independent_set
+from .core import DEFAULT_NODE_BUDGET, BicliqueFamily, RandomSource, SubsetSampler, union_of
+from .witness import WitnessResult, has_kxk_independent_set
 
 __all__ = [
     "MissProbability",

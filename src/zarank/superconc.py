@@ -6,17 +6,19 @@ a maximum bipartite matching, out sides and sources against in sides and
 sinks, minus m; greedy paths and then Kuhn's augmenting searches find it.
 Exhaustive verification scans (k, S, T) in lex order. Once every smaller k
 has passed, Menger's theorem reduces a k to the Hall-type condition
-|N(S) & N(T)| >= k over bitmask neighbourhoods, so a prefix 1..b of k values
-needs no flow at all. Since N(.) only grows with its argument, a depth-first
-search over S-prefixes skips every extension of a prefix against which no T
-violates. The T side is the k-subset search the witness search uses: each
-middle u spans the biclique in(u) x out(u), so T violates against N(S)
-exactly when the masks N(S) & ~N(w), w in T, keep |N(S)| - k + 1 common
-bits, and ``core._search`` finds the lex-first such T. A k reached past a
-gap in the list runs a max-flow per pair. One node budget counts the
-S-prefix steps, the T search's nodes and those flows, and a scan that
-spends it ends inconclusive. Either way the counterexample's flow is run
-for the report. Sampled verification runs a max-flow per pair.
+|N(S) & N(T)| >= k over bitmask neighbourhoods. Since N(.) only grows with
+its argument, a depth-first search over S-prefixes skips every extension
+of a prefix against which no T violates. The T side is the k-subset search
+the witness search uses: each middle u spans the biclique in(u) x out(u),
+so T violates against N(S) exactly when the masks N(S) & ~N(w), w in T,
+keep |N(S)| - k + 1 common bits, and ``core._search`` finds the lex-first
+such T. The Hall search runs on the sizes 1, 2, ... in turn, listed or
+not, until it finds a violation, so a listed k whose smaller sizes are all
+clean needs no flow at all; only a k past a violation at an unlisted
+smaller size runs a max-flow per pair. One node budget counts the S-prefix
+steps, the T search's nodes and those flows, and a scan that spends it
+ends inconclusive. Either way the counterexample's flow is run for the
+report. Sampled verification runs a max-flow per pair.
 The audits reproduce the bookkeeping of the two lower bound arguments at
 instance scale: degree balancing, the High/Medium/Low split against (n/k)
 times a threshold, the disjoint ladder of k values, and the entropy
@@ -279,9 +281,14 @@ def _exhaustive_scan(g: LayeredGraph, ks: list[int], node_budget: int) -> ScVerd
     failing pairs of k-sets are exactly the Hall violations |N(S) & N(T)| < k,
     and ``_first_kset`` finds the lex-first one instead of visiting every
     pair: a depth-first search over S-prefixes that asks the shared k-subset
-    search ``_search`` for each T. That holds at the k in position k - 1 of
-    the sorted list; any other k runs a max-flow per pair. One budget counts
-    the S-prefix steps, the T search's nodes and the pairs given a flow;
+    search ``_search`` for each T. Since a failure at any size implies a
+    Hall violation at some size no larger, sizes 1..k - 1 free of Hall
+    violations mean that every smaller k passes. So the scan runs the Hall
+    search on sizes 1, 2, ... up to each listed k, listed or not, and stops
+    at the first violation: a listed k is then decided by the Hall result
+    when every smaller size is clean, and by a max-flow per pair when the
+    violation lies at an unlisted smaller size. One budget counts the
+    S-prefix steps, the T search's nodes and the pairs given a flow;
     once they pass ``node_budget`` the verdict is None, and
     ``pairs_checked`` counts the pairs of the levels already decided.
     Otherwise the counterexample's flow is run for the report, which
@@ -291,10 +298,14 @@ def _exhaustive_scan(g: LayeredGraph, ks: list[int], node_budget: int) -> ScVerd
     n = g.n
     pairs_before = 0
     budget = _Budget(node_budget)
-    for pos, k in enumerate(ks):
+    clean, hall = 0, None  # sizes 1..clean have no Hall violation; hall is the first one found
+    for k in ks:
         size = math.comb(n, k)
-        if k == pos + 1:
-            found = _first_kset(g.adj_vm, k, g.into_w, budget)
+        while hall is None and clean < k:
+            hall = _first_kset(g.adj_vm, clean + 1, g.into_w, budget)
+            clean += hall is None
+        if clean + 1 >= k:
+            found = hall
         else:
             pairs = ((s, t) for s in combinations(range(n), k) for t in combinations(range(n), k))
             found = next((pair for pair in pairs if not budget.tick() or max_disjoint_paths(g, *pair) < k), None)
@@ -323,9 +334,11 @@ def verify_superconcentrator(
     """Check k disjoint paths for every (or a sampled set of) S, T pairs.
 
     Exhaustive mode covers all C(n,k)^2 pairs per k and is complete. It scans
-    (k, S, T) in lex order and stops at the first counterexample; a k whose
-    smaller k values are all in the list is decided by a pruned search for a
-    Hall-type violation, and any other k by a max-flow per pair.
+    (k, S, T) in lex order and stops at the first counterexample. A pruned
+    search for Hall-type violations runs on the sizes 1, 2, ... whether
+    listed or not; a listed k whose smaller sizes have none is decided by
+    it, and a k past a violation at an unlisted smaller size by a max-flow
+    per pair.
     ``pairs_checked`` counts the pairs up to and including the counterexample,
     as a pair-by-pair scan would. The searches spend at most ``node_budget``
     nodes: an S-prefix step, a T search node or a pair given a flow costs

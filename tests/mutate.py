@@ -131,6 +131,20 @@ MUTANTS = [
         (HALL,),
     ),
     Mutant(
+        "Hall decides k past an unlisted violation",
+        "zarank/superconc.py",
+        "if clean + 1 >= k:",
+        "if True:",
+        (HALL,),
+    ),
+    Mutant(
+        "Hall scan skips the unlisted sizes",
+        "zarank/superconc.py",
+        "hall = _first_kset(g.adj_vm, clean + 1, g.into_w, budget)",
+        "hall = _first_kset(g.adj_vm, k, g.into_w, budget)",
+        (HALL,),
+    ),
+    Mutant(
         "Hall drops the S-step tick",
         "zarank/superconc.py",
         '            if not budget.tick():\n                return "budget"\n            grown',

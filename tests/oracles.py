@@ -66,6 +66,35 @@ def projective_plane_complement(p: int) -> list[int]:
     ]
 
 
+def brown_graph_complement(p: int, r: int) -> list[int]:
+    """Rows of the complement of the bipartite double cover of Brown's graph,
+    p an odd prime: bit j of row i is set when points i and j of GF(p)^3 are
+    not adjacent, where x ~ y iff sum((x_a - y_a)^2) == r mod p.
+
+    Point i has coordinates (i // p^2, i // p mod p, i mod p). A 3 x 3
+    independent set of the complement is a K_{3,3} of the graph. Brown
+    (1966): for r != 0 with -r a non-residue mod p the graph has none."""
+    points = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+    return [
+        sum(1 << j for j, y in enumerate(points) if sum((u - v) ** 2 for u, v in zip(x, y)) % p != r)
+        for x in points
+    ]
+
+
+def one_sided_witness(adj: Sequence[int], n_right: int, k: int) -> Optional[tuple[int, ...]]:
+    """The lex-first k-subset S of the left side with at least k common
+    non-neighbours, or None; an independent S x T exists iff one does.
+    Enumerates S alone, so k = 3 stays cheap at a hundred vertices."""
+    full = (1 << n_right) - 1
+    for s_combo in combinations(range(len(adj)), k):
+        union = 0
+        for v in s_combo:
+            union |= adj[v]
+        if bin(full & ~union).count("1") >= k:
+            return s_combo
+    return None
+
+
 def compressed_domain_search(g, k: int, left: int, right: int, node_budget: int):
     """The witness search restricted to vertex domains, by definition: build
     the subgraph the two domain masks induce, with its vertices renumbered in

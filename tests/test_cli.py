@@ -89,9 +89,8 @@ class TestVerifyCommand:
         assert rc == 1
         assert "witness found" in capsys.readouterr().out
 
-    def test_budget_env_override(self, sparse_family_file, capsys, monkeypatch):
-        monkeypatch.setenv("ZARANK_WITNESS_BUDGET", "1")
-        rc = main(["verify", "--family", sparse_family_file])
+    def test_budget_flag_makes_the_search_inconclusive(self, sparse_family_file, capsys):
+        rc = main(["verify", "--family", sparse_family_file, "--budget", "1"])
         assert rc == 0
         assert "inconclusive" in capsys.readouterr().out
 
@@ -205,13 +204,19 @@ class TestBudgets:
         assert captured.err == f"error: {flag}: expected an integer >= 1, got {value}\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("raw", ["0", "-1"])
-    def test_environment_budget_below_one_rejected(self, tmp_path, capsys, monkeypatch, raw):
-        # sc-verify's node budget comes from the same variable as every search's.
-        monkeypatch.setenv("ZARANK_WITNESS_BUDGET", raw)
-        layered = write_json(tmp_path / "layered.json", {"n": 2, "m": 1, "edges_vm": [[0, 0]], "edges_mw": [[0, 1]]})
-        assert main(["sc-verify", "--layered", layered, "--mode", "sampled", "--seed", "1"]) == 2
-        assert "ZARANK_WITNESS_BUDGET: expected an integer >= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["verify", "sc-verify"])
+    def test_environment_budget_is_ignored(self, tmp_path, sparse_family_file, layered_file, monkeypatch, command):
+        # A budget comes from the flag or the default, never from the environment.
+        argv = [command, "--layered" if command == "sc-verify" else "--family"]
+        argv.append(layered_file if command == "sc-verify" else sparse_family_file)
+        reports = []
+        for raw in (None, "1"):
+            if raw is not None:
+                monkeypatch.setenv("ZARANK_WITNESS_BUDGET", raw)
+            out = tmp_path / f"report-{raw}.json"
+            assert main(argv + ["--json-out", str(out)]) == (1 if command == "verify" else 0)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestAttackCommand:
@@ -484,8 +489,8 @@ class TestScCommands:
 
     @pytest.mark.parametrize("k_range, decided", [("all", 16), ("3..4", 0)])
     def test_sc_verify_budget_out_exits_zero(self, tmp_path, layered_file, capsys, k_range, decided):
-        # K(4, 4, 4): k = 1 takes 4 S-prefix steps, and k = 2 runs out. From
-        # k = 3 on, past a gap, each of the 16 pairs at k = 3 costs one.
+        # K(4, 4, 4): size 1 takes 4 S-prefix steps, and size 2 runs out,
+        # whether k = 2 is listed or not.
         out = tmp_path / "sc.json"
         argv = ["sc-verify", "--layered", layered_file, "--k-range", k_range, "--pair-budget", "5"]
         assert main(argv + ["--json-out", str(out)]) == 0
@@ -495,11 +500,10 @@ class TestScCommands:
         assert verdict["pairs_checked"] == decided
         assert '"is_superconcentrator": null' in out.read_text(encoding="utf-8")
 
-    def test_sc_verify_budget_from_the_environment(self, layered_file, capsys, monkeypatch):
-        monkeypatch.setenv("ZARANK_WITNESS_BUDGET", "5")
-        assert main(["sc-verify", "--layered", layered_file]) == 0
+    def test_sc_verify_pair_budget_flag(self, layered_file, capsys):
+        assert main(["sc-verify", "--layered", layered_file, "--pair-budget", "5"]) == 0
         assert "inconclusive" in capsys.readouterr().out
-        assert main(["sc-verify", "--layered", layered_file, "--pair-budget", "10"]) == 0  # the flag wins
+        assert main(["sc-verify", "--layered", layered_file, "--pair-budget", "10"]) == 0
         assert "verified exhaustively" in capsys.readouterr().out
 
     def test_sc_verify_sampled_requires_seed(self, layered_file, capsys):
@@ -696,6 +700,7 @@ class TestSweep:
             ("attack", {"family": ["x.json"], "mode": ["sym"]}, {"fixed_d": float("inf")}, "spec.params.fixed_d"),
             ("verify", {"family": ["x.json"]}, {"budget": 0}, "spec.params.budget"),
             ("sc-verify", {"layered": ["x.json"], "pair_budget": [5, -1]}, {}, "spec.grid.pair_budget"),
+            ("verify", {"family": ["x.json"]}, {"budget": None}, "spec.params.budget"),
         ],
     )
     def test_malformed_spec_rejected(self, tmp_path, capsys, command, grid, params, field):
@@ -724,9 +729,9 @@ class TestSweep:
         assert "asymmetric mode only" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
-    def test_witness_budget_env_reaches_sweeps(self, tmp_path, sparse_family_file, monkeypatch):
-        monkeypatch.setenv("ZARANK_WITNESS_BUDGET", "1")
-        spec = {"command": "verify", "grid": {"family": [sparse_family_file], "seed": [0]}, "output_csv": "out.csv"}
+    def test_witness_budget_from_the_spec(self, tmp_path, sparse_family_file):
+        grid = {"family": [sparse_family_file], "seed": [0]}
+        spec = {"command": "verify", "grid": grid, "params": {"budget": 1}, "output_csv": "out.csv"}
         assert main(["sweep", "--spec", write_json(tmp_path / "spec.json", spec)]) == 0
         with open(tmp_path / "out.csv", encoding="utf-8") as fh:
             (row,) = csv.DictReader(fh)

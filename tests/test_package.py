@@ -1,6 +1,7 @@
 """The package namespace: every public name of the library modules, each
 imported from its module on first use."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -64,3 +65,13 @@ def test_bare_import_loads_submodules_on_use():
         "zarank.witness zarank.cli",
         "zarank.core ['zarank.bounds', 'zarank.cli', 'zarank.core', 'zarank.forks', 'zarank.witness']",
     ]
+
+
+def test_no_module_reads_the_environment():
+    # A run's inputs are its argv and files, so no hidden variable changes a report.
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted(Path(zarank.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not names & reads, path.name

@@ -209,7 +209,7 @@ class TestVerify:
         assert (hall.counterexample, hall.pairs_checked) == (
             (4, (0, 1, 2, 3), (0, 1, 2, 3), 3), 3985
         )
-        above = verify_superconcentrator(g, range(5, 9))  # decided by the flow
+        above = verify_superconcentrator(g, range(5, 9))  # past the unlisted k = 4: by the flow
         assert above.counterexample == (5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4), 3)
         for verdict in sampled + [hall, above]:
             _, S, T, flow = verdict.counterexample
@@ -230,14 +230,38 @@ class TestVerify:
         assert (short.is_superconcentrator, short.pairs_checked) == (None, math.comb(20, 10) - 2)  # k = 1..9
 
     def test_budget_counts_each_pair_past_a_gap(self):
-        # k = 1 takes 10 S-prefix steps; k = 3, past the gap, one per pair.
+        # V0 and V2 reach middles 0 and 2, and W2 and W3 only middles 0 and
+        # 1, so the unlisted k = 2 fails, yet every pair at k = 3 passes.
+        # The Hall search spends what deciding [1, 2] takes; k = 3, past the
+        # violation, costs one node per pair.
+        g = LayeredGraph(4, 3, (0b101, 0b010, 0b101, 0b110), (0b1101, 0b1111, 0b0011))
+        hall = next(b for b in range(1, 100) if verify_superconcentrator(g, [1, 2], node_budget=b).counterexample)
+        pairs = math.comb(4, 3) ** 2
+        full = verify_superconcentrator(g, [1, 3], node_budget=hall + pairs)
+        assert full.certified and full.pairs_checked == 16 + pairs
+        short = verify_superconcentrator(g, [1, 3], node_budget=hall + pairs - 1)
+        assert (short.is_superconcentrator, short.pairs_checked) == (None, 16)
+
+    def test_unlisted_sizes_cost_their_hall_steps(self):
+        # K(10, 10, 10): sizes 1 to 4 take 10 + 9 + 8 + 7 S-prefix steps,
+        # whether listed or not, and certify 3..4 with no flow.
         g = complete_layered(10, 10)
-        pairs = math.comb(10, 3) ** 2
-        assert verify_superconcentrator(g, [1, 3], node_budget=10 + pairs).certified
-        short = verify_superconcentrator(g, [1, 3], node_budget=10 + pairs - 1)
-        assert (short.is_superconcentrator, short.pairs_checked) == (None, 100)
-        none_decided = verify_superconcentrator(g, range(3, 5), node_budget=100)
+        assert verify_superconcentrator(g, range(3, 5), node_budget=34).certified
+        short = verify_superconcentrator(g, range(3, 5), node_budget=33)
+        assert (short.is_superconcentrator, short.pairs_checked) == (None, math.comb(10, 3) ** 2)
+        none_decided = verify_superconcentrator(g, range(3, 5), node_budget=26)
         assert (none_decided.is_superconcentrator, none_decided.pairs_checked) == (None, 0)
+
+    def test_level_past_a_clean_gap_needs_no_flow(self, monkeypatch):
+        # On K(30, 30, 30) k = 2 alone has 189,225 pairs; the Hall search
+        # decides it, and any other list, without a flow.
+        monkeypatch.setattr(superconc, "max_disjoint_paths", None)
+        g = complete_layered(30, 30)
+        start = time.perf_counter()
+        for ks in ([2], [3, 4], [1, 5, 30]):
+            verdict = verify_superconcentrator(g, ks)
+            assert verdict.certified and verdict.pairs_checked == sum(math.comb(30, k) ** 2 for k in ks)
+        assert time.perf_counter() - start < 0.5
 
     def test_budget_binds_on_a_large_complete_graph(self):
         # No T search takes a node here, so only the tick per S-prefix step
@@ -279,9 +303,10 @@ class TestVerify:
         assert (verdict.counterexample, verdict.pairs_checked) == ((1, (0,), (0,), 0), 1)
         assert time.perf_counter() - start < 0.5
 
-        # The per-pair scan past a gap must draw its k-sets as it goes:
-        # drawing all C(8000, 4000) of them first exhausts memory, so the
-        # k-sets come from a source that fails on the third one.
+        # The per-pair scan past the violation at the unlisted k = 1 must
+        # draw its k-sets as it goes: drawing all C(8000, 4000) of them
+        # first exhausts memory, so the k-sets come from a source that fails
+        # on the third one.
         drawn = []
 
         def few_combinations(items, k):
@@ -335,9 +360,10 @@ def check_against_reference(g, rng, flow):
     lists = [("all", range(1, n + 1)), (range(1, b + 1), range(1, b + 1))]
     if n >= 2:
         a = rng.randint(2, n)
-        above = range(a, rng.randint(a, n) + 1)  # decided by the flow
+        above = range(a, rng.randint(a, n) + 1)  # by the flow past an unlisted violation
         lists.append((above, above))
-    # Gaps: Hall-decided levels before the first gap, flow-decided after.
+    # Gaps: unlisted sizes run the Hall search too, and only a level past an
+    # unlisted violation is decided by the flow.
     lists += [(gaps, gaps) for gaps in ([1, 3], [2, 4], [1, 2, 4]) if gaps[-1] <= n]
     refuted = certified = 0
     for k_values, ks in lists:

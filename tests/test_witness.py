@@ -1,3 +1,4 @@
+import csv
 import multiprocessing
 import os
 import random
@@ -13,10 +14,16 @@ from hypothesis import strategies as st
 
 import zarank.forks
 import zarank.witness
-from oracles import compressed_domain_search, naive_bipartite_witness
+from oracles import (
+    brown_graph_complement,
+    compressed_domain_search,
+    naive_bipartite_witness,
+    one_sided_witness,
+    projective_plane_complement,
+)
 from zarank.construct import construct_until_verified, random_family
 from zarank.cli import main
-from zarank.core import BipartiteGraph, RandomSource, save_json, union_of
+from zarank.core import BipartiteGraph, RandomSource, load_json, save_json, union_of
 from zarank.forks import OrderedForks
 from zarank.witness import has_kxk_independent_set
 
@@ -592,3 +599,83 @@ class TestSplitProof:
         assert cpus() == 2
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert cpus() == 1
+
+
+def brown_is_k33_free(p, r):
+    """Brown's condition: r != 0 and -r a non-residue mod p (Euler's criterion)."""
+    return r % p != 0 and pow(-r % p, (p - 1) // 2, p) == p - 1
+
+
+def one_biclique_per_row(rows, k):
+    """A family whose union has these rows: {v} x row v for every v."""
+    n = len(rows)
+    bicliques = [{"left": [v], "right": [j for j in range(n) if rows[v] >> j & 1]} for v in range(n)]
+    return {"n": n, "k": k, "bicliques": bicliques}
+
+
+class TestKnownAnswers:
+    """Absent verdicts at hundreds of vertices whose answer is a theorem."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_brown_graph_k33_free_exactly_under_browns_condition(self, p):
+        # K_{3,3}-free at p = 3, r = 1 and p = 5, r = 2, 3; every other r
+        # (including r = 0, whose double cover joins each point to itself)
+        # has a K_{3,3}, and the search finds one.
+        n = p ** 3
+        absent = []
+        for r in range(p):
+            rows = brown_graph_complement(p, r)
+            result = has_kxk_independent_set(BipartiteGraph(n, n, tuple(rows)), 3)
+            assert result.complete and result.found is not brown_is_k33_free(p, r), r
+            if result.found:
+                t_mask = sum(1 << w for w in result.T)
+                assert all(rows[v] & t_mask == 0 for v in result.S)
+            else:
+                absent.append(r)
+            if p == 3:
+                assert (one_sided_witness(rows, n, 3) is not None) == result.found
+        assert absent == ([1] if p == 3 else [2, 3])
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_projective_plane_complement_loses_absence_to_any_deleted_edge(self, p):
+        # The incidence graph is maximal C4-free: adding any point-line pair
+        # to it, which deletes one union edge, creates a 2 x 2 independent set.
+        rows = projective_plane_complement(p)
+        n = len(rows)
+        assert has_kxk_independent_set(BipartiteGraph(n, n, tuple(rows)), 2).found is False
+        edges = [(v, w) for v in range(n) for w in range(n) if rows[v] >> w & 1]
+        assert len(edges) == n * (n - p - 1)
+        for v, w in edges:
+            cut = list(rows)
+            cut[v] &= ~(1 << w)
+            result = has_kxk_independent_set(BipartiteGraph(n, n, tuple(cut)), 2)
+            assert result.found, (v, w)
+            assert v in result.S and w in result.T
+            assert naive_bipartite_witness(cut, n, n, 2) is not None
+
+    def test_verify_and_sweep_agree_on_known_answers(self, tmp_path, capsys):
+        cut = projective_plane_complement(3)
+        cut[0] &= cut[0] - 1  # delete the union edge at point 0's lowest line
+        cases = [
+            ("pg2.json", projective_plane_complement(2), 2, False),
+            ("pg3.json", projective_plane_complement(3), 2, False),
+            ("pg3_cut.json", cut, 2, True),
+            ("brown3_1.json", brown_graph_complement(3, 1), 3, False),
+            ("brown3_2.json", brown_graph_complement(3, 2), 3, True),
+            ("brown5_2.json", brown_graph_complement(5, 2), 3, False),
+        ]
+        reports = []
+        for name, rows, k, found in cases:
+            save_json(tmp_path / name, one_biclique_per_row(rows, k))
+            out = tmp_path / f"report-{name}"
+            assert main(["verify", "--family", str(tmp_path / name), "--json-out", str(out)]) == int(found)
+            witness = load_json(out)["witness"]
+            assert (witness["found"], witness["complete"]) == (found, True)
+            reports.append(witness)
+        grid = {"family": [name for name, *_ in cases], "seed": [0]}
+        save_json(tmp_path / "spec.json", {"command": "verify", "grid": grid, "output_csv": "out.csv"})
+        assert main(["sweep", "--spec", str(tmp_path / "spec.json")]) == 1
+        with open(tmp_path / "out.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        expected = [("true" if w["found"] else "false", str(w["nodes_explored"])) for w in reports]
+        assert [(row["found"], row["nodes_explored"]) for row in rows] == expected
