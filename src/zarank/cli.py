@@ -36,6 +36,7 @@ from .core import (
     BipartiteGraph,
     RandomSource,
     SchemaError,
+    _list_size,
     family_from_json,
     family_to_json,
     graph_from_json,
@@ -434,7 +435,7 @@ COMMANDS = {
         run_construct,
         _show_construct,
         (
-            Param("n", int, required=True),
+            Param("n", int, required=True, parse=_list_size),
             Param("k", int, required=True),
             Param("sizes", list, required=True, help="JSON file: list of [m, n] pairs", parse=_parse_sizes_doc),
             Param("seed", int, required=True),

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+from contextlib import suppress
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -122,11 +124,8 @@ class BicliqueFamily:
     def from_index_lists(
         cls, n: int, k: int, pairs: Iterable[tuple[Iterable[int], Iterable[int]]]
     ) -> "BicliqueFamily":
-        left, right = [], []
-        for left_indices, right_indices in pairs:
-            left.append(mask_of(left_indices))
-            right.append(mask_of(right_indices))
-        return cls(n, k, tuple(left), tuple(right))
+        masks = [(mask_of(left), mask_of(right)) for left, right in pairs]
+        return cls(n, k, tuple(left for left, _ in masks), tuple(right for _, right in masks))
 
     @property
     def size(self) -> int:
@@ -162,7 +161,7 @@ class BipartiteGraph:
 
     @classmethod
     def from_edges(cls, n_left: int, n_right: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        return cls(n_left, n_right, _checked_rows(edges, n_left, n_right, "edge"))
+        return cls(n_left, n_right, _dense(_edge_rows(edges, n_left, n_right, "edge"), n_left))
 
     @property
     def edge_count(self) -> int:
@@ -253,12 +252,9 @@ class LayeredGraph:
         edges_vm: Iterable[tuple[int, int]],
         edges_mw: Iterable[tuple[int, int]],
     ) -> "LayeredGraph":
-        return cls(
-            n,
-            m,
-            _checked_rows(edges_vm, n, m, "V->M edge"),
-            _checked_rows(edges_mw, m, n, "M->W edge"),
-        )
+        rows_vm = _edge_rows(edges_vm, n, m, "V->M edge")
+        rows_mw = _edge_rows(edges_mw, m, n, "M->W edge")
+        return cls(n, m, _dense(rows_vm, n), _dense(rows_mw, m))
 
     @cached_property
     def middle_in(self) -> tuple[int, ...]:
@@ -453,80 +449,84 @@ class SubsetSampler:
 # ---------------------------------------------------------------------------
 
 
+def _list_size(value: int, where: str) -> int:
+    """``value``, refused above ``sys.maxsize``: no list holds more entries,
+    so a larger vertex count or k could only fail later, as an internal
+    error."""
+    if value > sys.maxsize:
+        raise SchemaError(f"{where}: {value} is more than a list can hold (at most {sys.maxsize})")
+    return value
+
+
 def _require_int(doc: dict, key: str, where: str) -> int:
     if key not in doc:
         raise SchemaError(f"{where}: missing required key '{key}'")
     value = doc[key]
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{where}.{key}: expected an integer, got {value!r}")
-    return value
+    return _list_size(value, f"{where}.{key}")
 
 
-def _all_indices(values: Sequence[object], n: int) -> bool:
-    """True iff every value is a plain int in [0, n); checked at C level."""
-    return set(map(type, values)) == {int} and 0 <= min(values) and max(values) < n
-
-
-def _index_list(raw: object, n: int, where: str) -> list[int]:
-    if not isinstance(raw, list):
-        raise SchemaError(f"{where}: expected a list of vertex indices")
-    if raw and not _all_indices(raw, n):
-        # The slow path only words the first error.
-        for pos, value in enumerate(raw):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise SchemaError(f"{where}[{pos}]: expected an integer, got {value!r}")
-            if not 0 <= value < n:
-                raise SchemaError(f"{where}[{pos}]: vertex index {value} out of range for n={n}")
-    return raw
-
-
-def _all_pairs(pairs: Sequence[Sequence[object]], n_from: int, n_to: int) -> bool:
-    """True iff every pair is two plain ints in [0, n_from) x [0, n_to);
-    checked at C level."""
-    return not pairs or (
-        set(map(len, pairs)) == {2} and all(map(_all_indices, zip(*pairs), (n_from, n_to)))
-    )
-
-
-def _rows(pairs: Iterable[Sequence[int]], n_rows: int) -> tuple[int, ...]:
-    """One target mask per source vertex of an already checked edge list."""
-    rows = [0] * n_rows
-    for v, w in pairs:
-        rows[v] |= 1 << w
-    return tuple(rows)
-
-
-def _checked_rows(edges: Iterable[Sequence[int]], n_from: int, n_to: int, what: str) -> tuple[int, ...]:
-    """``_rows`` of an edge list from a caller, checked in the same pass: the
-    first edge that is not two plain ints in [0, n_from) x [0, n_to) raises
-    ``ValueError``."""
-    rows = [0] * n_from
+def _edge_rows(edges: Iterable[Sequence[int]], n_from: int, n_to: int, what: str) -> dict[int, int]:
+    """The target mask of each source vertex of an edge list, each edge
+    checked in the loop that ORs it into its row: the first one that is not
+    two plain ints in [0, n_from) x [0, n_to) raises ``ValueError``. Only
+    vertices with an edge get a row, so that a declared size allocates
+    nothing until every edge has passed; ``_dense`` lists the rows."""
+    rows: dict[int, int] = {}
     for edge in edges:
         try:
             v, w = edge
         except (TypeError, ValueError):
             v = None
-        if type(v) is int is type(w) and 0 <= v < n_from and 0 <= w < n_to:
-            rows[v] |= 1 << w
-        else:
+        if not (type(v) is int is type(w) and 0 <= v < n_from and 0 <= w < n_to):
             raise ValueError(f"{what} {tuple(edge)} outside {n_from}x{n_to}")
-    return tuple(rows)
+        rows[v] = rows.get(v, 0) | 1 << w
+    return rows
 
 
-def _edge_list(raw: object, n_from: int, n_to: int, where: str) -> list[list[int]]:
+def _dense(rows: dict[int, int], n_rows: int) -> tuple[int, ...]:
+    dense = [0] * n_rows  # one allocation, which fails at once if memory cannot hold it
+    for v, row in rows.items():
+        dense[v] = row
+    return tuple(dense)
+
+
+def _json_rows(raw: object, n_from: int, n_to: int, where: str) -> dict[int, int]:
+    """``_edge_rows`` of a JSON list of [from, to] pairs, each error worded
+    with its position."""
     if not isinstance(raw, list):
         raise SchemaError(f"{where}: expected a list of [from, to] pairs")
-    if not (set(map(type, raw)) <= {list} and _all_pairs(raw, n_from, n_to)):
-        # The slow path only words the first error.
-        for pos, pair in enumerate(raw):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise SchemaError(f"{where}[{pos}]: expected a [from, to] pair")
-            for name, value, bound in (("from", pair[0], n_from), ("to", pair[1], n_to)):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise SchemaError(f"{where}[{pos}].{name}: expected an integer, got {value!r}")
-                if not 0 <= value < bound:
-                    raise SchemaError(f"{where}[{pos}].{name}: index {value} out of range for size {bound}")
-    return raw
+    with suppress(TypeError, ValueError):  # at a bad pair, the slow path below words it
+        return _edge_rows(raw, n_from, n_to, where)
+    for pos, pair in enumerate(raw):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise SchemaError(f"{where}[{pos}]: expected a [from, to] pair")
+        for name, value, bound in (("from", pair[0], n_from), ("to", pair[1], n_to)):
+            if type(value) is not int:
+                raise SchemaError(f"{where}[{pos}].{name}: expected an integer, got {value!r}")
+            if not 0 <= value < bound:
+                raise SchemaError(f"{where}[{pos}].{name}: index {value} out of range for size {bound}")
+
+
+def _json_mask(raw: object, n: int, where: str) -> int:
+    """The mask of a JSON list of vertex indices, each index checked in the
+    loop that ORs it in; the first bad one is worded with its position."""
+    if not isinstance(raw, list):
+        raise SchemaError(f"{where}: expected a list of vertex indices")
+    mask = 0
+    for i in raw:
+        if type(i) is not int or not 0 <= i < n:
+            break
+        mask |= 1 << i
+    else:
+        return mask
+    # At a bad index, the slow path words it.
+    for pos, value in enumerate(raw):
+        if type(value) is not int:
+            raise SchemaError(f"{where}[{pos}]: expected an integer, got {value!r}")
+        if not 0 <= value < n:
+            raise SchemaError(f"{where}[{pos}]: vertex index {value} out of range for n={n}")
 
 
 def family_to_json(family: BicliqueFamily) -> dict:
@@ -550,14 +550,13 @@ def family_from_json(doc: object) -> BicliqueFamily:
     raw = doc.get("bicliques")
     if not isinstance(raw, list):
         raise SchemaError("family.bicliques: expected a list")
-    pairs = []
+    left, right = [], []
     for idx, item in enumerate(raw):
         if not isinstance(item, dict):
             raise SchemaError(f"family.bicliques[{idx}]: expected an object")
-        left = _index_list(item.get("left"), n, f"family.bicliques[{idx}].left")
-        right = _index_list(item.get("right"), n, f"family.bicliques[{idx}].right")
-        pairs.append((left, right))
-    return BicliqueFamily.from_index_lists(n, k, pairs)
+        left.append(_json_mask(item.get("left"), n, f"family.bicliques[{idx}].left"))
+        right.append(_json_mask(item.get("right"), n, f"family.bicliques[{idx}].right"))
+    return BicliqueFamily(n, k, tuple(left), tuple(right))
 
 
 def graph_to_json(g: BipartiteGraph) -> dict:
@@ -572,8 +571,8 @@ def graph_from_json(doc: object) -> BipartiteGraph:
     n_right = _require_int(doc, "n_right", "graph")
     if n_left < 0 or n_right < 0:
         raise SchemaError("graph: side sizes must be >= 0")
-    edges = _edge_list(doc.get("edges"), n_left, n_right, "graph.edges")
-    return BipartiteGraph(n_left, n_right, _rows(edges, n_left))
+    rows = _json_rows(doc.get("edges"), n_left, n_right, "graph.edges")
+    return BipartiteGraph(n_left, n_right, _dense(rows, n_left))
 
 
 def layered_to_json(g: LayeredGraph) -> dict:
@@ -589,9 +588,9 @@ def layered_from_json(doc: object) -> LayeredGraph:
     m = _require_int(doc, "m", "layered")
     if n < 0 or m < 0:
         raise SchemaError("layered: layer sizes must be >= 0")
-    edges_vm = _edge_list(doc.get("edges_vm"), n, m, "layered.edges_vm")
-    edges_mw = _edge_list(doc.get("edges_mw"), m, n, "layered.edges_mw")
-    return LayeredGraph(n, m, _rows(edges_vm, n), _rows(edges_mw, m))
+    rows_vm = _json_rows(doc.get("edges_vm"), n, m, "layered.edges_vm")
+    rows_mw = _json_rows(doc.get("edges_mw"), m, n, "layered.edges_mw")
+    return LayeredGraph(n, m, _dense(rows_vm, n), _dense(rows_mw, m))
 
 
 _LEAVES = (int, float, str, type(None))  # JSON scalars; bool is an int

@@ -51,6 +51,11 @@ BALANCE = "tests/test_superconc.py::TestBalance"
 SPLIT = "tests/test_witness.py::TestSplitProof::"
 POOL_FDS = SPLIT + "test_no_fd_or_child_outlives_a_pool"
 ATTACK = ("tests/test_attack.py", "tests/test_reports.py")
+LOADERS = (
+    "tests/test_core.py::TestLoaderMessages",
+    "tests/test_core.py::TestLoaderOracle",
+    "tests/test_core.py::TestSerialization",
+)
 
 MUTANTS = [
     Mutant(
@@ -220,6 +225,41 @@ MUTANTS = [
         "for row in reversed(rows)]",
         "for row in rows]",
         ("tests/test_core.py::TestTranspose",),
+    ),
+    Mutant(
+        "edge builder drops the lower bound",
+        "zarank/core.py",
+        "0 <= v < n_from and 0 <= w < n_to",
+        "v < n_from and 0 <= w < n_to",
+        LOADERS,
+    ),
+    Mutant(
+        "edge builder < n_to made <=",
+        "zarank/core.py",
+        "0 <= w < n_to",
+        "0 <= w <= n_to",
+        LOADERS,
+    ),
+    Mutant(
+        "edge builder passes bools and floats",
+        "zarank/core.py",
+        "type(v) is int is type(w) and 0 <= v",
+        "0 <= v",
+        LOADERS,
+    ),
+    Mutant(
+        "index builder < n made <=",
+        "zarank/core.py",
+        "not 0 <= i < n:",
+        "not 0 <= i <= n:",
+        LOADERS,
+    ),
+    Mutant(
+        "index builder passes bools and floats",
+        "zarank/core.py",
+        "if type(i) is not int or not",
+        "if not",
+        LOADERS,
     ),
     Mutant(
         "balance target floor for ceiling",

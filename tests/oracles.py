@@ -314,6 +314,41 @@ def bitwise_transpose(rows: Sequence[int], n_cols: int) -> list[int]:
     ]
 
 
+def _is_index(value, size: int) -> bool:
+    """A JSON integer (a bool is not one) in [0, size)."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
+
+
+def edge_list_rows(edges, n_from: int, n_to: int) -> Optional[list[int]]:
+    """Per source vertex, the mask of its targets in a JSON edge list, or
+    None unless ``edges`` is a list of [from, to] lists with from in
+    [0, n_from) and to in [0, n_to). One plain loop, one edge at a time."""
+    if not isinstance(edges, list):
+        return None
+    rows = [0] * n_from
+    for edge in edges:
+        if not (isinstance(edge, list) and len(edge) == 2):
+            return None
+        if not (_is_index(edge[0], n_from) and _is_index(edge[1], n_to)):
+            return None
+        rows[edge[0]] = rows[edge[0]] | 2 ** edge[1]
+    return rows
+
+
+def index_list_mask(indices, n: int) -> Optional[int]:
+    """The mask of a JSON list of vertex indices, or None unless every entry
+    is an integer in [0, n). One plain loop, one index at a time."""
+    if not isinstance(indices, list):
+        return None
+    mask = 0
+    for value in indices:
+        if not _is_index(value, n):
+            return None
+        if not mask >> value & 1:
+            mask += 2**value
+    return mask
+
+
 def brute_first_kset(rows: Sequence[int], k: int, threshold: int) -> Optional[tuple[int, ...]]:
     """The first ``combinations`` k-subset of positions of ``rows`` whose
     rows' AND has at least ``threshold`` bits, or None."""

@@ -125,9 +125,10 @@ class TestKstCheck:
                 certified += 1
         assert certified >= 3
 
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_projective_plane_complement_meets_the_bound(self, p):
-        # The exact lhs is 1 = k - 1; the reported float reads 1.0000000000000013.
+        # The exact lhs is 1 = k - 1; the reported float reads 1.0000000000000013
+        # at p = 2 and 3, 1.0 at p = 5 and 0.9999999999999778 at p = 7.
         n = p * p + p + 1
         g = BipartiteGraph(n, n, tuple(projective_plane_complement(p)))
         assert g.edge_count == n * (n - p - 1)
@@ -136,7 +137,7 @@ class TestKstCheck:
         assert check.satisfied and check.rhs == 1.0
         assert check.lhs == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_projective_plane_complement_through_the_cli(self, tmp_path, capsys, p):
         # One biclique {v} x (lines not through v) per point.
         n = p * p + p + 1

@@ -181,6 +181,39 @@ class TestVerifyCommand:
         assert not out.exists() and multiprocessing.active_children() == []
 
 
+HUGE = 10**30  # more than any list can hold; refused before anything is allocated
+
+
+class TestMalformedLists:
+    @pytest.mark.parametrize("pair", [5, None, {"from": 0, "to": 0}, "00"])
+    @pytest.mark.parametrize("command", ["sc-verify", "verify --graph"])
+    def test_entry_that_is_no_pair_exits_two(self, tmp_path, capsys, command, pair):
+        if command == "sc-verify":
+            path = write_json(tmp_path / "layered.json", {"n": 2, "m": 2, "edges_vm": [[0, 0], pair], "edges_mw": []})
+            argv, where = ["sc-verify", "--layered", path], "layered.edges_vm[1]"
+        else:
+            path = write_json(tmp_path / "graph.json", {"n_left": 2, "n_right": 2, "edges": [[0, 0], pair]})
+            argv, where = ["verify", "--graph", path, "--k", "1"], "graph.edges[1]"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {where}: expected a [from, to] pair\n"
+
+    @pytest.mark.parametrize(
+        "argv, doc, key",
+        [
+            (["verify", "--family"], {"n": HUGE, "k": 1, "bicliques": []}, "family.n"),
+            (["bounds", "--family"], {"n": HUGE, "k": 1, "bicliques": []}, "family.n"),
+            (["attack", "--mode", "sym", "--seed", "1", "--family"], {"n": HUGE, "k": 1, "bicliques": []}, "family.n"),
+            (["sc-verify", "--layered"], {"n": 1, "m": HUGE, "edges_vm": [], "edges_mw": []}, "layered.m"),
+            (["sc-analyze", "--theorem", "7", "--layered"], {"n": HUGE, "m": 1, "edges_vm": [], "edges_mw": []}, "layered.n"),
+            (["verify", "--k", "1", "--graph"], {"n_left": 1, "n_right": HUGE, "edges": []}, "graph.n_right"),
+            (["construct", "--k", "1", "--seed", "1", "--n", str(HUGE), "--sizes"], [], "--n"),
+        ],
+    )
+    def test_size_no_list_can_hold_exits_two(self, tmp_path, capsys, argv, doc, key):
+        assert main(argv + [write_json(tmp_path / "input.json", doc)]) == 2
+        assert capsys.readouterr().err == f"error: {key}: {HUGE} is more than a list can hold (at most {sys.maxsize})\n"
+
+
 class TestBudgets:
     @pytest.mark.parametrize(
         "command, flag, value",

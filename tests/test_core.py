@@ -3,6 +3,7 @@ import inspect
 import json
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bitwise_transpose, brute_first_kset, lowest_bit_positions, randrange_subsets
+from oracles import (
+    bitwise_transpose,
+    brute_first_kset,
+    edge_list_rows,
+    index_list_mask,
+    lowest_bit_positions,
+    randrange_subsets,
+)
 from zarank.core import (
     BicliqueFamily,
     BipartiteGraph,
@@ -282,6 +290,9 @@ class TestSubsetSearch:
         assert min(found.values()) > 50 and stops > 500
 
 
+PREFIX = [(v % 2, v % 3) for v in range(1000)]  # 1,000 valid edges of a 2 x 3 graph
+
+
 class TestSerialization:
     def test_family_round_trip(self):
         fam = BicliqueFamily.from_index_lists(
@@ -322,11 +333,25 @@ class TestSerialization:
             (lambda: BipartiteGraph.from_edges(2, 3, [(1, False)]), "edge (1, False) outside 2x3"),
             (lambda: LayeredGraph.from_edge_lists(3, 2, [(2, 1), (3, 0)], []), "V->M edge (3, 0) outside 3x2"),
             (lambda: LayeredGraph.from_edge_lists(3, 2, [(0, 0)], [(1, 2), (2, 0)]), "M->W edge (2, 0) outside 2x3"),
+            (lambda: BipartiteGraph.from_edges(2, 3, [(0, 1), {"from": 1, "to": 1}]), "edge ('from', 'to') outside 2x3"),
+            (lambda: BipartiteGraph.from_edges(2, 3, ["01"]), "edge ('0', '1') outside 2x3"),
+            (lambda: BipartiteGraph.from_edges(2, 3, [(0, 1), (1, 2), (1, True)]), "edge (1, True) outside 2x3"),
+            (lambda: BipartiteGraph.from_edges(2, 3, [(0, 1), (1.0, 2)]), "edge (1.0, 2) outside 2x3"),
+            (lambda: BipartiteGraph.from_edges(2, 3, [(1, 3)]), "edge (1, 3) outside 2x3"),
+            (lambda: LayeredGraph.from_edge_lists(3, 2, [(0, 0)], [(1, 2), (1, None)]), "M->W edge (1, None) outside 2x3"),
+            (lambda: BipartiteGraph.from_edges(2, 3, PREFIX + [(0, 3)]), "edge (0, 3) outside 2x3"),
         ]
         for build, message in cases:
             with pytest.raises(ValueError) as info:
                 build()
             assert str(info.value) == message
+        # An edge that is no sequence at all fails as Python words it.
+        for edges, message in (([(0, 1), 5], "'int' object is not iterable"), ([None], "'NoneType' object is not iterable")):
+            with pytest.raises(TypeError) as info:
+                BipartiteGraph.from_edges(2, 3, edges)
+            assert str(info.value) == message
+        with pytest.raises(TypeError, match="'int' object is not iterable"):
+            LayeredGraph.from_edge_lists(3, 2, [(w, v) for v, w in PREFIX] + [7], [])
 
     def test_edge_constructors_accept_any_iterable(self):
         g = BipartiteGraph.from_edges(3, 2, ((v, v % 2) for v in range(3)))
@@ -380,8 +405,9 @@ def _graph_doc(pair):
 
 
 class TestLoaderMessages:
-    """The loaders validate at C level and word errors on a slow path; these
-    texts pin the wording, one case per malformed shape."""
+    """The loaders check each list in the pass that builds it and word the
+    first error on a slow path; these texts pin the wording, one case per
+    malformed shape."""
 
     @pytest.mark.parametrize(
         "load, doc, message",
@@ -407,12 +433,148 @@ class TestLoaderMessages:
                 {"n": 3, "m": 2, "edges_vm": [[0, 0]], "edges_mw": [[1, 2], [2, 0]]},
                 "layered.edges_mw[1].from: index 2 out of range for size 2",
             ),
+            (graph_from_json, _graph_doc(5), "graph.edges[2]: expected a [from, to] pair"),
+            (graph_from_json, _graph_doc(None), "graph.edges[2]: expected a [from, to] pair"),
+            (graph_from_json, _graph_doc({"0": 1, "1": 0}), "graph.edges[2]: expected a [from, to] pair"),
+            (graph_from_json, _graph_doc("01"), "graph.edges[2]: expected a [from, to] pair"),
+            (graph_from_json, _graph_doc([1, True]), "graph.edges[2].to: expected an integer, got True"),
+            (graph_from_json, _graph_doc([0.5, 1]), "graph.edges[2].from: expected an integer, got 0.5"),
+            (graph_from_json, _graph_doc([1, "x"]), "graph.edges[2].to: expected an integer, got 'x'"),
+            (graph_from_json, _graph_doc([2, None]), "graph.edges[2].to: expected an integer, got None"),
+            (family_from_json, _family_doc([0, 1, False]), "family.bicliques[1].left[2]: expected an integer, got False"),
+            (family_from_json, _family_doc([3, 2, 1.5]), "family.bicliques[1].left[2]: expected an integer, got 1.5"),
+            (family_from_json, _family_doc([0, None]), "family.bicliques[1].left[1]: expected an integer, got None"),
+            (family_from_json, _family_doc([0, "1"]), "family.bicliques[1].left[1]: expected an integer, got '1'"),
+            (
+                layered_from_json,
+                {"n": 3, "m": 2, "edges_vm": [[0, 0], [2, 1], 7], "edges_mw": []},
+                "layered.edges_vm[2]: expected a [from, to] pair",
+            ),
+            (
+                layered_from_json,
+                {"n": 3, "m": 2, "edges_vm": [[0, 0]], "edges_mw": [None]},
+                "layered.edges_mw[0]: expected a [from, to] pair",
+            ),
+            (
+                layered_from_json,
+                {"n": 3, "m": 2, "edges_vm": [[w, v] for v, w in PREFIX] + [[1, 2]], "edges_mw": []},
+                "layered.edges_vm[1000].to: index 2 out of range for size 2",
+            ),
+            (
+                layered_from_json,
+                {"n": 3, "m": 2, "edges_vm": [], "edges_mw": [list(pair) for pair in PREFIX] + [[1, 3]]},
+                "layered.edges_mw[1000].to: index 3 out of range for size 3",
+            ),
+            (
+                graph_from_json,
+                {"n_left": 3, "n_right": 2, "edges": [[w, v] for v, w in PREFIX] + [[True, 0]]},
+                "graph.edges[1000].from: expected an integer, got True",
+            ),
+            (
+                family_from_json,
+                {"n": 4, "k": 2, "bicliques": [{"left": [v % 4 for v in range(1000)] + [4], "right": []}]},
+                "family.bicliques[0].left[1000]: vertex index 4 out of range for n=4",
+            ),
+            (
+                family_from_json,
+                {"n": 4, "k": 2, "bicliques": [{"left": [], "right": [v % 4 for v in range(1000)] + [-1]}]},
+                "family.bicliques[0].right[1000]: vertex index -1 out of range for n=4",
+            ),
         ],
     )
     def test_exact_message(self, load, doc, message):
         with pytest.raises(SchemaError) as info:
             load(doc)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "load, doc, key",
+        [
+            (family_from_json, {"n": 10**30, "k": 1, "bicliques": []}, "family.n"),
+            (family_from_json, {"n": 5, "k": 10**30, "bicliques": []}, "family.k"),
+            (graph_from_json, {"n_left": 10**30, "n_right": 1, "edges": []}, "graph.n_left"),
+            (graph_from_json, {"n_left": 1, "n_right": sys.maxsize + 1, "edges": []}, "graph.n_right"),
+            (layered_from_json, {"n": 10**30, "m": 1, "edges_vm": [], "edges_mw": []}, "layered.n"),
+            (layered_from_json, {"n": 1, "m": 10**30, "edges_vm": [], "edges_mw": []}, "layered.m"),
+        ],
+    )
+    def test_size_no_list_can_hold_rejected(self, load, doc, key):
+        # Refused before anything is allocated.
+        with pytest.raises(SchemaError) as info:
+            load(doc)
+        size = doc[key.partition(".")[2]]
+        assert str(info.value) == f"{key}: {size} is more than a list can hold (at most {sys.maxsize})"
+
+    def test_malformed_edges_refused_before_any_row_is_made(self):
+        # No list of 2**62 rows can be made, so rows made before every edge
+        # list is checked would end in MemoryError instead.
+        huge = 2**62
+        with pytest.raises(SchemaError, match=r"^layered\.edges_mw\[1\]\.from: index 2 out of range for size 2$"):
+            layered_from_json({"n": huge, "m": 2, "edges_vm": [[0, 0]], "edges_mw": [[0, 0], [2, 0]]})
+        with pytest.raises(SchemaError, match=r"^graph\.edges\[1\]\.to: index 2 out of range for size 2$"):
+            graph_from_json({"n_left": huge, "n_right": 2, "edges": [[0, 0], [0, 2]]})
+        with pytest.raises(ValueError, match=rf"^M->W edge \(2, 0\) outside 2x{huge}$"):
+            LayeredGraph.from_edge_lists(huge, 2, [(0, 0)], [(0, 0), (2, 0)])
+        with pytest.raises(MemoryError):
+            layered_from_json({"n": huge, "m": 2, "edges_vm": [[0, 0]], "edges_mw": [[0, 0]]})
+
+
+def _spoil(rng, lists):
+    """Half the time ``lists`` as it is; else with one list replaced by a
+    non-list, or with a wrong-typed, misshapen or out-of-range entry
+    inserted into it."""
+    lists = [list(value) for value in lists]
+    if lists and rng.random() < 0.5:
+        pos = rng.randrange(len(lists))
+        if rng.random() < 0.05:
+            lists[pos] = rng.choice(["0,1", None, 3, {}])
+        else:
+            bad = [5, None, {}, {"0": 1, "1": 0}, "01", True, False, 1.0, 2.5, "1", [1], [0, 1, 2], [], -1, 40]
+            bad += [[True, 0], [0, False], [1.0, 0], [0, None], [-1, 0], [0, -1], [40, 0], [0, 40]]
+            lists[pos].insert(rng.randint(0, len(lists[pos])), rng.choice(bad))
+    return lists
+
+
+class TestLoaderOracle:
+    """The loaders against the one-loop builders of ``oracles``: random
+    documents, half with one bad entry somewhere, load to the oracle's rows
+    and masks, and are refused exactly when the oracle refuses them."""
+
+    def test_loaders_match_the_definitional_builders(self):
+        rng = random.Random(83)
+        loaded = {"family": 0, "graph": 0, "layered": 0}
+        refused = dict(loaded)
+        for _ in range(3000):
+            shape = rng.choice(list(loaded))
+            n, m = rng.randint(1, 12), rng.randint(0, 12)
+            length = rng.choice([0, 1, 3, 8, 30]) if m else 0
+            if shape == "family":
+                sides = [[rng.randrange(n) for _ in range(rng.randint(0, length))] for _ in range(2 * rng.randint(1, 4))]
+                sides = _spoil(rng, sides)
+                doc = {"n": n, "k": 1, "bicliques": [{"left": l, "right": r} for l, r in zip(sides[::2], sides[1::2])]}
+                masks = [index_list_mask(side, n) for side in sides]
+                load, views, expect = family_from_json, ("left", "right"), (masks[::2], masks[1::2])
+            elif shape == "graph":
+                (edges,) = _spoil(rng, [[[rng.randrange(n), rng.randrange(m)] for _ in range(length)]])
+                doc = {"n_left": n, "n_right": m, "edges": edges}
+                load, views, expect = graph_from_json, ("adj",), (edge_list_rows(edges, n, m),)
+            else:
+                vm = [[rng.randrange(n), rng.randrange(m)] for _ in range(length)]
+                mw = [[rng.randrange(m), rng.randrange(n)] for _ in range(length)]
+                vm, mw = _spoil(rng, [vm, mw])
+                doc = {"n": n, "m": m, "edges_vm": vm, "edges_mw": mw}
+                load, views = layered_from_json, ("adj_vm", "adj_mw")
+                expect = (edge_list_rows(vm, n, m), edge_list_rows(mw, m, n))
+            accepted = all(view is not None and None not in view for view in expect)
+            try:
+                built = load(doc)
+            except SchemaError:
+                assert not accepted, doc
+                refused[shape] += 1
+            else:
+                assert accepted and tuple(list(getattr(built, view)) for view in views) == expect, doc
+                loaded[shape] += 1
+        assert min(loaded.values()) > 400 and min(refused.values()) > 400, (loaded, refused)
 
 
 class TestRandomSource:
