@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .core import DEFAULT_NODE_BUDGET, BicliqueFamily, RandomSource, SubsetSampler, union_of
 from .witness import WitnessResult, has_kxk_independent_set
@@ -122,10 +122,15 @@ class ConstructionCertificate:
     certified: bool
 
 
-def _check_sizes(n: int, sizes: Sequence[tuple[int, int]]) -> None:
-    for idx, (m, n2) in enumerate(sizes):
+def _check_sizes(n: int, sizes: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """``sizes`` as a list of (m, n2) pairs, each side a plain int in [0, n]."""
+    checked = [(m, n2) for m, n2 in sizes]
+    for idx, (m, n2) in enumerate(checked):
+        if type(m) is not int or type(n2) is not int:
+            raise ValueError(f"sizes[{idx}] = ({m!r}, {n2!r}) is not a pair of integers")
         if not 0 <= m <= n or not 0 <= n2 <= n:
             raise ValueError(f"sizes[{idx}] = ({m}, {n2}) does not fit in [0, {n}]")
+    return checked
 
 
 def certify_union_bound(
@@ -143,8 +148,7 @@ def certify_union_bound(
         raise ValueError(f"unknown certificate mode {mode!r}")
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    sizes = [(int(m), int(n2)) for m, n2 in sizes]
-    _check_sizes(n, sizes)
+    sizes = _check_sizes(n, sizes)
     counts = Counter(sizes)
     if mode == "exact":
         misses = {size: miss_probability_exact_fraction(n, k, *size) for size in counts}
@@ -173,8 +177,7 @@ def random_family(
     """Independent uniform placements: the i-th biclique takes a uniform
     m_i-subset on the left and n_i-subset on the right. Deterministic given
     the random source."""
-    sizes = [(int(m), int(n2)) for m, n2 in sizes]
-    _check_sizes(n, sizes)
+    sizes = _check_sizes(n, sizes)
     gen = rng.rng()
     left_sampler = SubsetSampler(n, gen)
     right_sampler = SubsetSampler(n, gen)
@@ -212,7 +215,7 @@ def construct_until_verified(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    sizes = [(int(m), int(n2)) for m, n2 in sizes]
+    sizes = _check_sizes(n, sizes)
     for attempt in range(1, max_attempts + 1):
         family = random_family(n, k, sizes, rng.derive(attempt))
         verification = has_kxk_independent_set(union_of(family), k, node_budget)

@@ -179,6 +179,13 @@ class BipartiteGraph:
     def cols(self) -> tuple[int, ...]:
         return tuple(transpose_masks(self.adj, self.n_right))
 
+    def transposed(self) -> "BipartiteGraph":
+        """The graph with its sides swapped: its rows are this graph's column
+        view, and its column view is filled from this graph's rows."""
+        flipped = BipartiteGraph(self.n_right, self.n_left, self.cols)
+        flipped.__dict__["cols"] = self.adj  # fills the cached column view
+        return flipped
+
 
 def transpose_masks(rows: Sequence[int], n_cols: int) -> list[int]:
     """Column masks of a bit matrix: bit r of column c is bit c of ``rows[r]``.
@@ -218,31 +225,30 @@ def union_of(family: BicliqueFamily) -> BipartiteGraph:
 
 @dataclass(frozen=True)
 class LayeredGraph:
-    """Tripartite V-M-W graph; all edges go V->M or M->W. |V| = |W| = n.
+    """Tripartite V-M-W graph as its two bipartite layers: ``vm``, n x m,
+    holds the V->M edges and ``mw``, m x n, the M->W edges. |V| = |W| = n.
 
-    ``middle_in`` (per middle vertex, its V in-neighbours) and ``into_w`` (per
-    W vertex, the middles reaching it) are the column views of ``adj_vm`` and
-    ``adj_mw``. Like ``BipartiteGraph.cols`` each is computed once per graph,
-    or filled by whoever built the rows, and takes no part in ``==`` or
-    ``hash``.
+    ``vm.cols`` gives per middle vertex its V in-neighbours and ``mw.cols``
+    per W vertex the middles reaching it.
     """
 
-    n: int
-    m: int
-    adj_vm: tuple[int, ...]  # per V vertex, bitmask over M
-    adj_mw: tuple[int, ...]  # per M vertex, bitmask over W
+    vm: BipartiteGraph
+    mw: BipartiteGraph
 
     def __post_init__(self) -> None:
-        if len(self.adj_vm) != self.n:
-            raise ValueError(f"adj_vm has {len(self.adj_vm)} rows, expected {self.n}")
-        if len(self.adj_mw) != self.m:
-            raise ValueError(f"adj_mw has {len(self.adj_mw)} rows, expected {self.m}")
-        for v, row in enumerate(self.adj_vm):
-            if row < 0 or row >> self.m:
-                raise ValueError(f"adj_vm row {v} has neighbors outside [0, {self.m})")
-        for u, row in enumerate(self.adj_mw):
-            if row < 0 or row >> self.n:
-                raise ValueError(f"adj_mw row {u} has neighbors outside [0, {self.n})")
+        if (self.mw.n_left, self.mw.n_right) != (self.vm.n_right, self.vm.n_left):
+            raise ValueError(
+                f"layers do not meet: V->M is {self.vm.n_left}x{self.vm.n_right}, "
+                f"M->W is {self.mw.n_left}x{self.mw.n_right}"
+            )
+
+    @property
+    def n(self) -> int:
+        return self.vm.n_left
+
+    @property
+    def m(self) -> int:
+        return self.vm.n_right
 
     @classmethod
     def from_edge_lists(
@@ -254,29 +260,13 @@ class LayeredGraph:
     ) -> "LayeredGraph":
         rows_vm = _edge_rows(edges_vm, n, m, "V->M edge")
         rows_mw = _edge_rows(edges_mw, m, n, "M->W edge")
-        return cls(n, m, _dense(rows_vm, n), _dense(rows_mw, m))
-
-    @cached_property
-    def middle_in(self) -> tuple[int, ...]:
-        return tuple(transpose_masks(self.adj_vm, self.m))
-
-    @cached_property
-    def into_w(self) -> tuple[int, ...]:
-        return tuple(transpose_masks(self.adj_mw, self.n))
+        return cls(BipartiteGraph(n, m, _dense(rows_vm, n)), BipartiteGraph(m, n, _dense(rows_mw, m)))
 
     def in_degrees(self) -> list[int]:
-        return [mask.bit_count() for mask in self.middle_in]
+        return [mask.bit_count() for mask in self.vm.cols]
 
     def out_degrees(self) -> list[int]:
-        return [row.bit_count() for row in self.adj_mw]
-
-    @property
-    def vm_edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj_vm)
-
-    @property
-    def mw_edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj_mw)
+        return [row.bit_count() for row in self.mw.adj]
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +309,7 @@ def _search(
     ``live`` is the root's list from ``_live``, in the order the positions
     are tried. The witness search passes non-neighbour masks with threshold
     k; the Hall search of ``superconc`` passes, for a middle mask N, the rows
-    ``N & ~into_w[w]`` with threshold |N| - k + 1, which a T keeps exactly
+    ``N & ~mw.cols[w]`` with threshold |N| - k + 1, which a T keeps exactly
     when |N & N(T)| < k. Each node carries its live candidates: the later
     positions that keep the common mask at ``threshold`` bits or more.
     Common masks only shrink, so a node with fewer live candidates than
@@ -576,8 +566,8 @@ def graph_from_json(doc: object) -> BipartiteGraph:
 
 
 def layered_to_json(g: LayeredGraph) -> dict:
-    edges_vm = [[v, u] for v in range(g.n) for u in bits(g.adj_vm[v])]
-    edges_mw = [[u, w] for u in range(g.m) for w in bits(g.adj_mw[u])]
+    edges_vm = [[v, u] for v in range(g.n) for u in bits(g.vm.adj[v])]
+    edges_mw = [[u, w] for u in range(g.m) for w in bits(g.mw.adj[u])]
     return {"n": g.n, "m": g.m, "edges_vm": edges_vm, "edges_mw": edges_mw}
 
 
@@ -590,7 +580,7 @@ def layered_from_json(doc: object) -> LayeredGraph:
         raise SchemaError("layered: layer sizes must be >= 0")
     rows_vm = _json_rows(doc.get("edges_vm"), n, m, "layered.edges_vm")
     rows_mw = _json_rows(doc.get("edges_mw"), m, n, "layered.edges_mw")
-    return LayeredGraph(n, m, _dense(rows_vm, n), _dense(rows_mw, m))
+    return LayeredGraph(BipartiteGraph(n, m, _dense(rows_vm, n)), BipartiteGraph(m, n, _dense(rows_mw, m)))
 
 
 _LEAVES = (int, float, str, type(None))  # JSON scalars; bool is an int

@@ -42,6 +42,7 @@ from .bounds import (
 from .core import (
     DEFAULT_NODE_BUDGET,
     BicliqueFamily,
+    BipartiteGraph,
     LayeredGraph,
     RandomSource,
     SubsetSampler,
@@ -80,9 +81,7 @@ _MAX_RUNGS = 512  # cap on threshold_ladder's length
 # ---------------------------------------------------------------------------
 
 
-def _depth_two_flow(
-    adj_vm: Sequence[int], adj_mw: Sequence[int], s_list: Sequence[int], t_mask: int
-) -> int:
+def _depth_two_flow(vm: Sequence[int], mw: Sequence[int], s_list: Sequence[int], t_mask: int) -> int:
     """Unit-capacity max-flow from the sources ``s_list`` to the sinks in
     ``t_mask`` through split middle vertices, as a bipartite matching on
     bitmasks.
@@ -110,8 +109,8 @@ def _depth_two_flow(
     pass made them 2.1-2.7x slower, dropping the free-sink preference 1.4-1.6x
     and dropping the idle-middle preference 1.25-1.4x.
     """
-    m = len(adj_mw)
-    out = [row & t_mask for row in adj_mw]
+    m = len(mw)
+    out = [row & t_mask for row in mw]
     # Left ids: u is middle u's out side, m + s is source s. Right ids: u is
     # middle u's in side, m + t is sink t.
     mate: dict[int, int] = {}  # right -> left; in side u defaults to out side u
@@ -120,7 +119,7 @@ def _depth_two_flow(
     flow = 0
     rest = []
     for s in s_list:
-        cand = adj_vm[s] & ~used
+        cand = vm[s] & ~used
         while cand:
             low = cand & -cand
             u = low.bit_length() - 1
@@ -140,7 +139,7 @@ def _depth_two_flow(
     free <<= m
     for s in rest:
         seen = 0
-        stack = [[m + s, adj_vm[s], -1]]  # frames [left, its rights, the right tried]
+        stack = [[m + s, vm[s], -1]]  # frames [left, its rights, the right tried]
         while stack:
             frame = stack[-1]
             cand = frame[1] & ~seen
@@ -162,7 +161,7 @@ def _depth_two_flow(
                 flow += 1
                 break
             x = mate.get(r, r)
-            stack.append([x, out[x] << m | 1 << x if x < m else adj_vm[x - m], -1])
+            stack.append([x, out[x] << m | 1 << x if x < m else vm[x - m], -1])
     return flow
 
 
@@ -171,7 +170,7 @@ def max_disjoint_paths(g: LayeredGraph, sources: Iterable[int], sinks: Iterable[
     s_list, t_list = sorted(set(sources)), sorted(set(sinks))
     if any(ends and not 0 <= ends[0] <= ends[-1] < g.n for ends in (s_list, t_list)):
         raise ValueError(f"sources and sinks must lie in [0, {g.n})")
-    return _depth_two_flow(g.adj_vm, g.adj_mw, s_list, mask_of(t_list))
+    return _depth_two_flow(g.vm.adj, g.mw.adj, s_list, mask_of(t_list))
 
 
 class Counterexample(NamedTuple):
@@ -302,7 +301,7 @@ def _exhaustive_scan(g: LayeredGraph, ks: list[int], node_budget: int) -> ScVerd
     for k in ks:
         size = math.comb(n, k)
         while hall is None and clean < k:
-            hall = _first_kset(g.adj_vm, clean + 1, g.into_w, budget)
+            hall = _first_kset(g.vm.adj, clean + 1, g.mw.cols, budget)
             clean += hall is None
         if clean + 1 >= k:
             found = hall
@@ -409,8 +408,8 @@ def middle_bicliques(
     order = sorted(set(restrict))
     if any(u < 0 or u >= g.m for u in order):
         raise ValueError(f"middle selection outside [0, {g.m})")
-    left = tuple(g.middle_in[u] for u in order)
-    return BicliqueFamily(g.n, k, left, tuple(g.adj_mw[u] for u in order))
+    left = tuple(g.vm.cols[u] for u in order)
+    return BicliqueFamily(g.n, k, left, tuple(g.mw.adj[u] for u in order))
 
 
 @dataclass(frozen=True)
@@ -497,8 +496,8 @@ def balance_degrees(g: LayeredGraph, a: float | int = 1, b: float | int = 1) -> 
     ratio = Fraction(a) / Fraction(b)
     p, q = ratio.numerator, ratio.denominator
     n, m = g.n, g.m
-    in_masks = g.middle_in
-    out_masks = list(g.adj_mw)
+    in_masks = g.vm.cols
+    out_masks = list(g.mw.adj)
     full = (1 << n) - 1
 
     new_in = list(in_masks)
@@ -520,10 +519,11 @@ def balance_degrees(g: LayeredGraph, a: float | int = 1, b: float | int = 1) -> 
         if y > dw:
             out_masks[u] |= mask_of(islice(bits(full & ~out_masks[u]), y - dw))
 
-    balanced = LayeredGraph(n, m, tuple(transpose_masks(new_in, n)), tuple(out_masks))
-    balanced.__dict__["middle_in"] = tuple(new_in)  # fills the cached view
-    before = g.vm_edge_count + g.mw_edge_count
-    after = balanced.vm_edge_count + balanced.mw_edge_count
+    vm = BipartiteGraph(n, m, tuple(transpose_masks(new_in, n)))
+    vm.__dict__["cols"] = tuple(new_in)  # fills the cached column view
+    balanced = LayeredGraph(vm, BipartiteGraph(m, n, tuple(out_masks)))
+    before = g.vm.edge_count + g.mw.edge_count
+    after = balanced.vm.edge_count + balanced.mw.edge_count
     if before and after > 2 * before + m:
         raise ValueError(
             f"balancing to {a}:{b} would grow total edges {before} -> {after}, "
@@ -533,22 +533,20 @@ def balance_degrees(g: LayeredGraph, a: float | int = 1, b: float | int = 1) -> 
 
 
 def layered_flip(g: LayeredGraph) -> LayeredGraph:
-    """Swap the roles of V and W (reverse every edge). The flip's rows are
-    the input's column views and its column views the input's rows."""
-    flipped = LayeredGraph(g.n, g.m, g.into_w, g.middle_in)
-    flipped.__dict__.update(middle_in=g.adj_mw, into_w=g.adj_vm)  # fills the cached views
-    return flipped
+    """Swap the roles of V and W (reverse every edge): each layer of the flip
+    is the other layer of the input, transposed."""
+    return LayeredGraph(g.mw.transposed(), g.vm.transposed())
 
 
 def normalize_for_tradeoff(g: LayeredGraph) -> tuple[LayeredGraph, bool]:
     """Orient so the V side has the smaller average degree, then balance every
     middle vertex to the graph's own a:b ratio."""
-    flipped = g.vm_edge_count > g.mw_edge_count
+    flipped = g.vm.edge_count > g.mw.edge_count
     if flipped:
         g = layered_flip(g)
-    if g.vm_edge_count == 0 or g.mw_edge_count == 0:
+    if g.vm.edge_count == 0 or g.mw.edge_count == 0:
         raise ValueError("tradeoff normalization needs edges in both layers")
-    return balance_degrees(g, g.vm_edge_count, g.mw_edge_count), flipped
+    return balance_degrees(g, g.vm.edge_count, g.mw.edge_count), flipped
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +669,7 @@ def edge_lower_bound_audit(g: LayeredGraph, constant: float) -> EdgeAuditReport:
             }
         )
 
-    total = g.vm_edge_count + g.mw_edge_count
+    total = g.vm.edge_count + g.mw.edge_count
     target_total = (constant / 20.0) * n * log_n ** 2 / loglog if loglog > 0 else 0.0
     return EdgeAuditReport(
         n=n,
@@ -687,7 +685,7 @@ def edge_lower_bound_audit(g: LayeredGraph, constant: float) -> EdgeAuditReport:
         medium_sets_disjoint=_mediums_disjoint(decs),
         per_k=tuple(per_k),
         total_edges=total,
-        total_edges_balanced=balanced.vm_edge_count + balanced.mw_edge_count,
+        total_edges_balanced=balanced.vm.edge_count + balanced.mw.edge_count,
         total_edge_target=target_total,
         total_edges_ok=total >= target_total,
     )
@@ -732,7 +730,7 @@ def tradeoff_audit(g: LayeredGraph, constant: float) -> TradeoffReport:
     from fractions import Fraction  # on use, as in balance_degrees
 
     n = g.n
-    evm, emw = g.vm_edge_count, g.mw_edge_count
+    evm, emw = g.vm.edge_count, g.mw.edge_count
     if evm == 0 or emw == 0:
         raise ValueError("tradeoff audit needs edges in both layers")
     a_frac = Fraction(evm, n)

@@ -82,8 +82,8 @@ MUTANTS = [
     Mutant(
         "flow greedy takes used middles",
         "zarank/superconc.py",
-        "cand = adj_vm[s] & ~used",
-        "cand = adj_vm[s]",
+        "cand = vm[s] & ~used",
+        "cand = vm[s]",
         (FLOW,),
     ),
     Mutant(
@@ -145,8 +145,8 @@ MUTANTS = [
     Mutant(
         "Hall scan skips the unlisted sizes",
         "zarank/superconc.py",
-        "hall = _first_kset(g.adj_vm, clean + 1, g.into_w, budget)",
-        "hall = _first_kset(g.adj_vm, k, g.into_w, budget)",
+        "hall = _first_kset(g.vm.adj, clean + 1, g.mw.cols, budget)",
+        "hall = _first_kset(g.vm.adj, k, g.mw.cols, budget)",
         (HALL,),
     ),
     Mutant(
@@ -225,6 +225,20 @@ MUTANTS = [
         "for row in reversed(rows)]",
         "for row in rows]",
         ("tests/test_core.py::TestTranspose",),
+    ),
+    Mutant(
+        "transposed fills its columns from the columns",
+        "zarank/core.py",
+        'flipped.__dict__["cols"] = self.adj',
+        'flipped.__dict__["cols"] = self.cols',
+        ("tests/test_core.py::TestTranspose", "tests/test_superconc.py::TestLayeredFlip"),
+    ),
+    Mutant(
+        "layers need not meet",
+        "zarank/core.py",
+        "if (self.mw.n_left, self.mw.n_right) != (self.vm.n_right, self.vm.n_left):",
+        "if False:",
+        ("tests/test_core.py::TestGraphChecks",),
     ),
     Mutant(
         "edge builder drops the lower bound",

@@ -344,7 +344,7 @@ def test_criterion_10_superconcentrator_verifier():
     start = time.monotonic()
 
     def complete(n, m):
-        return LayeredGraph(n, m, tuple([(1 << m) - 1] * n), tuple([(1 << n) - 1] * m))
+        return LayeredGraph(BipartiteGraph(n, m, ((1 << m) - 1,) * n), BipartiteGraph(m, n, ((1 << n) - 1,) * m))
 
     full_ok = True
     for n in range(2, 7):
@@ -375,7 +375,7 @@ def test_criterion_10_superconcentrator_verifier():
             sum(1 << w for w in range(size) if rng.random() < rng.uniform(0.2, 0.8))
             for _ in range(mid)
         )
-        g = LayeredGraph(size, mid, vm, mw)
+        g = LayeredGraph(BipartiteGraph(size, mid, vm), BipartiteGraph(mid, size, mw))
         kk = rng.randint(1, min(4, size))
         S = rng.sample(range(size), kk)
         T = rng.sample(range(size), kk)
@@ -429,12 +429,12 @@ def test_criterion_11_audit_mechanics():
     pigeonhole_ok = True
     for seed in range(20):
         g = _ratio_instance(256, 64, seed)
-        if g.mw_edge_count <= 256:
+        if g.mw.edge_count <= 256:
             continue
         report = tradeoff_audit(g, 0.01)
         if not (report.pigeonhole_exact and report.medium_sets_disjoint):
             pigeonhole_ok = False
-        if report.k0_v_edges * report.ladder_length > g.vm_edge_count:
+        if report.k0_v_edges * report.ladder_length > g.vm.edge_count:
             pigeonhole_ok = False
 
     ln2 = math.log(2.0)

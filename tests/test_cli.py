@@ -265,6 +265,20 @@ class TestAttackCommand:
         assert doc["summary"]["trials"] >= 1
         assert "witness found" in capsys.readouterr().out
 
+    def test_no_witness_on_a_verified_family(self, tmp_path, capsys):
+        # The union of one complete biclique is complete: no trial has a witness to find.
+        full = list(range(8))
+        family = write_json(tmp_path / "full.json", {"n": 8, "k": 2, "bicliques": [{"left": full, "right": full}]})
+        out = tmp_path / "attack.json"
+        rc = main([
+            "attack", "--family", family, "--mode", "sym",
+            "--trials", "2", "--seed", "1", "--json-out", str(out),
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == "no witness in 2 trial(s)\n"
+        doc = load_json(out)
+        assert doc["trace"]["found"] is False and doc["summary"]["trials"] == 2
+
     def test_byte_identical_reruns(self, tmp_path, sparse_family_file):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -222,3 +222,21 @@ class TestConstructUntilVerified:
         a = construct_until_verified(60, 8, sizes, RandomSource(11), 3)
         b = construct_until_verified(60, 8, sizes, RandomSource(11), 3)
         assert a.family == b.family and a.attempts == b.attempts
+
+
+class TestSizeChecks:
+    ENTRY_POINTS = {
+        "certify_union_bound": lambda sizes: certify_union_bound(4, 2, sizes),
+        "random_family": lambda sizes: random_family(4, 2, sizes, RandomSource(0)),
+        "construct_until_verified": lambda sizes: construct_until_verified(4, 2, sizes, RandomSource(0), 2),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [4.9, "4", True])
+    def test_sizes_must_be_plain_ints(self, entry, bad):
+        # No size is coerced: 4.9 is not read as 4, nor '4' as 4, nor True as 1.
+        call = self.ENTRY_POINTS[entry]
+        for sizes, idx in (([(bad, 4)], 0), ([(4, bad)], 0), ([(1, 1), (2, bad)], 1)):
+            with pytest.raises(ValueError, match=rf"sizes\[{idx}\] = .* is not a pair of integers"):
+                call(sizes)
+        call(iter([(4, 4), [1, 2]]))  # plain ints pass, in tuples or lists, from any iterable

@@ -88,6 +88,33 @@ class TestBicliqueFamily:
         with pytest.raises(ValueError):
             BicliqueFamily(4, 2, (), (1,))
 
+    @pytest.mark.parametrize("n, k", [(4, 0), (4, -1), (4, 5), (0, 1)])
+    def test_k_outside_one_to_n_rejected(self, n, k):
+        with pytest.raises(ValueError, match=rf"1 <= k <= n, got k={k}, n={n}"):
+            BicliqueFamily(n, k)
+
+
+class TestGraphChecks:
+    def test_bipartite_row_count_must_match(self):
+        for rows in [(), (0, 0), (0, 0, 0, 0)]:
+            with pytest.raises(ValueError, match=rf"adjacency has {len(rows)} rows, expected 3"):
+                BipartiteGraph(3, 2, rows)
+
+    def test_bipartite_rows_must_lie_in_range(self):
+        for row in (-1, 1 << 2, 1 << 40):
+            with pytest.raises(ValueError, match=r"adjacency row 1 has neighbors outside \[0, 2\)"):
+                BipartiteGraph(3, 2, (0b11, row, 0))
+        BipartiteGraph(3, 2, (0b11, 0b11, 0))  # bit n_right - 1 is in range
+
+    def test_layers_must_meet(self):
+        # Either side of M->W must match the other side of V->M.
+        vm = BipartiteGraph(3, 2, (0b01, 0b10, 0b11))
+        for mw in [BipartiteGraph.empty(3, 3), BipartiteGraph.empty(2, 2), BipartiteGraph.empty(3, 2)]:
+            with pytest.raises(ValueError, match=rf"layers do not meet: V->M is 3x2, M->W is {mw.n_left}x{mw.n_right}"):
+                LayeredGraph(vm, mw)
+        g = LayeredGraph(vm, BipartiteGraph.empty(2, 3))
+        assert (g.n, g.m) == (3, 2)
+
 
 class TestUnion:
     def test_single_biclique_edge_count(self):
@@ -136,27 +163,22 @@ class TestUnion:
             assert base.adj[v] & ~bigger.adj[v] == 0
 
 
-def flipped(g):
-    """The transposed graph, built from the column view."""
-    return BipartiteGraph(g.n_right, g.n_left, g.cols)
-
-
 class TestTranspose:
     def test_empty(self):
         g = BipartiteGraph.empty(3, 2)
-        t = flipped(g)
+        t = g.transposed()
         assert (t.n_left, t.n_right, t.edge_count) == (2, 3, 0)
 
     def test_single_edge(self):
         g = BipartiteGraph.from_edges(2, 2, [(0, 1)])
-        assert flipped(g).has_edge(1, 0)
-        assert flipped(g).edge_count == 1
+        assert g.transposed().has_edge(1, 0)
+        assert g.transposed().edge_count == 1
 
     def test_involution_random(self):
         rng = random.Random(5)
         for _ in range(20):
             g = random_graph(rng, 8, 8, 0.4)
-            assert flipped(flipped(g)) == g
+            assert g.transposed().transposed() == g
 
     def test_masks_match_has_bit_reference(self):
         rng = random.Random(17)
@@ -183,7 +205,7 @@ class TestTranspose:
         pairs = data.draw(st.lists(st.tuples(side, side), max_size=5))
         g = union_of(BicliqueFamily.from_index_lists(n, 1, pairs))
         assert list(g.cols) == transpose_masks(g.adj, n)
-        assert flipped(flipped(g)) == g
+        assert g.transposed().transposed() == g
 
     def test_columns_take_no_part_in_equality(self):
         rows = (0b01, 0b11, 0b10)
@@ -197,32 +219,44 @@ class TestTranspose:
         assert filled == BipartiteGraph(2, 2, filled.adj)
         assert hash(filled) == hash(BipartiteGraph(2, 2, filled.adj))
 
+    def test_transposed_swaps_sides_and_fills_columns(self):
+        rng = random.Random(29)
+        for n_left, n_right in [(0, 0), (0, 3), (3, 0), (1, 1), (4, 7), (7, 4), (9, 9)]:
+            g = random_graph(rng, n_left, n_right, 0.4)
+            t = g.transposed()
+            assert (t.n_left, t.n_right) == (n_right, n_left)
+            assert list(t.adj) == transpose_masks(g.adj, n_right)
+            assert "cols" in vars(t) and t.cols == g.adj
+            assert t == BipartiteGraph(n_right, n_left, t.adj)
+            assert t.transposed() == g
+
     def test_layer_views_cached_and_immutable(self):
         g = LayeredGraph.from_edge_lists(3, 2, [(0, 1), (2, 1), (1, 0)], [(0, 0), (1, 2)])
-        masks = g.middle_in
+        assert (g.n, g.m) == (3, 2)
+        masks = g.vm.cols
         assert masks == (0b010, 0b101)
-        assert g.middle_in is masks
-        assert g.into_w == (0b01, 0, 0b10) and g.into_w is g.into_w
+        assert g.vm.cols is masks
+        assert g.mw.cols == (0b01, 0, 0b10) and g.mw.cols is g.mw.cols
         assert g.in_degrees() == [1, 2]
-        fresh = LayeredGraph(g.n, g.m, g.adj_vm, g.adj_mw)
-        assert "middle_in" not in vars(fresh) and "into_w" not in vars(fresh)
+        fresh = LayeredGraph(BipartiteGraph(3, 2, g.vm.adj), BipartiteGraph(2, 3, g.mw.adj))
+        assert "cols" not in vars(fresh.vm) and "cols" not in vars(fresh.mw)
         assert fresh == g and hash(fresh) == hash(g)
-        # balance_degrees fills its result's middle_in from the rows it built.
+        # balance_degrees fills its result's V->M column view from the rows it built.
         rng = random.Random(43)
         for _ in range(30):
             n, m = rng.randint(1, 9), rng.randint(0, 9)
             vm = tuple(rng.getrandbits(m) if m else 0 for _ in range(n))
             mw = tuple(rng.getrandbits(n) for _ in range(m))
-            g = LayeredGraph(n, m, vm, mw)
-            if g.vm_edge_count == 0 or g.mw_edge_count == 0:
+            g = LayeredGraph(BipartiteGraph(n, m, vm), BipartiteGraph(m, n, mw))
+            if g.vm.edge_count == 0 or g.mw.edge_count == 0:
                 continue
-            for a, b in ((1, 1), (g.vm_edge_count, g.mw_edge_count)):
+            for a, b in ((1, 1), (g.vm.edge_count, g.mw.edge_count)):
                 try:
                     balanced = balance_degrees(g, a, b)
                 except ValueError:
                     continue
-                assert "middle_in" in vars(balanced)
-                assert list(balanced.middle_in) == transpose_masks(balanced.adj_vm, m)
+                assert "cols" in vars(balanced.vm)
+                assert list(balanced.vm.cols) == transpose_masks(balanced.vm.adj, m)
 
 
 class TestSubsetSearch:
@@ -359,7 +393,7 @@ class TestSerialization:
         assert BipartiteGraph.from_edges(3, 2, [[2, 1]]) == BipartiteGraph.from_edges(3, 2, {(2, 1)})
         assert BipartiteGraph.from_edges(3, 2, []) == BipartiteGraph.empty(3, 2)
         g = LayeredGraph.from_edge_lists(2, 2, zip([0, 1], [1, 1]), iter([[1, 0], (1, 1)]))
-        assert g.adj_vm == (0b10, 0b10) and g.adj_mw == (0, 0b11)
+        assert g.vm.adj == (0b10, 0b10) and g.mw.adj == (0, 0b11)
 
     def test_jsonable_encodes_fields_recursively(self):
         class Pair(NamedTuple):
@@ -563,7 +597,7 @@ class TestLoaderOracle:
                 mw = [[rng.randrange(m), rng.randrange(n)] for _ in range(length)]
                 vm, mw = _spoil(rng, [vm, mw])
                 doc = {"n": n, "m": m, "edges_vm": vm, "edges_mw": mw}
-                load, views = layered_from_json, ("adj_vm", "adj_mw")
+                load, views = layered_from_json, ("vm.adj", "mw.adj")
                 expect = (edge_list_rows(vm, n, m), edge_list_rows(mw, m, n))
             accepted = all(view is not None and None not in view for view in expect)
             try:
@@ -572,7 +606,7 @@ class TestLoaderOracle:
                 assert not accepted, doc
                 refused[shape] += 1
             else:
-                assert accepted and tuple(list(getattr(built, view)) for view in views) == expect, doc
+                assert accepted and tuple(list(operator.attrgetter(view)(built)) for view in views) == expect, doc
                 loaded[shape] += 1
         assert min(loaded.values()) > 400 and min(refused.values()) > 400, (loaded, refused)
 

@@ -68,7 +68,7 @@ def _tradeoff_graph() -> LayeredGraph:
 
 def _complete_layered(n: int) -> LayeredGraph:
     full = (1 << n) - 1
-    return LayeredGraph(n, n, (full,) * n, (full,) * n)
+    return LayeredGraph(BipartiteGraph(n, n, (full,) * n), BipartiteGraph(n, n, (full,) * n))
 
 
 # Every side pair has equal sizes, so symmetric_lhs is a number.

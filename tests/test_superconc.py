@@ -7,7 +7,7 @@ import pytest
 
 from oracles import brute_max_two_paths, edmonds_karp_two_paths, scan_balance_degrees
 from zarank import superconc
-from zarank.core import LayeredGraph, RandomSource, transpose_masks
+from zarank.core import BipartiteGraph, LayeredGraph, RandomSource, transpose_masks
 from zarank.superconc import (
     balance_degrees,
     decompose,
@@ -23,10 +23,14 @@ from zarank.superconc import (
 )
 
 
+def layered(n, m, vm, mw):
+    return LayeredGraph(BipartiteGraph(n, m, tuple(vm)), BipartiteGraph(m, n, tuple(mw)))
+
+
 def complete_layered(n, m):
     full_m = (1 << m) - 1
     full_n = (1 << n) - 1
-    return LayeredGraph(n, m, tuple([full_m] * n), tuple([full_n] * m))
+    return layered(n, m, tuple([full_m] * n), tuple([full_n] * m))
 
 
 def random_layered(rng, n, m, p_vm, p_mw):
@@ -36,7 +40,7 @@ def random_layered(rng, n, m, p_vm, p_mw):
     mw = tuple(
         sum(1 << w for w in range(n) if rng.random() < p_mw) for _ in range(m)
     )
-    return LayeredGraph(n, m, vm, mw)
+    return layered(n, m, vm, mw)
 
 
 class TestFlow:
@@ -49,11 +53,11 @@ class TestFlow:
         assert max_disjoint_paths(g, [0, 1], [0, 1]) == 2
 
     def test_no_middle_no_paths(self):
-        g = LayeredGraph(2, 0, (0, 0), ())
+        g = layered(2, 0, (0, 0), ())
         assert max_disjoint_paths(g, [0], [1]) == 0
 
     def test_ends_outside_the_graph_rejected(self):
-        g = LayeredGraph(2, 1, (0, 1), (1,))
+        g = layered(2, 1, (0, 1), (1,))
         assert max_disjoint_paths(g, [1], [0]) == 1 and max_disjoint_paths(g, [], []) == 0
         for sources, sinks in [([-1], [0]), ([2], [0]), ([1], [-1]), ([1], [2]), ([0, 1, 5], [0])]:
             with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
@@ -70,7 +74,7 @@ class TestFlow:
             S = [rng.randrange(n) for _ in range(rng.randint(0, n + 2))]
             T = [rng.randrange(n) for _ in range(rng.randint(0, n + 2))]
             flow = max_disjoint_paths(g, S, T)
-            assert flow == brute_max_two_paths(g.adj_vm, g.adj_mw, S, T), (g, S, T)
+            assert flow == brute_max_two_paths(g.vm.adj, g.mw.adj, S, T), (g, S, T)
             deficits += flow < min(len(set(S)), len(set(T)))
         assert deficits > 100
 
@@ -94,12 +98,12 @@ class TestFlow:
             (5, 8, (197, 154, 13, 16, 34), (19, 0, 4, 16, 4, 4, 8, 1)),
             (6, 7, (37, 0, 0, 17, 4, 12), (3, 60, 3, 3, 62, 5, 4)),
         ]:
-            g = LayeredGraph(n, m, vm, mw)
+            g = layered(n, m, vm, mw)
             assert max_disjoint_paths(g, range(n), range(n)) == 4
 
     def test_every_pair_of_subsets_on_tiny_graphs(self):
         rng = random.Random(61)
-        graphs = [complete_layered(3, 2), LayeredGraph(3, 0, (0, 0, 0), ())]
+        graphs = [complete_layered(3, 2), layered(3, 0, (0, 0, 0), ())]
         graphs += [random_layered(rng, 4, rng.randint(1, 5), 0.5, 0.5) for _ in range(6)]
         for g in graphs:
             subsets = [
@@ -108,7 +112,7 @@ class TestFlow:
             for S in subsets:
                 for T in subsets:
                     assert max_disjoint_paths(g, S, T) == brute_max_two_paths(
-                        g.adj_vm, g.adj_mw, S, T
+                        g.vm.adj, g.mw.adj, S, T
                     ), (g, S, T)
 
     def test_matches_edmonds_karp_on_larger_graphs(self):
@@ -124,7 +128,7 @@ class TestFlow:
             k = rng.randint(0, n)
             S, T = rng.sample(range(n), k), rng.sample(range(n), k)
             flow = max_disjoint_paths(g, S, T)
-            assert flow == edmonds_karp_two_paths(g.adj_vm, g.adj_mw, S, T), (g, S, T)
+            assert flow == edmonds_karp_two_paths(g.vm.adj, g.mw.adj, S, T), (g, S, T)
             deficits += flow < k
         assert deficits > 100
 
@@ -149,14 +153,14 @@ class TestVerify:
         assert k == n and flow == n - 1
 
     def test_empty_k_list_rejected(self):
-        for g in (complete_layered(3, 3), LayeredGraph(3, 0, (0, 0, 0), ())):
+        for g in (complete_layered(3, 3), layered(3, 0, (0, 0, 0), ())):
             with pytest.raises(ValueError, match="no k values"):
                 verify_superconcentrator(g, [])
             with pytest.raises(ValueError, match="no k values"):
                 verify_superconcentrator(g, [], mode="sampled", samples=2, rng=RandomSource(1))
 
     def test_non_integer_k_rejected(self):
-        g = LayeredGraph(2, 1, (1, 1), (3,))
+        g = layered(2, 1, (1, 1), (3,))
         for k_values in ([1.9], ["2"], [True], [1, 2.0], [None]):
             with pytest.raises(ValueError, match="k values must be integers"):
                 verify_superconcentrator(g, k_values)
@@ -165,7 +169,7 @@ class TestVerify:
         assert verify_superconcentrator(g, (k for k in [2, 1, 2])).k_checked == (1, 2)
 
     def test_empty_middle_fails_at_k1(self):
-        g = LayeredGraph(3, 0, (0, 0, 0), ())
+        g = layered(3, 0, (0, 0, 0), ())
         verdict = verify_superconcentrator(g, [1])
         assert not verdict.is_superconcentrator
         assert verdict.counterexample[0] == 1
@@ -191,7 +195,7 @@ class TestVerify:
         # has flow 3. Expected values are those of the previous flow code.
         vm = tuple(0b111 if v < 5 else 0xFF for v in range(8))
         mw = tuple([0xFF] * 6 + [0b1111, 0b11110000])
-        g = LayeredGraph(8, 8, vm, mw)
+        g = layered(8, 8, vm, mw)
         sampled = [
             verify_superconcentrator(
                 g, "all", mode="sampled", samples=10, rng=RandomSource(seed)
@@ -213,7 +217,7 @@ class TestVerify:
         assert above.counterexample == (5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4), 3)
         for verdict in sampled + [hall, above]:
             _, S, T, flow = verdict.counterexample
-            assert flow == brute_max_two_paths(g.adj_vm, g.adj_mw, S, T)
+            assert flow == brute_max_two_paths(g.vm.adj, g.mw.adj, S, T)
 
     def test_budget_enforced(self):
         # On K(10, 10, 10) no T search takes a node, so only the S-prefix
@@ -234,7 +238,7 @@ class TestVerify:
         # 1, so the unlisted k = 2 fails, yet every pair at k = 3 passes.
         # The Hall search spends what deciding [1, 2] takes; k = 3, past the
         # violation, costs one node per pair.
-        g = LayeredGraph(4, 3, (0b101, 0b010, 0b101, 0b110), (0b1101, 0b1111, 0b0011))
+        g = layered(4, 3, (0b101, 0b010, 0b101, 0b110), (0b1101, 0b1111, 0b0011))
         hall = next(b for b in range(1, 100) if verify_superconcentrator(g, [1, 2], node_budget=b).counterexample)
         pairs = math.comb(4, 3) ** 2
         full = verify_superconcentrator(g, [1, 3], node_budget=hall + pairs)
@@ -297,7 +301,7 @@ class TestVerify:
         assert outcomes == {None, True, False}
 
     def test_edgeless_graph_refuted_at_k1_at_once(self, monkeypatch):
-        g = LayeredGraph(8000, 0, (0,) * 8000, ())
+        g = layered(8000, 0, (0,) * 8000, ())
         start = time.perf_counter()
         verdict = verify_superconcentrator(g, "all")
         assert (verdict.counterexample, verdict.pairs_checked) == ((1, (0,), (0,), 0), 1)
@@ -330,11 +334,11 @@ class TestVerify:
             g = random_layered(rng, n, m, rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0))
             if not verify_superconcentrator(g, "all").certified:
                 continue
-            vm, mw = list(g.adj_vm), list(g.adj_mw)
+            vm, mw = list(g.vm.adj), list(g.mw.adj)
             for _ in range(rng.randint(1, 4)):
                 vm[rng.randrange(n)] |= 1 << rng.randrange(m)
                 mw[rng.randrange(m)] |= 1 << rng.randrange(n)
-            assert verify_superconcentrator(LayeredGraph(n, m, tuple(vm), tuple(mw)), "all").certified
+            assert verify_superconcentrator(layered(n, m, tuple(vm), tuple(mw)), "all").certified
             checked += 1
         assert checked > 50
 
@@ -396,7 +400,7 @@ class TestHallScan:
             n = rng.randint(1, 5)
             m = rng.randint(0, 7)
             g = random_layered(rng, n, m, rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0))
-            flow = cached(lambda s, t: brute_max_two_paths(g.adj_vm, g.adj_mw, s, t))
+            flow = cached(lambda s, t: brute_max_two_paths(g.vm.adj, g.mw.adj, s, t))
             r, c = check_against_reference(g, rng, flow)
             refuted += r
             certified += c
@@ -419,7 +423,7 @@ class TestHallScan:
     def test_level_after_a_gap_is_decided_by_the_flow(self):
         # V0 and V1 reach only middle 0, so k = 2 fails. At k = 3 all three
         # middles are in N(V) & N(W), yet the flow is 2.
-        g = LayeredGraph(3, 3, (0b001, 0b001, 0b110), (0b111,) * 3)
+        g = layered(3, 3, (0b001, 0b001, 0b110), (0b111,) * 3)
         verdict = verify_superconcentrator(g, [1, 3])
         assert (verdict.counterexample, verdict.pairs_checked) == ((3, (0, 1, 2), (0, 1, 2), 2), 10)
         verdict = verify_superconcentrator(g, "all")
@@ -433,10 +437,10 @@ def relabelled(g, perm_v, perm_m, perm_w):
 
     vm, mw = [0] * g.n, [0] * g.m
     for v in range(g.n):
-        vm[perm_v[v]] = moved(g.adj_vm[v], perm_m)
+        vm[perm_v[v]] = moved(g.vm.adj[v], perm_m)
     for u in range(g.m):
-        mw[perm_m[u]] = moved(g.adj_mw[u], perm_w)
-    return LayeredGraph(g.n, g.m, tuple(vm), tuple(mw))
+        mw[perm_m[u]] = moved(g.mw.adj[u], perm_w)
+    return layered(g.n, g.m, tuple(vm), tuple(mw))
 
 
 def planted_superconcentrator(rng, n, extra_middles, p):
@@ -445,9 +449,9 @@ def planted_superconcentrator(rng, n, extra_middles, p):
     random edges and ``extra_middles`` more middles come on top."""
     g = random_layered(rng, n, n + extra_middles, p, p)
     match = rng.sample(range(n), n)
-    vm = tuple(row | ((1 << n) - 1) for row in g.adj_vm)
-    mw = tuple(row | (1 << match[u]) if u < n else row for u, row in enumerate(g.adj_mw))
-    return LayeredGraph(g.n, g.m, vm, mw)
+    vm = tuple(row | ((1 << n) - 1) for row in g.vm.adj)
+    mw = tuple(row | (1 << match[u]) if u < n else row for u, row in enumerate(g.mw.adj))
+    return layered(g.n, g.m, vm, mw)
 
 
 class TestMetamorphic:
@@ -511,7 +515,7 @@ class TestDecompose:
 
     def test_heavy_vertex_is_high(self):
         n = 8
-        g = LayeredGraph(
+        g = layered(
             n, 2, tuple([0b11] * n), ((1 << n) - 1, 0)
         )
         # middle 0 has degrees (8, 8); middle 1 has (8, 0): unbalanced.
@@ -544,10 +548,10 @@ class TestDecompose:
 class TestBalance:
     def test_input_graph_unchanged(self):
         g = LayeredGraph.from_edge_lists(4, 2, [(0, 0)], [(0, 0), (0, 1), (1, 2)])
-        before = g.middle_in
+        before = g.vm.cols
         balanced = balance_degrees(g, 1, 1)
         assert balanced.in_degrees() == [2, 1]
-        assert g.middle_in == before == (0b0001, 0)
+        assert g.vm.cols == before == (0b0001, 0)
 
     def test_already_balanced_identity(self):
         g = complete_layered(4, 3)
@@ -561,7 +565,7 @@ class TestBalance:
         assert balanced.in_degrees() == [2]
         assert balanced.out_degrees() == [4]
         # Original edges survive.
-        assert balanced.adj_vm[0] & 1
+        assert balanced.vm.adj[0] & 1
 
     def test_pads_lowest_free_vertices_around_existing_edges(self):
         # Middle 0 has in-neighbours {1, 4, 5, 9} and needs four more; middle 1
@@ -573,22 +577,22 @@ class TestBalance:
             [(0, w) for w in (0, 2, 3, 6, 7, 8, 9, 1)] + [(1, 1), (1, 4), (1, 8)] + [(2, 0), (2, 5)],
         )
         balanced = balance_degrees(g, 1, 1)
-        assert balanced.middle_in == (0b1001111111, 0b1111001101, 0b0010001000)
-        assert balanced.adj_mw == (0b1111001111, 0b0100111111, 0b0000100001)
+        assert balanced.vm.cols == (0b1001111111, 0b1111001101, 0b0010001000)
+        assert balanced.mw.adj == (0b1111001111, 0b0100111111, 0b0000100001)
 
     def test_never_removes_and_at_most_doubles_per_layer(self):
         rng = random.Random(4)
         for _ in range(20):
             g = random_layered(rng, 12, 10, 0.4, 0.5)
-            if g.vm_edge_count == 0 or g.mw_edge_count == 0:
+            if g.vm.edge_count == 0 or g.mw.edge_count == 0:
                 continue
-            balanced = balance_degrees(g, g.vm_edge_count, g.mw_edge_count)
+            balanced = balance_degrees(g, g.vm.edge_count, g.mw.edge_count)
             for v in range(g.n):
-                assert g.adj_vm[v] & ~balanced.adj_vm[v] == 0
+                assert g.vm.adj[v] & ~balanced.vm.adj[v] == 0
             for u in range(g.m):
-                assert g.adj_mw[u] & ~balanced.adj_mw[u] == 0
-            assert balanced.vm_edge_count <= 2 * g.vm_edge_count + g.m
-            assert balanced.mw_edge_count <= 2 * g.mw_edge_count + g.m
+                assert g.mw.adj[u] & ~balanced.mw.adj[u] == 0
+            assert balanced.vm.edge_count <= 2 * g.vm.edge_count + g.m
+            assert balanced.mw.edge_count <= 2 * g.mw.edge_count + g.m
 
     def test_one_to_one_padding(self):
         g = LayeredGraph.from_edge_lists(
@@ -612,7 +616,7 @@ class TestBalance:
             n, m = rng.randint(1, 24), rng.randint(1, 4)
             in_masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m)]
             out_masks = [rng.getrandbits(n) for _ in range(m)]
-            g = LayeredGraph(n, m, tuple(transpose_masks(in_masks, n)), tuple(out_masks))
+            g = layered(n, m, tuple(transpose_masks(in_masks, n)), tuple(out_masks))
             a, b = ratios[trial % len(ratios)] if trial % 3 else (rng.uniform(0.05, 20), rng.uniform(0.05, 20))
             try:
                 expected = scan_balance_degrees(in_masks, out_masks, n, a, b)
@@ -620,14 +624,14 @@ class TestBalance:
                 with pytest.raises(ValueError, match="cannot balance"):
                     balance_degrees(g, a, b)
                 continue
-            before = g.vm_edge_count + g.mw_edge_count
+            before = g.vm.edge_count + g.mw.edge_count
             after = sum(map(int.bit_count, expected[0] + expected[1]))
             if before and after > 2 * before + m:
                 with pytest.raises(ValueError, match="more than the promised factor two"):
                     balance_degrees(g, a, b)
                 continue
             balanced = balance_degrees(g, a, b)
-            assert (list(balanced.middle_in), list(balanced.adj_mw)) == expected, (in_masks, out_masks, n, a, b)
+            assert (list(balanced.vm.cols), list(balanced.mw.adj)) == expected, (in_masks, out_masks, n, a, b)
 
 
 class TestLadder:
@@ -676,7 +680,7 @@ def ratio_half_instance():
 class TestTradeoffAudit:
     def test_mixed_instance_pigeonhole_and_selection(self):
         g = ratio_half_instance()
-        assert g.vm_edge_count == 512 and g.mw_edge_count == 1024
+        assert g.vm.edge_count == 512 and g.mw.edge_count == 1024
         report = tradeoff_audit(g, 0.01)
         assert report.a == 1.0 and report.b == 2.0
         assert report.ladder == (5, 80)
@@ -684,7 +688,7 @@ class TestTradeoffAudit:
         assert report.per_k_medium_v_edges == (30 * 13, 122 * 1)
         assert report.k0 == 80 and report.k0_v_edges == 122
         assert report.pigeonhole_exact
-        assert report.k0_v_edges * report.ladder_length <= g.vm_edge_count
+        assert report.k0_v_edges * report.ladder_length <= g.vm.edge_count
         assert report.medium_sets_disjoint
         assert report.value_at_low >= report.asymmetric_min
 
@@ -705,21 +709,21 @@ class TestTradeoffAudit:
 
     def test_requires_normalized_ratio(self):
         g = ratio_half_instance()
-        vm = list(g.adj_vm)
+        vm = list(g.vm.adj)
         vm[0] |= 1 << (g.m - 1)  # break one middle vertex's ratio badly
         vm[1] |= 1 << (g.m - 1)
         vm[2] |= 1 << (g.m - 1)
-        broken = LayeredGraph(g.n, g.m, tuple(vm), g.adj_mw)
+        broken = layered(g.n, g.m, tuple(vm), g.mw.adj)
         with pytest.raises(ValueError):
             tradeoff_audit(broken, 0.01)
 
     def test_normalize_flips_and_balances(self):
         g = ratio_half_instance()
         flipped_input = layered_flip(g)
-        assert flipped_input.vm_edge_count == 1024
+        assert flipped_input.vm.edge_count == 1024
         normalized, flipped = normalize_for_tradeoff(flipped_input)
         assert flipped
-        assert normalized.vm_edge_count <= normalized.mw_edge_count
+        assert normalized.vm.edge_count <= normalized.mw.edge_count
         report = tradeoff_audit(normalized, 0.01)
         assert report.a <= report.b
 
@@ -744,15 +748,15 @@ class TestLayeredFlip:
             f = layered_flip(g)
             assert layered_flip(f) == g
             # The flip's views are filled, and each is the transpose of its rows.
-            assert "middle_in" in vars(f) and "into_w" in vars(f)
-            assert list(f.middle_in) == transpose_masks(f.adj_vm, f.m)
-            assert list(f.into_w) == transpose_masks(f.adj_mw, f.n)
+            assert "cols" in vars(f.vm) and "cols" in vars(f.mw)
+            assert list(f.vm.cols) == transpose_masks(f.vm.adj, f.m)
+            assert list(f.mw.cols) == transpose_masks(f.mw.adj, f.n)
 
     def test_edge_reversal(self):
         g = LayeredGraph.from_edge_lists(3, 2, [(0, 1)], [(1, 2)])
         f = layered_flip(g)
-        assert f.adj_vm[2] == 0b10  # old M->W edge (1, 2) becomes V'=2 -> M=1
-        assert f.adj_mw[1] == 0b001  # old V->M edge (0, 1) becomes M=1 -> W'=0
+        assert f.vm.adj[2] == 0b10  # old M->W edge (1, 2) becomes V'=2 -> M=1
+        assert f.mw.adj[1] == 0b001  # old V->M edge (0, 1) becomes M=1 -> W'=0
 
 
 class TestEdgeAudit:
