@@ -30,10 +30,9 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import __version__
-from .bounds import Constants, bound_report, kst_check  # Constants gives the theorem flags' defaults
+from .bounds import Constants, bound_report  # Constants gives the theorem flags' defaults
 from .core import (
     DEFAULT_NODE_BUDGET,
-    BipartiteGraph,
     RandomSource,
     SchemaError,
     _list_size,
@@ -200,14 +199,6 @@ def _check_params(params: tuple[Param, ...], given: dict, where: Callable[[str],
 # ---------------------------------------------------------------------------
 
 
-def _check_absent(graph: BipartiteGraph, k: int) -> None:
-    """Re-checks an absent verdict: every square bipartite graph with no
-    k x k independent set passes the counting check, so one that fails it
-    is an internal error (exit 3)."""
-    if graph.n_left == graph.n_right and not kst_check(graph, k).satisfied:
-        raise AssertionError(f"internal error: absent verdict on a graph that fails the k={k} counting check")
-
-
 def run_construct(p: dict) -> tuple[dict, bool]:
     """The certificate doc; its ``family`` key holds the last family drawn."""
     from .construct import certify_union_bound, construct_until_verified
@@ -218,8 +209,6 @@ def run_construct(p: dict) -> tuple[dict, bool]:
         p["max_attempts"], p["budget"],
     )
     verified = outcome.verification.found is False
-    if verified:
-        _check_absent(union_of(outcome.family), p["k"])
     doc = {
         "version": __version__,
         "seed": p["seed"],
@@ -244,8 +233,6 @@ def run_verify(p: dict) -> tuple[dict, bool]:
             raise SchemaError("k is required with a graph")
         graph, k = graph_from_json(load_json(p["graph"])), p["k"]
     result = has_kxk_independent_set(graph, k, p["budget"])
-    if result.found is False:
-        _check_absent(graph, k)
     return {"version": __version__, "k": k, "witness": jsonable(result)}, bool(result.found)
 
 

@@ -17,8 +17,10 @@ not, until it finds a violation, so a listed k whose smaller sizes are all
 clean needs no flow at all; only a k past a violation at an unlisted
 smaller size runs a max-flow per pair. One node budget counts the S-prefix
 steps, the T search's nodes and those flows, and a scan that spends it
-ends inconclusive. Either way the counterexample's flow is run for the
-report. Sampled verification runs a max-flow per pair.
+ends inconclusive. Sampled verification runs a max-flow per pair. Each
+mode's scan only names its counterexample; ``verify_superconcentrator``
+runs that pair's flow once more, confirms the deficit and builds the
+verdict, the same way for both modes.
 The audits reproduce the bookkeeping of the two lower bound arguments at
 instance scale: degree balancing, the High/Medium/Low split against (n/k)
 times a threshold, the disjoint ladder of k values, and the entropy
@@ -269,9 +271,10 @@ def _first_kset(rows: Sequence[int], k: int, cols: Sequence[int], budget: _Budge
     return None
 
 
-def _exhaustive_scan(g: LayeredGraph, ks: list[int], node_budget: int) -> ScVerdict:
+def _exhaustive_scan(g: LayeredGraph, ks: list[int], node_budget: int):
     """Every (k, S, T) in lex order, up to the first pair with fewer than k
-    disjoint paths or until ``node_budget`` nodes are spent.
+    disjoint paths or until ``node_budget`` nodes are spent: that pair as
+    (k, S, T), None, or "budget", with the pairs checked.
 
     By Menger's theorem a pair of k-sets S, T has fewer than k disjoint paths
     iff some A in S, B in T have |N(A) & N(B)| < |A| + |B| - k; trimming the
@@ -288,11 +291,9 @@ def _exhaustive_scan(g: LayeredGraph, ks: list[int], node_budget: int) -> ScVerd
     when every smaller size is clean, and by a max-flow per pair when the
     violation lies at an unlisted smaller size. One budget counts the
     S-prefix steps, the T search's nodes and the pairs given a flow;
-    once they pass ``node_budget`` the verdict is None, and
-    ``pairs_checked`` counts the pairs of the levels already decided.
-    Otherwise the counterexample's flow is run for the report, which
-    confirms its deficit, and ``pairs_checked`` is its lex rank, counting
-    every pair of the earlier levels.
+    once they pass ``node_budget`` the scan gives "budget", and the pairs
+    of the levels already decided. A counterexample comes with its lex
+    rank, counting every pair of the earlier levels.
     """
     n = g.n
     pairs_before = 0
@@ -309,17 +310,27 @@ def _exhaustive_scan(g: LayeredGraph, ks: list[int], node_budget: int) -> ScVerd
             pairs = ((s, t) for s in combinations(range(n), k) for t in combinations(range(n), k))
             found = next((pair for pair in pairs if not budget.tick() or max_disjoint_paths(g, *pair) < k), None)
         if budget.nodes > budget.limit:  # either search stops at the tick that passes the limit
-            return ScVerdict(None, None, tuple(ks), "exhaustive", pairs_before)
+            return "budget", pairs_before
         if found is not None:
             s_combo, t_combo = found
-            flow = max_disjoint_paths(g, s_combo, t_combo)
-            if flow >= k:
-                raise AssertionError("internal error: counterexample without a flow deficit")
-            pairs = pairs_before + _lex_rank(s_combo, n) * size + _lex_rank(t_combo, n) + 1
-            counterexample = Counterexample(k, s_combo, t_combo, flow)
-            return ScVerdict(False, counterexample, tuple(ks), "exhaustive", pairs)
+            return (k, s_combo, t_combo), pairs_before + _lex_rank(s_combo, n) * size + _lex_rank(t_combo, n) + 1
         pairs_before += size ** 2
-    return ScVerdict(True, None, tuple(ks), "exhaustive", pairs_before)
+    return None, pairs_before
+
+
+def _sampled_scan(g: LayeredGraph, ks: list[int], samples: int, rng: RandomSource):
+    """``samples`` uniform pairs per k, up to the first with fewer than k
+    disjoint paths: that pair as (k, S, T) or None, with the pairs checked."""
+    sampler = SubsetSampler(g.n, rng.rng())
+    pairs_checked = 0
+    for k in ks:
+        for _ in range(samples):
+            s_combo = tuple(sorted(sampler.draw_list(k)))
+            t_combo = tuple(sorted(sampler.draw_list(k)))
+            pairs_checked += 1
+            if max_disjoint_paths(g, s_combo, t_combo) < k:
+                return (k, s_combo, t_combo), pairs_checked
+    return None, pairs_checked
 
 
 def verify_superconcentrator(
@@ -345,7 +356,8 @@ def verify_superconcentrator(
     ``pairs_checked`` counting the pairs of the levels already decided. k
     values must be plain ints. Sampled mode draws ``samples`` uniform pairs
     per k, runs a max-flow on each, can only refute, and ignores
-    ``node_budget``.
+    ``node_budget``. In either mode the counterexample's flow is run again
+    here, and one that shows no deficit raises ``AssertionError``.
     """
     n = g.n
     if k_values == "all":
@@ -364,32 +376,24 @@ def verify_superconcentrator(
         raise ValueError(f"unknown verification mode {mode!r}")
 
     if mode == "exhaustive":
-        return _exhaustive_scan(g, ks, node_budget)
-
-    if samples < 1:
-        raise ValueError(f"sampled verification needs samples >= 1, got {samples}")
-    if rng is None:
-        raise ValueError("sampled verification requires a random source")
-    gen = rng.rng()
-    sampler = SubsetSampler(n, gen)
-    pairs_checked = 0
-    for k in ks:
-        for _ in range(samples):
-            s_combo = tuple(sorted(sampler.draw_list(k)))
-            t_combo = tuple(sorted(sampler.draw_list(k)))
-            pairs_checked += 1
-            flow = max_disjoint_paths(g, s_combo, t_combo)
-            if flow < k:
-                return ScVerdict(
-                    False,
-                    Counterexample(k, s_combo, t_combo, flow),
-                    tuple(ks),
-                    mode,
-                    pairs_checked,
-                    rng.seed,
-                    rng.stream_id,
-                )
-    return ScVerdict(True, None, tuple(ks), mode, pairs_checked, rng.seed, rng.stream_id)
+        found, pairs_checked = _exhaustive_scan(g, ks, node_budget)
+        seed = stream_id = None
+    else:
+        if samples < 1:
+            raise ValueError(f"sampled verification needs samples >= 1, got {samples}")
+        if rng is None:
+            raise ValueError("sampled verification requires a random source")
+        found, pairs_checked = _sampled_scan(g, ks, samples, rng)
+        seed, stream_id = rng.seed, rng.stream_id
+    counterexample = None
+    if found not in (None, "budget"):
+        k, s_combo, t_combo = found
+        flow = max_disjoint_paths(g, s_combo, t_combo)
+        if flow >= k:
+            raise AssertionError("internal error: counterexample without a flow deficit")
+        counterexample = Counterexample(k, s_combo, t_combo, flow)
+    is_sc = None if found == "budget" else counterexample is None
+    return ScVerdict(is_sc, counterexample, tuple(ks), mode, pairs_checked, seed, stream_id)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The branch-and-bound search is complete: a ``found=False`` verdict with
 ``complete=True`` means no witness exists. Node budgets make incompleteness a
 first-class outcome (``found=None``) so callers can never mistake a timeout
 for absence. Every returned witness is re-verified bit by bit before it
-leaves this module.
+leaves this module, and an absent verdict on the whole of a square graph
+is checked against the counting bound ``bounds.kst_check``.
 
 The search runs in two phases over one input. A probe tries the branch-side
 vertices in ascending-degree order, which finds most witnesses in a few
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional, Sequence
 
+from .bounds import kst_check
 from .core import DEFAULT_NODE_BUDGET, BipartiteGraph, _Budget, _live, _search, bits, mask_of
 # transpose_masks is unused here; bench/tests checks the tracer wraps this binding.
 from .core import transpose_masks  # noqa: F401
@@ -139,6 +141,12 @@ def has_kxk_independent_set(
     nodes of both, and one for each root. A domain with fewer than k
     vertices holds no witness and costs no node.
 
+    With no domain given, an absent verdict on a square graph is checked
+    with ``kst_check``, which every square graph without a k x k independent
+    set passes; a failure raises ``AssertionError``, as a witness that fails
+    re-verification does. Restricted domains and non-square graphs are not
+    checked.
+
     Both phases run ``core._search`` on the branch side's non-neighbor
     masks, in their order, with threshold k. So the witness is the first
     k-subset of branch-side vertices in that order, in
@@ -151,6 +159,7 @@ def has_kxk_independent_set(
         raise ValueError("node budget must be >= 1")
     if k < 1 or k > min(g.n_left, g.n_right):
         raise ValueError(f"k={k} does not fit a {g.n_left}x{g.n_right} graph")
+    whole_square = left is None and right is None and g.n_left == g.n_right
     left = (1 << g.n_left) - 1 if left is None else left
     right = (1 << g.n_right) - 1 if right is None else right
     if left < 0 or left >> g.n_left or right < 0 or right >> g.n_right:
@@ -192,6 +201,8 @@ def has_kxk_independent_set(
     if outcome == "budget":
         return WitnessResult(None, None, None, budget.nodes, False)
     if outcome is None:
+        if whole_square and not kst_check(g, k).satisfied:
+            raise AssertionError(f"internal error: absent verdict on a graph that fails the k={k} counting check")
         return WitnessResult(False, None, None, budget.nodes, True)
     common, chosen = outcome
     chosen_mask = mask_of(order[p] for p in chosen)

@@ -49,6 +49,12 @@ SUBSET = "tests/test_core.py::TestSubsetSearch"
 SAMPLER = "tests/test_core.py::TestSubsetSampler"
 BALANCE = "tests/test_superconc.py::TestBalance"
 SPLIT = "tests/test_witness.py::TestSplitProof::"
+ABSENT = "tests/test_witness.py::TestAbsentCheck"
+DEFICIT = (
+    "tests/test_superconc.py::TestVerify::test_exhaustive_counterexample_without_a_deficit_raises",
+    "tests/test_superconc.py::TestVerify::test_sampled_counterexample_without_a_deficit_raises",
+    "tests/test_cli.py::TestScCommands::test_sc_verify_counterexample_without_a_deficit_exits_three",
+)
 POOL_FDS = SPLIT + "test_no_fd_or_child_outlives_a_pool"
 ATTACK = ("tests/test_attack.py", "tests/test_reports.py")
 LOADERS = (
@@ -186,10 +192,24 @@ MUTANTS = [
     ),
     Mutant(
         "absent verdict skips the counting check",
-        "zarank/cli.py",
-        "if graph.n_left == graph.n_right and not kst_check(graph, k).satisfied:",
+        "zarank/witness.py",
+        "if whole_square and not kst_check(g, k).satisfied:",
         "if False:",
-        ("tests/test_cli.py::TestVerifyCommand::test_absent_verdict_failing_the_counting_check_exits_three",),
+        (ABSENT, "tests/test_cli.py::TestVerifyCommand::test_absent_verdict_failing_the_counting_check_exits_three"),
+    ),
+    Mutant(
+        "counting check also on domains",
+        "zarank/witness.py",
+        "whole_square = left is None and right is None and g.n_left == g.n_right",
+        "whole_square = g.n_left == g.n_right",
+        (ABSENT,),
+    ),
+    Mutant(
+        "counterexample builder skips the deficit check",
+        "zarank/superconc.py",
+        "if flow >= k:",
+        "if False:",
+        DEFICIT,
     ),
     Mutant(
         "lex rank one past",

@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
-import zarank.construct
 import zarank.forks
+import zarank.superconc
 import zarank.witness
 from zarank import cli
 from zarank.cli import main
 from zarank.core import canonical_dumps, family_from_json, load_json, save_json, union_of
-from zarank.witness import WitnessResult, has_kxk_independent_set
+from zarank.witness import has_kxk_independent_set
 
 
 def write_json(path, doc):
@@ -141,11 +141,10 @@ class TestVerifyCommand:
     ):
         # A search that claims absence on a union with a witness is caught by
         # the counting check, in verify and in a construct that verified.
-        def claims_absence(g, k, node_budget=None, left=None, right=None):
-            return WitnessResult(False, None, None, 1, True)
+        def claims_absence(*args):
+            yield None
 
-        monkeypatch.setattr(zarank.witness, "has_kxk_independent_set", claims_absence)
-        monkeypatch.setattr(zarank.construct, "has_kxk_independent_set", claims_absence)
+        monkeypatch.setattr(zarank.witness, "_search", claims_absence)
         out = tmp_path / "witness.json"
         assert main(["verify", "--family", sparse_family_file, "--json-out", str(out)]) == 3
         assert "fails the k=2 counting check" in capsys.readouterr().err and not out.exists()
@@ -278,6 +277,24 @@ class TestAttackCommand:
         assert capsys.readouterr().out == "no witness in 2 trial(s)\n"
         doc = load_json(out)
         assert doc["trace"]["found"] is False and doc["summary"]["trials"] == 2
+
+    @pytest.mark.parametrize("trials, found_count, trace_trial", [(4, 2, 3), (2, 0, 2)])
+    def test_no_truncation_summary_counts_trials_and_hits(self, tmp_path, capsys, trials, found_count, trace_trial):
+        # Symmetric mode attacks all three bicliques; with seed 6, trials 1
+        # and 2 find no witness and trials 3 and 4 do. The trace is the first
+        # hit, or the last trial when none hits.
+        bicliques = [([0, 5], [2, 4, 5, 6]), ([0, 3, 4, 6], [2, 3]), ([0, 2, 5, 6], [2, 3, 4, 5])]
+        doc = {"n": 7, "k": 2, "bicliques": [{"left": left, "right": right} for left, right in bicliques]}
+        family, out = write_json(tmp_path / "family.json", doc), tmp_path / "attack.json"
+        rc = main([
+            "attack", "--family", family, "--mode", "sym", "--trials", str(trials), "--seed", "6",
+            "--no-truncation", "--json-out", str(out),
+        ])
+        assert rc == (1 if found_count else 0)
+        report = load_json(out)
+        assert report["summary"] == {"trials": trials, "found_count": found_count}
+        trace = report["trace"]
+        assert (trace["trial"], trace["found"], trace["truncation"]) == (trace_trial, found_count > 0, "none")
 
     def test_byte_identical_reruns(self, tmp_path, sparse_family_file):
         a = tmp_path / "a.json"
@@ -552,6 +569,31 @@ class TestScCommands:
         assert "inconclusive" in capsys.readouterr().out
         assert main(["sc-verify", "--layered", layered_file, "--pair-budget", "10"]) == 0
         assert "verified exhaustively" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_sc_verify_counterexample_without_a_deficit_exits_three(
+        self, tmp_path, layered_file, capsys, monkeypatch, mode
+    ):
+        # Each mode's scan names a k = 1 pair that the verdict builder's own
+        # flow finds full: the Hall search by a stub, the sampled scan by a
+        # flow that reads 0 the first time only.
+        if mode == "exhaustive":
+            monkeypatch.setattr(zarank.superconc, "_first_kset", lambda rows, k, cols, budget: ((0,), (0,)))
+        else:
+            real, calls = zarank.superconc.max_disjoint_paths, []
+
+            def first_flow_short(*args):
+                calls.append(args)
+                return 0 if len(calls) == 1 else real(*args)
+
+            monkeypatch.setattr(zarank.superconc, "max_disjoint_paths", first_flow_short)
+        out = tmp_path / "sc.json"
+        argv = ["sc-verify", "--layered", layered_file, "--mode", mode, "--k-range", "1", "--samples", "1"]
+        assert main([*argv, "--seed", "1", "--json-out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
+        assert "counterexample without a flow deficit" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_sc_verify_sampled_requires_seed(self, layered_file, capsys):
         assert main(["sc-verify", "--layered", layered_file, "--mode", "sampled"]) == 2

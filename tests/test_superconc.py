@@ -190,6 +190,27 @@ class TestVerify:
         )
         assert not verdict.is_superconcentrator
 
+    def test_exhaustive_counterexample_without_a_deficit_raises(self, monkeypatch):
+        # The verdict builder runs the named pair's flow again; k = 1 on a
+        # complete graph has full flow for every pair.
+        monkeypatch.setattr(superconc, "_first_kset", lambda rows, k, cols, budget: ((0,), (0,)))
+        with pytest.raises(AssertionError, match="internal error: counterexample without a flow deficit"):
+            verify_superconcentrator(complete_layered(3, 3), [1])
+
+    def test_sampled_counterexample_without_a_deficit_raises(self, monkeypatch):
+        # The scan sees a deficit on its one pair; the builder's own run of
+        # that pair's flow does not.
+        flows, real = [], superconc.max_disjoint_paths
+
+        def first_flow_short(g, sources, sinks):
+            flows.append((sources, sinks))
+            return 0 if len(flows) == 1 else real(g, sources, sinks)
+
+        monkeypatch.setattr(superconc, "max_disjoint_paths", first_flow_short)
+        with pytest.raises(AssertionError, match="internal error: counterexample without a flow deficit"):
+            verify_superconcentrator(complete_layered(3, 3), [1], mode="sampled", samples=1, rng=RandomSource(1))
+        assert len(flows) == 2 and flows[0] == flows[1]
+
     def test_counterexample_flows_pinned(self):
         # V vertices 0..4 reach only middles 0..2, so any S of four of them
         # has flow 3. Expected values are those of the previous flow code.

@@ -360,6 +360,33 @@ class TestDomains:
                 has_kxk_independent_set(g, 1, left=left, right=right)
 
 
+class TestAbsentCheck:
+    """An absent verdict on the whole of a square graph is checked against
+    the counting bound before it leaves the search."""
+
+    @staticmethod
+    def claims_absence(*args):
+        yield None
+
+    def test_absence_claimed_on_a_square_graph_with_a_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(zarank.witness, "_search", self.claims_absence)
+        with pytest.raises(AssertionError, match="absent verdict on a graph that fails the k=2 counting check"):
+            has_kxk_independent_set(BipartiteGraph.empty(4, 4), 2)
+        with pytest.raises(AssertionError, match="fails the k=2 counting check"):
+            construct_until_verified(8, 2, [(1, 1)] * 3, RandomSource(1, 0))
+
+    def test_domains_and_non_square_graphs_are_not_checked(self, monkeypatch):
+        monkeypatch.setattr(zarank.witness, "_search", self.claims_absence)
+        absent = (False, None, None, 1, True)
+        square, full = BipartiteGraph.empty(4, 4), 0b1111
+        for left, right in ((full, None), (None, full), (full, full), (0b111, 0b1011)):
+            res = has_kxk_independent_set(square, 2, left=left, right=right)
+            assert (res.found, res.S, res.T, res.nodes_explored, res.complete) == absent
+        for g in (BipartiteGraph.empty(4, 5), BipartiteGraph.empty(5, 4)):
+            res = has_kxk_independent_set(g, 2)
+            assert (res.found, res.S, res.T, res.nodes_explored, res.complete) == absent
+
+
 class TestSplitProof:
     """The proof phase split over forked workers, started while the probe
     still runs, reports exactly what the serial search reports: verdict,
