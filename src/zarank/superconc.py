@@ -22,9 +22,9 @@ mode's scan only names its counterexample; ``verify_superconcentrator``
 runs that pair's flow once more, confirms the deficit and builds the
 verdict, the same way for both modes.
 The audits reproduce the bookkeeping of the two lower bound arguments at
-instance scale: degree balancing, the High/Medium/Low split against (n/k)
-times a threshold, the disjoint ladder of k values, and the entropy
-condition on the middle-vertex profile.
+instance scale: degree balancing, the High/Medium/Low split of the middles
+by W-side degree against (n/k) times a threshold, the disjoint ladder of k
+values, and the entropy condition on the middle-vertex profile.
 """
 
 from __future__ import annotations
@@ -53,8 +53,10 @@ from .core import (
     _search,
     bits,
     mask_of,
-    transpose_masks,
 )
+
+# transpose_masks is unused here; bench/tests checks the tracer wraps this binding.
+from .core import transpose_masks  # noqa: F401
 
 __all__ = [
     "Counterexample",
@@ -421,34 +423,22 @@ class MiddleDecomposition:
     """Three-way split of the middle layer against (n/k) * base thresholds."""
 
     k: int
-    threshold_base: float
-    degree_basis: str  # "balanced" | "w"
     high: tuple[int, ...]
     medium: tuple[int, ...]
     low: tuple[int, ...]
     medium_edges_v: int
 
 
-def decompose(
-    g: LayeredGraph, k: int, threshold_base: float, degree: str = "balanced"
-) -> MiddleDecomposition:
-    """Partition middle vertices into High/Medium/Low by degree against the
-    ``medium_band`` cuts (n/k) / threshold_base and (n/k) * threshold_base."""
+def decompose(g: LayeredGraph, k: int, threshold_base: float) -> MiddleDecomposition:
+    """Partition middle vertices into High/Medium/Low by W-side (out) degree
+    against the ``medium_band`` cuts (n/k) / threshold_base and
+    (n/k) * threshold_base. After a 1:1 balance the W-side degree is also
+    the V-side degree."""
     if not 1 <= k <= g.n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}")
     if threshold_base <= 1.0:
         raise ValueError(f"threshold base must exceed 1, got {threshold_base}")
-    if degree not in ("balanced", "w"):
-        raise ValueError(f"unknown degree basis {degree!r}")
-    in_deg = g.in_degrees()
     deg = g.out_degrees()
-    if degree == "balanced" and in_deg != deg:
-        u = next(u for u in range(g.m) if in_deg[u] != deg[u])
-        raise ValueError(
-            f"middle vertex {u} has degrees ({in_deg[u]}, {deg[u]}); "
-            "balance the graph first or pick an explicit degree basis"
-        )
-
     lo_cut, hi_cut = medium_band(g.n, k, threshold_base)
     high, medium, low = [], [], []
     for u in range(g.m):
@@ -460,12 +450,10 @@ def decompose(
             medium.append(u)
     return MiddleDecomposition(
         k=k,
-        threshold_base=threshold_base,
-        degree_basis=degree,
         high=tuple(high),
         medium=tuple(medium),
         low=tuple(low),
-        medium_edges_v=sum(in_deg[u] for u in medium),
+        medium_edges_v=sum(g.vm.cols[u].bit_count() for u in medium),
     )
 
 
@@ -523,8 +511,7 @@ def balance_degrees(g: LayeredGraph, a: float | int = 1, b: float | int = 1) -> 
         if y > dw:
             out_masks[u] |= mask_of(islice(bits(full & ~out_masks[u]), y - dw))
 
-    vm = BipartiteGraph(n, m, tuple(transpose_masks(new_in, n)))
-    vm.__dict__["cols"] = tuple(new_in)  # fills the cached column view
+    vm = BipartiteGraph(m, n, tuple(new_in)).transposed()
     balanced = LayeredGraph(vm, BipartiteGraph(m, n, tuple(out_masks)))
     before = g.vm.edge_count + g.mw.edge_count
     after = balanced.vm.edge_count + balanced.mw.edge_count
@@ -761,7 +748,7 @@ def tradeoff_audit(g: LayeredGraph, constant: float) -> TradeoffReport:
     ladder = threshold_ladder(n, t)
     if not ladder:
         raise ValueError(f"no ladder rungs inside [n^(1/4), n^(3/4)] for n={n}")
-    decs = [decompose(g, k, t, degree="w") for k in ladder]
+    decs = [decompose(g, k, t) for k in ladder]
     medium_v_edges = tuple(dec.medium_edges_v for dec in decs)
     best = min(range(len(ladder)), key=lambda i: (medium_v_edges[i], ladder[i]))
     k0 = ladder[best]

@@ -48,6 +48,8 @@ SC_BUDGET = "tests/test_superconc.py::TestVerify"
 SUBSET = "tests/test_core.py::TestSubsetSearch"
 SAMPLER = "tests/test_core.py::TestSubsetSampler"
 BALANCE = "tests/test_superconc.py::TestBalance"
+DECOMPOSE = "tests/test_superconc.py::TestDecompose"
+TRADEOFF = "tests/test_superconc.py::TestTradeoffAudit"
 SPLIT = "tests/test_witness.py::TestSplitProof::"
 ABSENT = "tests/test_witness.py::TestAbsentCheck"
 DEFICIT = (
@@ -308,6 +310,20 @@ MUTANTS = [
         "if x > n or y > n:",
         "if y > n:",
         (BALANCE,),
+    ),
+    Mutant(
+        "decompose splits by V-side degree",
+        "zarank/superconc.py",
+        "    deg = g.out_degrees()",
+        "    deg = g.in_degrees()",
+        (DECOMPOSE, TRADEOFF),
+    ),
+    Mutant(
+        "balance layer left untransposed",
+        "zarank/superconc.py",
+        "BipartiteGraph(m, n, tuple(new_in)).transposed()",
+        "BipartiteGraph(m, n, tuple(new_in))",
+        (BALANCE, "tests/test_superconc.py::TestEdgeAudit", TRADEOFF),
     ),
     Mutant(
         "attack right side survives with p",

@@ -75,3 +75,21 @@ def test_no_module_reads_the_environment():
         names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert not names & reads, path.name
+
+
+def test_only_core_fills_a_column_cache():
+    # A graph's cached column view is filled by the module that defines it, so
+    # no other module writes into an object's __dict__.
+    for path in sorted(Path(zarank.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        writes = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "__dict__"
+        ]
+        assert not writes, f"{path.name}:{writes[0]}"

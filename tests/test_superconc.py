@@ -539,18 +539,16 @@ class TestDecompose:
         g = layered(
             n, 2, tuple([0b11] * n), ((1 << n) - 1, 0)
         )
-        # middle 0 has degrees (8, 8); middle 1 has (8, 0): unbalanced.
-        with pytest.raises(ValueError):
-            decompose(g, 4, 2.0)
-        # Against W-degrees with cuts (8/4)*2 = 4 and (8/4)/2 = 1:
-        dec = decompose(g, 4, 2.0, degree="w")
+        # middle 0 has degrees (8, 8); middle 1 has (8, 0). The split is by
+        # W-degree, against the cuts (8/4)*2 = 4 and (8/4)/2 = 1:
+        dec = decompose(g, 4, 2.0)
         assert 0 in dec.high and 1 in dec.low
 
     def test_partition_property(self):
         rng = random.Random(7)
         for _ in range(20):
             g = random_layered(rng, 10, 8, 0.4, 0.4)
-            dec = decompose(g, 3, 1.5, degree="w")
+            dec = decompose(g, 3, 1.5)
             cells = [set(dec.high), set(dec.medium), set(dec.low)]
             assert not (cells[0] & cells[1] or cells[0] & cells[2] or cells[1] & cells[2])
             assert cells[0] | cells[1] | cells[2] == set(range(8))
