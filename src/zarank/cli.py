@@ -287,15 +287,14 @@ def run_sc_verify(p: dict) -> tuple[dict, bool]:
 
 
 def run_sc_analyze(p: dict) -> tuple[dict, bool]:
-    from .superconc import edge_lower_bound_audit, normalize_for_tradeoff, tradeoff_audit
+    from .superconc import edge_lower_bound_audit, tradeoff_audit
 
     constants = Constants(B=p["B"], D=p["D"])
     g = layered_from_json(load_json(p["layered"]))
     if p["theorem"] == 7:
         report = edge_lower_bound_audit(g, constants.B)
         return {"version": __version__, "theorem": 7, "report": jsonable(report)}, False
-    normalized, flipped = normalize_for_tradeoff(g)
-    report = tradeoff_audit(normalized, constants.D)
+    report, flipped = tradeoff_audit(g, constants.D)
     return {"version": __version__, "theorem": 8, "flipped": flipped, "report": jsonable(report)}, False
 
 

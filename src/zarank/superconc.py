@@ -24,7 +24,10 @@ verdict, the same way for both modes.
 The audits reproduce the bookkeeping of the two lower bound arguments at
 instance scale: degree balancing, the High/Medium/Low split of the middles
 by W-side degree against (n/k) times a threshold, the disjoint ladder of k
-values, and the entropy condition on the middle-vertex profile.
+values, and the entropy condition on the middle-vertex profile. Each audit
+takes the raw graph and balances it itself: the edge audit to 1:1, the
+tradeoff audit to the graph's own a:b ratio, after flipping V and W when
+the V side has the larger average degree.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ __all__ = [
     "decompose",
     "balance_degrees",
     "layered_flip",
-    "normalize_for_tradeoff",
     "threshold_ladder",
     "medium_band",
     "edge_lower_bound_audit",
@@ -354,9 +356,10 @@ def verify_superconcentrator(
     ``pairs_checked`` counts the pairs up to and including the counterexample,
     as a pair-by-pair scan would. The searches spend at most ``node_budget``
     nodes: an S-prefix step, a T search node or a pair given a flow costs
-    one. A search that runs out returns ``is_superconcentrator=None``, with
-    ``pairs_checked`` counting the pairs of the levels already decided. k
-    values must be plain ints. Sampled mode draws ``samples`` uniform pairs
+    one, and a budget below one raises ``ValueError``. A search that runs
+    out returns ``is_superconcentrator=None``, with ``pairs_checked``
+    counting the pairs of the levels already decided. k values must be
+    plain ints. Sampled mode draws ``samples`` uniform pairs
     per k, runs a max-flow on each, can only refute, and ignores
     ``node_budget``. In either mode the counterexample's flow is run again
     here, and one that shows no deficit raises ``AssertionError``.
@@ -378,6 +381,8 @@ def verify_superconcentrator(
         raise ValueError(f"unknown verification mode {mode!r}")
 
     if mode == "exhaustive":
+        if node_budget < 1:
+            raise ValueError("node budget must be >= 1")
         found, pairs_checked = _exhaustive_scan(g, ks, node_budget)
         seed = stream_id = None
     else:
@@ -527,17 +532,6 @@ def layered_flip(g: LayeredGraph) -> LayeredGraph:
     """Swap the roles of V and W (reverse every edge): each layer of the flip
     is the other layer of the input, transposed."""
     return LayeredGraph(g.mw.transposed(), g.vm.transposed())
-
-
-def normalize_for_tradeoff(g: LayeredGraph) -> tuple[LayeredGraph, bool]:
-    """Orient so the V side has the smaller average degree, then balance every
-    middle vertex to the graph's own a:b ratio."""
-    flipped = g.vm.edge_count > g.mw.edge_count
-    if flipped:
-        g = layered_flip(g)
-    if g.vm.edge_count == 0 or g.mw.edge_count == 0:
-        raise ValueError("tradeoff normalization needs edges in both layers")
-    return balance_degrees(g, g.vm.edge_count, g.mw.edge_count), flipped
 
 
 # ---------------------------------------------------------------------------
@@ -710,39 +704,28 @@ class TradeoffReport:
     tradeoff_ok: bool
 
 
-def tradeoff_audit(g: LayeredGraph, constant: float) -> TradeoffReport:
-    """Audit the asymmetric condition on the b^2-threshold ladder.
+def tradeoff_audit(g: LayeredGraph, constant: float) -> tuple[TradeoffReport, bool]:
+    """Audit the asymmetric condition on the b^2-threshold ladder, and say
+    whether V and W were swapped.
 
-    Requires a graph already normalized with ``normalize_for_tradeoff`` (V side
-    average at most W side average, per-vertex degrees in the a:b ratio). The
-    chosen k0 minimizes V-to-Medium edges, and the pigeonhole bound
+    The audit orients and balances its own input: it flips the graph when
+    the V side has the larger average degree, so that a <= b, and then pads
+    every middle vertex to the graph's own a:b ratio with ``balance_degrees``.
+    The chosen k0 minimizes V-to-Medium edges, and the pigeonhole bound
     min <= a n / L is checked exactly in integer arithmetic.
     """
-    from fractions import Fraction  # on use, as in balance_degrees
-
+    flipped = g.vm.edge_count > g.mw.edge_count
+    if flipped:
+        g = layered_flip(g)
+    if g.vm.edge_count == 0 or g.mw.edge_count == 0:
+        raise ValueError("tradeoff normalization needs edges in both layers")
+    g = balance_degrees(g, g.vm.edge_count, g.mw.edge_count)
     n = g.n
-    evm, emw = g.vm.edge_count, g.mw.edge_count
-    if evm == 0 or emw == 0:
-        raise ValueError("tradeoff audit needs edges in both layers")
-    a_frac = Fraction(evm, n)
-    b_frac = Fraction(emw, n)
-    if a_frac > b_frac:
-        raise ValueError("V side average exceeds W side; run normalize_for_tradeoff first")
-    a = float(a_frac)
-    b = float(b_frac)
+    evm = g.vm.edge_count
+    a = evm / n
+    b = g.mw.edge_count / n
     if b <= 1.0:
         raise ValueError(f"W side average degree {b} <= 1: threshold base undefined")
-    ratio = a_frac / b_frac
-    in_deg = g.in_degrees()
-    out_deg = g.out_degrees()
-    for u in range(g.m):
-        if in_deg[u] == 0 and out_deg[u] == 0:
-            continue
-        if abs(in_deg[u] - float(ratio) * out_deg[u]) > 1.0 + 1e-9:
-            raise ValueError(
-                f"middle vertex {u} has degrees ({in_deg[u]}, {out_deg[u]}) off the "
-                f"{evm}:{emw} ratio; run normalize_for_tradeoff first"
-            )
 
     t = b * b
     ladder = threshold_ladder(n, t)
@@ -789,4 +772,4 @@ def tradeoff_audit(g: LayeredGraph, constant: float) -> TradeoffReport:
         tradeoff_lhs=tradeoff_lhs,
         rhs_scale=rhs_scale,
         tradeoff_ok=tradeoff_lhs >= constant * rhs_scale,
-    )
+    ), flipped

@@ -172,6 +172,13 @@ MUTANTS = [
         (SC_BUDGET,),
     ),
     Mutant(
+        "sc budget below one accepted",
+        "zarank/superconc.py",
+        "if node_budget < 1:",
+        "if False:",
+        (SC_BUDGET,),
+    ),
+    Mutant(
         "pair scan draws every k-set first",
         "zarank/superconc.py",
         "pairs = ((s, t) for s in combinations(range(n), k) for t in combinations(range(n), k))",
@@ -324,6 +331,20 @@ MUTANTS = [
         "BipartiteGraph(m, n, tuple(new_in)).transposed()",
         "BipartiteGraph(m, n, tuple(new_in))",
         (BALANCE, "tests/test_superconc.py::TestEdgeAudit", TRADEOFF),
+    ),
+    Mutant(
+        "tradeoff audit skips the flip",
+        "zarank/superconc.py",
+        "    if flipped:\n        g = layered_flip(g)\n",
+        "    if False:\n        g = layered_flip(g)\n",
+        (TRADEOFF,),
+    ),
+    Mutant(
+        "tradeoff audit skips the balance",
+        "zarank/superconc.py",
+        "    g = balance_degrees(g, g.vm.edge_count, g.mw.edge_count)\n",
+        "",
+        (TRADEOFF, "tests/test_cli.py::TestScCommands::test_sc_analyze_theorem8_balances_a_skewed_input"),
     ),
     Mutant(
         "attack right side survives with p",

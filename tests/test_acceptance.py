@@ -431,7 +431,7 @@ def test_criterion_11_audit_mechanics():
         g = _ratio_instance(256, 64, seed)
         if g.mw.edge_count <= 256:
             continue
-        report = tradeoff_audit(g, 0.01)
+        report = tradeoff_audit(g, 0.01)[0]
         if not (report.pigeonhole_exact and report.medium_sets_disjoint):
             pigeonhole_ok = False
         if report.k0_v_edges * report.ladder_length > g.vm.edge_count:

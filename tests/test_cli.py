@@ -658,6 +658,25 @@ class TestScCommands:
         assert report["a"] <= report["b"]
         assert report["pigeonhole_exact"] is True
 
+    def test_sc_analyze_theorem8_balances_a_skewed_input(self, tmp_path, capsys):
+        # Padding middle 3's degrees (1, 8) toward the 5:10 ratio moves the
+        # averages to 9:14, off which several middles then sit; the audit
+        # runs on the padded graph instead of refusing it.
+        degrees = [(1, 1), (0, 1), (2, 0), (1, 8), (0, 0), (1, 0)]
+        doc = {
+            "n": 8,
+            "m": len(degrees),
+            "edges_vm": [[v, u] for u, (dv, _) in enumerate(degrees) for v in range(dv)],
+            "edges_mw": [[u, w] for u, (_, dw) in enumerate(degrees) for w in range(dw)],
+        }
+        path = write_json(tmp_path / "skewed.json", doc)
+        out = tmp_path / "skewed_report.json"
+        assert main(["sc-analyze", "--layered", path, "--theorem", "8", "--json-out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        doc = load_json(out)
+        assert doc["flipped"] is False
+        assert (doc["report"]["a"], doc["report"]["b"]) == (9 / 8, 14 / 8)
+
 
 class TestSweep:
     def test_twenty_seed_construct_sweep(self, tmp_path):

@@ -1,9 +1,12 @@
 import math
 import random
+import re
 import time
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_max_two_paths, edmonds_karp_two_paths, scan_balance_degrees
 from zarank import superconc
@@ -16,7 +19,6 @@ from zarank.superconc import (
     max_disjoint_paths,
     medium_band,
     middle_bicliques,
-    normalize_for_tradeoff,
     threshold_ladder,
     tradeoff_audit,
     verify_superconcentrator,
@@ -246,6 +248,11 @@ class TestVerify:
         verdict = verify_superconcentrator(complete_layered(10, 10), "all", node_budget=30)
         assert (verdict.is_superconcentrator, verdict.certified, verdict.counterexample) == (None, False, None)
         assert verdict.pairs_checked == 16_525 == sum(math.comb(10, k) ** 2 for k in (1, 2, 3))
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="node budget must be >= 1"):
+            verify_superconcentrator(complete_layered(4, 4), "all", node_budget=budget)
 
     def test_budget_is_spent_exactly(self):
         # 10 + 9 + ... + 1 = 55 S-prefix steps certify K(10, 10, 10).
@@ -696,11 +703,21 @@ def ratio_half_instance():
     return LayeredGraph.from_edge_lists(n, heavy + light, edges_vm, edges_mw)
 
 
+def skewed_instance():
+    """n=8: middles of degrees (1, 1), (0, 1), (2, 0), (1, 8), (0, 0) and
+    (1, 0), each joined to V and W vertices 0..d-1."""
+    degrees = [(1, 1), (0, 1), (2, 0), (1, 8), (0, 0), (1, 0)]
+    edges_vm = [(v, u) for u, (dv, _) in enumerate(degrees) for v in range(dv)]
+    edges_mw = [(u, w) for u, (_, dw) in enumerate(degrees) for w in range(dw)]
+    return LayeredGraph.from_edge_lists(8, len(degrees), edges_vm, edges_mw)
+
+
 class TestTradeoffAudit:
     def test_mixed_instance_pigeonhole_and_selection(self):
         g = ratio_half_instance()
         assert g.vm.edge_count == 512 and g.mw.edge_count == 1024
-        report = tradeoff_audit(g, 0.01)
+        report, flipped = tradeoff_audit(g, 0.01)
+        assert not flipped
         assert report.a == 1.0 and report.b == 2.0
         assert report.ladder == (5, 80)
         # Heavy middles (deg_w 26) sit in Medium(5); light ones in Medium(80).
@@ -723,28 +740,57 @@ class TestTradeoffAudit:
                 edges_mw += [(u, (4 * i + j) % 16) for j in range(4)]
             return LayeredGraph.from_edge_lists(16, first + 8, edges_vm, edges_mw)
 
-        assert tradeoff_audit(instance(True), 0.01).asymmetric_argmin == tuple(range(1, 9))
-        assert tradeoff_audit(instance(False), 0.01).asymmetric_argmin == tuple(range(8))
+        assert tradeoff_audit(instance(True), 0.01)[0].asymmetric_argmin == tuple(range(1, 9))
+        assert tradeoff_audit(instance(False), 0.01)[0].asymmetric_argmin == tuple(range(8))
 
-    def test_requires_normalized_ratio(self):
-        g = ratio_half_instance()
-        vm = list(g.vm.adj)
-        vm[0] |= 1 << (g.m - 1)  # break one middle vertex's ratio badly
-        vm[1] |= 1 << (g.m - 1)
-        vm[2] |= 1 << (g.m - 1)
-        broken = layered(g.n, g.m, tuple(vm), g.mw.adj)
-        with pytest.raises(ValueError):
-            tradeoff_audit(broken, 0.01)
-
-    def test_normalize_flips_and_balances(self):
+    def test_flipped_input_gives_the_same_report(self):
         g = ratio_half_instance()
         flipped_input = layered_flip(g)
         assert flipped_input.vm.edge_count == 1024
-        normalized, flipped = normalize_for_tradeoff(flipped_input)
-        assert flipped
-        assert normalized.vm.edge_count <= normalized.mw.edge_count
-        report = tradeoff_audit(normalized, 0.01)
-        assert report.a <= report.b
+        assert tradeoff_audit(flipped_input, 0.01) == (tradeoff_audit(g, 0.01)[0], True)
+
+    def test_balances_its_own_input(self):
+        # Middle 3 has degrees (1, 8) against the graph's 5:10 ratio. The
+        # padding moves the averages to 9:14, a ratio no middle was padded
+        # to; the audit runs on the padded graph all the same.
+        g = skewed_instance()
+        balanced = balance_degrees(g, 5, 10)
+        assert (balanced.vm.edge_count, balanced.mw.edge_count) == (9, 14)
+        report, flipped = tradeoff_audit(g, 0.01)
+        assert not flipped
+        assert (report.a * g.n, report.b * g.n) == (9, 14)
+        assert report.k0_v_edges * report.ladder_length <= balanced.vm.edge_count
+
+    @pytest.mark.parametrize("vm_edges, mw_edges", [([], [(0, 0)]), ([(0, 0)], [])])
+    def test_a_layer_without_edges_rejected(self, vm_edges, mw_edges):
+        g = LayeredGraph.from_edge_lists(8, 1, vm_edges, mw_edges)
+        with pytest.raises(ValueError, match="tradeoff normalization needs edges in both layers"):
+            tradeoff_audit(g, 0.01)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_skewed_inputs_give_a_report_or_a_size_error(self, data):
+        # Any graph that balance_degrees accepts, oriented as the audit
+        # orients it, is audited or refused for its size alone.
+        n = data.draw(st.integers(4, 40))
+        m = data.draw(st.integers(1, 12))
+        sides = st.lists(st.integers(0, n - 1), max_size=n)
+        middles = [(data.draw(sides), data.draw(sides)) for _ in range(m)]
+        edges_vm = [(v, u) for u, (vs, _) in enumerate(middles) for v in set(vs)]
+        edges_mw = [(u, w) for u, (_, ws) in enumerate(middles) for w in set(ws)]
+        g = LayeredGraph.from_edge_lists(n, m, edges_vm, edges_mw)
+        oriented = layered_flip(g) if g.vm.edge_count > g.mw.edge_count else g
+        assume(oriented.vm.edge_count and oriented.mw.edge_count)
+        try:
+            balance_degrees(oriented, oriented.vm.edge_count, oriented.mw.edge_count)
+        except ValueError:
+            assume(False)
+        try:
+            report, flipped = tradeoff_audit(g, 0.01)
+        except ValueError as exc:
+            assert re.fullmatch(r"W side average degree \S+ <= 1: .*|no ladder rungs .*", str(exc))
+        else:
+            assert flipped == (oriented is not g) and report.a <= report.b
 
     def test_b_at_most_one_rejected(self):
         g = LayeredGraph.from_edge_lists(8, 2, [(0, 0), (1, 1)], [(0, 0), (1, 1)])
