@@ -128,10 +128,10 @@ def kst_check(g: BipartiteGraph, k: int) -> ConditionCheck:
     n = g.n_left
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    dbar = g.average_degree()
-    log2_lhs = math.log2(n) + log2_binomial(n - dbar, k) - log2_binomial(n, k)
+    edges = g.edge_count
+    log2_lhs = math.log2(n) + log2_binomial(n - edges / n, k) - log2_binomial(n, k)
     lhs = 0.0 if log2_lhs == -math.inf else 2.0 ** log2_lhs
-    missing = n * n - g.edge_count
+    missing = n * n - edges
     scaled_lhs = n * math.prod(missing - i * n for i in range(k)) if missing >= k * n else 0
     satisfied = scaled_lhs <= (k - 1) * n ** k * math.prod(range(n - k + 1, n + 1))
     return ConditionCheck(lhs, float(k - 1), satisfied)

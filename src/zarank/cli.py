@@ -427,7 +427,7 @@ COMMANDS = {
             Param("seed", int, required=True),
             _STREAM,
             Param("mode", str, "exact", choices=("exact", "relaxed")),
-            Param("max_attempts", int, 16),
+            Param("max_attempts", int, 16, parse=_at_least_one),
             _WITNESS_BUDGET,
         ),
         (
@@ -456,7 +456,7 @@ COMMANDS = {
             _FAMILY,
             Param("mode", str, required=True, choices=("sym", "asym", "symmetric", "asymmetric")),
             Param("marked", str, help="comma-separated kept indices (asymmetric)", parse=_parse_marked),
-            Param("trials", int, 1),
+            Param("trials", int, 1, parse=_at_least_one),
             Param("seed", int, required=True),
             _STREAM,
             Param("truncation", str, "exact", choices=("exact", "none"), switch=("--no-truncation", "none")),
@@ -631,7 +631,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     for module in command.modules:  # once here, not in every forked worker
         importlib.import_module(f".{module}", __package__)
-    with OrderedForks(lambda i: _sweep_point(tasks[i]), len(tasks), args.jobs - 1) as pool:
+    with OrderedForks(lambda i: _sweep_point(tasks[i]), len(tasks), args.jobs) as pool:
         results = list(pool)
 
     out_path = _output_path(base_dir / output_csv, args.force)

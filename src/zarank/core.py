@@ -170,11 +170,6 @@ class BipartiteGraph:
     def has_edge(self, v: int, w: int) -> bool:
         return bool(self.adj[v] >> w & 1)
 
-    def average_degree(self) -> float:
-        if self.n_left == 0:
-            return 0.0
-        return self.edge_count / self.n_left
-
     @cached_property
     def cols(self) -> tuple[int, ...]:
         return tuple(transpose_masks(self.adj, self.n_right))
@@ -261,12 +256,6 @@ class LayeredGraph:
         rows_vm = _edge_rows(edges_vm, n, m, "V->M edge")
         rows_mw = _edge_rows(edges_mw, m, n, "M->W edge")
         return cls(BipartiteGraph(n, m, _dense(rows_vm, n)), BipartiteGraph(m, n, _dense(rows_mw, m)))
-
-    def in_degrees(self) -> list[int]:
-        return [mask.bit_count() for mask in self.vm.cols]
-
-    def out_degrees(self) -> list[int]:
-        return [row.bit_count() for row in self.mw.adj]
 
 
 # ---------------------------------------------------------------------------

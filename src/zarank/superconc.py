@@ -443,7 +443,7 @@ def decompose(g: LayeredGraph, k: int, threshold_base: float) -> MiddleDecomposi
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}")
     if threshold_base <= 1.0:
         raise ValueError(f"threshold base must exceed 1, got {threshold_base}")
-    deg = g.out_degrees()
+    deg = [row.bit_count() for row in g.mw.adj]
     lo_cut, hi_cut = medium_band(g.n, k, threshold_base)
     high, medium, low = [], [], []
     for u in range(g.m):

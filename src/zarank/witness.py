@@ -99,7 +99,7 @@ class _Proof:
             return next(_search(non_nbrs, other, k, k, budget, live, first, first + 1)), budget.nodes - start
 
         branches = len(live) - k + 1
-        self.forks = OrderedForks(branch, branches, branches - 1)
+        self.forks = OrderedForks(branch, branches, branches)
 
     def run(self, budget: _Budget) -> Optional[tuple[int, list[int]]] | str:
         """The proof's outcome, as ``_search`` gives it from the root, counted

@@ -321,8 +321,8 @@ MUTANTS = [
     Mutant(
         "decompose splits by V-side degree",
         "zarank/superconc.py",
-        "    deg = g.out_degrees()",
-        "    deg = g.in_degrees()",
+        "    deg = [row.bit_count() for row in g.mw.adj]",
+        "    deg = [col.bit_count() for col in g.vm.cols]",
         (DECOMPOSE, TRADEOFF),
     ),
     Mutant(
@@ -408,6 +408,20 @@ MUTANTS = [
         "if _surviving_pairs(family, range(family.size), mask_of(result.S), mask_of(result.T)):",
         "if False:",
         ATTACK,
+    ),
+    Mutant(
+        "a pool allowed one worker imports multiprocessing",
+        "zarank/forks.py",
+        "workers > 1 and",
+        "workers > 0 and",
+        ("tests/test_cli.py::TestEntryPoint::test_one_job_sweep_loads_no_process_pool",),
+    ),
+    Mutant(
+        "a pool left one CPU forks one worker",
+        "zarank/forks.py",
+        "_usable_cpus())) > 1:",
+        "_usable_cpus())) > 0:",
+        (SPLIT + "test_probe_witness_after_the_slice_kills_the_workers",),
     ),
     Mutant(
         "pool leaves its token pipe open",

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import zarank.construct
 import zarank.forks
 import zarank.superconc
 import zarank.witness
@@ -81,6 +82,14 @@ class TestConstructCommand:
             "--seed", "1", "--max-attempts", "2",
         ])
         assert rc == 1
+
+    def test_max_attempts_below_one_rejected_before_the_certificate(self, sizes_file, capsys, monkeypatch):
+        certified = []
+        monkeypatch.setattr(zarank.construct, "certify_union_bound", lambda *args: certified.append(args))
+        argv = ["construct", "--n", "60", "--k", "8", "--sizes", sizes_file, "--seed", "1", "--max-attempts", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --max-attempts: expected an integer >= 1, got 0\n"
+        assert certified == []
 
 
 class TestVerifyCommand:
@@ -515,6 +524,15 @@ class TestEntryPoint:
         loaded = json.loads(done.stdout.splitlines()[-1])
         assert loaded == sorted(["zarank", "zarank.bounds", "zarank.cli", "zarank.core", *modules])
 
+    def test_one_job_sweep_loads_no_process_pool(self, tmp_path, sparse_family_file):
+        # A pool allowed one worker runs its points in process, without multiprocessing.
+        spec = {"command": "verify", "grid": {"k": [1, 2], "seed": [0]}, "params": {"family": sparse_family_file}}
+        argv = ["sweep", "--spec", write_json(tmp_path / "spec.json", dict(spec, output_csv="out.csv")), "--jobs", "1"]
+        done = self.run_module("-c", _LOADED, *argv)
+        assert done.returncode == 1 and done.stderr == ""
+        loaded = json.loads(done.stdout.splitlines()[-1])
+        assert loaded == ["zarank", "zarank.bounds", "zarank.cli", "zarank.core", "zarank.forks", "zarank.witness"]
+
     @pytest.mark.parametrize("command, params", SWEEPS.items(), ids=list(SWEEPS))
     def test_parallel_sweep_loads_modules_before_forking(
         self, tmp_path, layered_file, sparse_family_file, command, params
@@ -756,10 +774,24 @@ class TestSweep:
         spec = {"command": "verify", "grid": {"family": [sparse_family_file], "k": [1, 2], "seed": [0]}}
         two = write_json(tmp_path / "two.json", dict(spec, output_csv="two.csv"))
         assert main(["sweep", "--spec", two, "--jobs", "64"]) == 1
-        assert started == [1]  # the caller runs points too
+        assert started == [2]  # one worker per point
         one = write_json(tmp_path / "one.json", dict(spec, grid=dict(spec["grid"], k=[2]), output_csv="one.csv"))
         assert main(["sweep", "--spec", one, "--jobs", "8"]) == 1
-        assert started == [1]  # one grid point runs in process
+        assert started == [2]  # one grid point runs in process
+
+    def test_trials_below_one_rejected_before_any_point(self, tmp_path, sparse_family_file, capsys, monkeypatch):
+        points = []
+        sweep_point = cli._sweep_point
+        monkeypatch.setattr(cli, "_sweep_point", lambda task: points.append(task) or sweep_point(task))
+        spec = {
+            "command": "attack",
+            "grid": {"trials": [2, 0], "seed": [0]},
+            "params": {"family": sparse_family_file, "mode": "sym"},
+            "output_csv": "out.csv",
+        }
+        assert main(["sweep", "--spec", write_json(tmp_path / "spec.json", spec)]) == 2
+        assert capsys.readouterr().err == "error: spec.grid.trials: expected an integer >= 1, got 0\n"
+        assert points == [] and not (tmp_path / "out.csv").exists()
 
     def test_missing_seed_axis_rejected(self, tmp_path, capsys):
         spec = {

@@ -4,6 +4,7 @@ import os
 import random
 import signal
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from unittest import mock
@@ -478,7 +479,7 @@ class TestSplitProof:
         assert exits == []
         merges = self.count_merges(monkeypatch)
         assert self.search(monkeypatch, g, 10, 10_000_000, 3) == expect
-        assert exits == [-signal.SIGKILL] * 2 and merges == []
+        assert exits == [-signal.SIGKILL] * 3 and merges == []
 
     def test_no_worker_outlives_a_search(self, monkeypatch, union150):
         self.use_cpus(monkeypatch, 2)
@@ -495,7 +496,7 @@ class TestSplitProof:
     def test_lost_worker_raises(self, monkeypatch, union150):
         # Each worker exits at once, while the parent still has 18,000 probe
         # nodes to search; the merge that follows the probe raises.
-        self.use_cpus(monkeypatch, 3)  # two workers besides the parent
+        self.use_cpus(monkeypatch, 3)  # three workers
         monkeypatch.setattr(zarank.forks, "_work", lambda *args: os._exit(1))
         run = zarank.witness._Proof.run
 
@@ -503,7 +504,7 @@ class TestSplitProof:
             assert budget.nodes == zarank.witness._PROBE_NODES + 1
             for proc in proof.forks.procs:
                 proc.join(timeout=10)
-            assert [proc.exitcode for proc in proof.forks.procs] == [1, 1]
+            assert [proc.exitcode for proc in proof.forks.procs] == [1, 1, 1]
             return run(proof, budget)
 
         monkeypatch.setattr(zarank.witness._Proof, "run", run_after_exits)
@@ -523,7 +524,7 @@ class TestSplitProof:
             held.append(os.dup(child_conn.fileno()))
             return conn, child_conn
 
-        self.use_cpus(monkeypatch, 3)  # two workers besides the parent
+        self.use_cpus(monkeypatch, 3)  # three workers
         monkeypatch.setattr(fork, "Pipe", held_pipe)
         monkeypatch.setattr(zarank.forks, "_work", lambda *args: os._exit(1))
         try:
@@ -532,7 +533,7 @@ class TestSplitProof:
         finally:
             for fd in held:
                 os.close(fd)
-        assert len(held) == 2 and multiprocessing.active_children() == []
+        assert len(held) == 3 and multiprocessing.active_children() == []
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds through /proc")
     def test_no_fd_or_child_outlives_a_pool(self, monkeypatch, union150, tmp_path):
@@ -592,16 +593,21 @@ class TestSplitProof:
 
     def test_worker_lost_holding_the_ticket_raises(self, monkeypatch):
         # A worker killed between reading the token and writing back the next
-        # one leaves no token; the caller's take sees the worker's exit and
-        # raises.
+        # one leaves no token, and the other worker waits for it for ever; the
+        # caller sees the first worker's exit and raises.
         self.use_cpus(monkeypatch, 2)
         monkeypatch.setattr(zarank.forks, "_work", lambda pool, conn: os.read(pool.fds[0], 8) and os._exit(1))
-        with OrderedForks(lambda task: task, 5, 1) as pool:
-            (proc,) = pool.procs
-            proc.join(timeout=10)
-            assert proc.exitcode == 1
+        with OrderedForks(lambda task: task, 5, 2) as pool:
+            assert len(pool.procs) == 2
             with pytest.raises(RuntimeError, match="worker"):
-                pool._take([proc.sentinel])
+                list(pool)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_runs_no_task(self, monkeypatch):
+        self.use_cpus(monkeypatch, 3)
+        with OrderedForks(lambda task: time.sleep(0.05) or os.getpid(), 6, 3) as pool:
+            pids = list(pool)
+        assert len(pids) == 6 and os.getpid() not in pids
 
     def test_serial_without_fork_with_threads_or_inside_a_child(self, monkeypatch):
         cpus = zarank.forks._usable_cpus
@@ -618,10 +624,12 @@ class TestSplitProof:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        # while another pool of this process has live workers
         self.use_cpus(monkeypatch, 2)
-        with OrderedForks(lambda task: task, 2, 1) as pool:
-            assert len(pool.procs) == 1 and cpus() == 1
+        with OrderedForks(lambda task: task, 2, 1) as pool:  # one worker: the caller runs every task
+            assert pool.procs == [] and list(pool) == [0, 1]
+        # while another pool of this process has live workers
+        with OrderedForks(lambda task: task, 2, 2) as pool:
+            assert len(pool.procs) == 2 and cpus() == 1
             assert list(pool) == [0, 1]
         assert cpus() == 2
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
