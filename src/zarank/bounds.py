@@ -36,7 +36,6 @@ __all__ = [
     "asymmetric_condition",
     "asymmetric_value_at",
     "profile_from_family",
-    "profile_from_normalized",
     "bound_report",
 ]
 
@@ -222,13 +221,6 @@ def profile_from_family(family: BicliqueFamily) -> NormalizedProfile:
         ProfileEntry.make(m * scale, m2 * scale) for m, m2 in family.side_cardinalities()
     )
     return NormalizedProfile(family.n, family.k, entries, _regime_flag(family.n, family.k, entries))
-
-
-def profile_from_normalized(
-    n: int, k: int, pairs: Iterable[tuple[float, float]]
-) -> NormalizedProfile:
-    entries = tuple(ProfileEntry.make(a, b) for a, b in pairs)
-    return NormalizedProfile(n, k, entries, _regime_flag(n, k, entries))
 
 
 def symmetric_condition(profile: NormalizedProfile, constant: float) -> ConditionCheck:

@@ -14,20 +14,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .core import DEFAULT_NODE_BUDGET, BicliqueFamily, RandomSource, SubsetSampler, union_of
 from .witness import WitnessResult, has_kxk_independent_set
 
 __all__ = [
-    "MissProbability",
     "ConstructionCertificate",
     "ConstructResult",
-    "miss_probability_exact",
     "miss_probability_exact_fraction",
-    "miss_probability_relaxed",
-    "miss_probability_bound",
-    "miss_probability",
     "certify_union_bound",
     "random_family",
     "construct_until_verified",
@@ -51,47 +46,6 @@ def miss_probability_exact_fraction(n: int, k: int, m: int, n2: int) -> Fraction
     a = _avoid_fraction(n, k, m)
     b = _avoid_fraction(n, k, n2)
     return 1 - (1 - a) * (1 - b)
-
-
-def miss_probability_exact(n: int, k: int, m: int, n2: int) -> float:
-    return float(miss_probability_exact_fraction(n, k, m, n2))
-
-
-def miss_probability_relaxed(alpha: float, beta: float) -> float:
-    """Exponential relaxation 1 - (1 - e^-alpha)(1 - e^-beta); dominates the
-    exact form because each avoid probability is at most e^-alpha."""
-    if alpha < 0 or beta < 0:
-        raise ValueError(f"normalized sizes must be >= 0, got ({alpha}, {beta})")
-    return math.exp(-alpha) + math.exp(-beta) - math.exp(-alpha - beta)
-
-
-def miss_probability_bound(alpha: float) -> float:
-    """Two-branch upper bound on the symmetric relaxed miss probability:
-    exp(-alpha^2/3) up to alpha = 1, exp(-(1 - ln 2) alpha) beyond."""
-    if alpha < 0:
-        raise ValueError(f"normalized size must be >= 0, got {alpha}")
-    if alpha <= 1.0:
-        return math.exp(-alpha * alpha / 3.0)
-    return math.exp(-(1.0 - _LN2) * alpha)
-
-
-@dataclass(frozen=True)
-class MissProbability:
-    """The three forms side by side; ``bound`` only exists symmetrically."""
-
-    exact: float
-    relaxed: float
-    bound: Optional[float]
-
-
-def miss_probability(n: int, k: int, m: int, n2: int) -> MissProbability:
-    alpha = m * k / n
-    beta = n2 * k / n
-    return MissProbability(
-        exact=miss_probability_exact(n, k, m, n2),
-        relaxed=miss_probability_relaxed(alpha, beta),
-        bound=miss_probability_bound(alpha) if m == n2 else None,
-    )
 
 
 def _log2_fraction(value: Fraction) -> float:

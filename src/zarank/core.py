@@ -167,9 +167,6 @@ class BipartiteGraph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj)
 
-    def has_edge(self, v: int, w: int) -> bool:
-        return bool(self.adj[v] >> w & 1)
-
     @cached_property
     def cols(self) -> tuple[int, ...]:
         return tuple(transpose_masks(self.adj, self.n_right))

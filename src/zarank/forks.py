@@ -11,13 +11,19 @@ runs no task: iterating the pool waits on the workers and yields their
 results in task order.
 
 Faults. A task's exception is raised at that task's turn, where a serial
-loop would raise it. A worker never exits on its own, so the caller waits on
-each worker's exit as well as on its pipe: a worker that exits, or whose
-pipe breaks, makes the iteration raise ``RuntimeError``. Each worker's first
-message says it has started, and nothing is yielded before every worker has
-sent it. A worker killed while it holds the token never writes it back; the
+loop would raise it. While the caller lives, a worker never exits on its
+own, so the caller waits on each worker's exit as well as on its pipe: a
+worker that exits, or whose pipe breaks, makes the iteration raise
+``RuntimeError``. Each worker's first message says it has started, and
+nothing is yielded before every worker has sent it. A worker killed while it holds the token never writes it back; the
 caller then sees its exit and raises. ``close`` kills (SIGKILL, which no
 inherited handler can catch) and reaps every worker.
+
+A worker dies with its caller. It closes the caller's pipe ends that it
+inherits, so once the caller has gone its next send, or its last receive,
+fails, and it exits without a word. On Linux the kernel also kills it
+(``PR_SET_PDEATHSIG``, set through ``ctypes``, which only workers import)
+the moment the caller dies, whatever task it is running.
 
 A pool forks one worker per CPU this process may use, at most ``workers``
 and one per task. Where that would be one worker it forks none, and the
@@ -33,6 +39,7 @@ peak RSS by about 0.45 MB.
 from __future__ import annotations
 
 import os
+import sys
 from typing import Callable, Iterator, Optional
 
 _LOST = "a worker exited without a result"
@@ -57,6 +64,7 @@ class OrderedForks:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
+        self.caller = os.getpid()
         self.fds = os.pipe()
         os.write(self.fds[1], (0).to_bytes(8, "little"))
         try:
@@ -135,14 +143,26 @@ def _run(fn: Callable[[int], object], task: int) -> tuple[bool, object]:
 
 def _work(pool: OrderedForks, conn) -> None:
     """A worker: say it has started, send (task, ok, value) for each task it
-    takes, then wait for the caller to kill it."""
+    takes, then wait for the caller to kill it. It exits, silently, once the
+    caller has gone."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles Ctrl-C
-    conn.send(None)  # started
-    while (task := pool._take()) is not None:
-        conn.send((task, *_run(pool.fn, task)))
-    conn.recv()  # the caller sends nothing: this returns only once it has gone
+    for end in pool.conns:  # the caller's ends: held open here, they hide its exit
+        end.close()
+    if sys.platform == "linux":
+        import ctypes
+
+        ctypes.CDLL(None).prctl(1, ctypes.c_ulong(signal.SIGKILL))  # PR_SET_PDEATHSIG
+    if os.getppid() != pool.caller:  # the caller died before the signal was set
+        os._exit(0)
+    try:
+        conn.send(None)  # started
+        while (task := pool._take()) is not None:
+            conn.send((task, *_run(pool.fn, task)))
+        conn.recv()  # the caller sends nothing: this raises EOFError once it has gone
+    except (EOFError, ConnectionError):  # the caller has gone
+        os._exit(0)
 
 
 def _usable_cpus() -> int:

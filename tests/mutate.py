@@ -58,6 +58,7 @@ DEFICIT = (
     "tests/test_cli.py::TestScCommands::test_sc_verify_counterexample_without_a_deficit_exits_three",
 )
 POOL_FDS = SPLIT + "test_no_fd_or_child_outlives_a_pool"
+CALLER_GONE = SPLIT + "test_workers_exit_quietly_once_the_callers_ends_close"
 ATTACK = ("tests/test_attack.py", "tests/test_reports.py")
 LOADERS = (
     "tests/test_core.py::TestLoaderMessages",
@@ -436,6 +437,34 @@ MUTANTS = [
         "            proc.close()  #",
         "            pass  #",
         (POOL_FDS,),
+    ),
+    Mutant(
+        "a worker keeps the caller's pipe ends",
+        "zarank/forks.py",
+        "        end.close()\n",
+        "        pass\n",
+        (CALLER_GONE,),
+    ),
+    Mutant(
+        "a worker sets no death signal",
+        "zarank/forks.py",
+        "ctypes.CDLL(None).prctl(1, ctypes.c_ulong(signal.SIGKILL))",
+        "ctypes.CDLL(None)",
+        (SPLIT + "test_workers_die_with_a_killed_caller",),
+    ),
+    Mutant(
+        "a worker skips the re-check of its caller",
+        "zarank/forks.py",
+        "if os.getppid() != pool.caller:",
+        "if False:",
+        (SPLIT + "test_a_worker_whose_caller_has_gone_before_it_starts_exits",),
+    ),
+    Mutant(
+        "a worker re-raises a failed send",
+        "zarank/forks.py",
+        "    except (EOFError, ConnectionError):  # the caller has gone\n        os._exit(0)\n",
+        "    except (EOFError, ConnectionError):  # the caller has gone\n        raise\n",
+        (CALLER_GONE,),
     ),
 ]
 

@@ -14,7 +14,7 @@ from collections import deque
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, exp, factorial, log
 from typing import Optional, Sequence
 
 
@@ -147,6 +147,16 @@ def enumerate_miss_probability(n: int, k: int, m: int, n2: int) -> Fraction:
     total_right = comb(n, n2)
     hit_both = Fraction(left_hits, total_left) * Fraction(right_hits, total_right)
     return 1 - hit_both
+
+
+def two_branch_miss_bound(alpha: float) -> float:
+    """The paper's two-branch upper bound on the symmetric relaxed miss
+    probability 1 - (1 - e^-alpha)^2: exp(-alpha^2/3) up to alpha = 1,
+    exp(-(1 - ln 2) alpha) beyond. Only the proof uses it, so the library
+    has no counterpart."""
+    if alpha <= 1.0:
+        return exp(-alpha * alpha / 3.0)
+    return exp(-(1.0 - log(2.0)) * alpha)
 
 
 def brute_min_over_subsets(

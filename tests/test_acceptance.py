@@ -14,17 +14,16 @@ from oracles import (
     brute_min_over_subsets,
     naive_bipartite_witness,
     naive_general_independent_set,
+    two_branch_miss_bound,
 )
 from zarank.attack import AttackConfig, run_attack, run_attack_trials, survivor_statistics
-from zarank.bounds import hansel_check, kst_check, profile_from_family, profile_from_normalized
+from zarank.bounds import NormalizedProfile, ProfileEntry, hansel_check, kst_check, profile_from_family
 from zarank.bounds import asymmetric_condition
 from zarank.cli import main as cli_main
 from zarank.construct import (
     certify_union_bound,
     construct_until_verified,
-    miss_probability_bound,
-    miss_probability_exact,
-    miss_probability_relaxed,
+    miss_probability_exact_fraction,
 )
 from zarank.core import (
     BicliqueFamily,
@@ -68,7 +67,7 @@ def _only_large_family(n, k, r, m, seed):
 def test_criterion_01_basic_miss_probability_monte_carlo():
     start = time.monotonic()
     n, k, m = 1000, 100, 10
-    exact = miss_probability_exact(n, k, m, m)
+    exact = float(miss_probability_exact_fraction(n, k, m, m))
     bound_at_one = 1.0 - (1.0 - math.exp(-1.0)) ** 2
     ok = exact <= bound_at_one <= 0.6004236 + 1e-7
 
@@ -98,10 +97,13 @@ def test_criterion_01_basic_miss_probability_monte_carlo():
 
 def test_criterion_02_two_branch_bound_dominates_relaxed():
     start = time.monotonic()
+    # The certificate's relaxed terms at alpha = j k / n = j / 1000, j = 1..10^4
+    n, k = 10_000, 10
+    sizes = [(j, j) for j in range(1, 10_001)]
+    terms = certify_union_bound(n, k, sizes, "relaxed").per_index_log2_miss
     violations = 0
-    for j in range(1, 10_001):
-        alpha = 0.001 * j
-        if miss_probability_relaxed(alpha, alpha) > miss_probability_bound(alpha):
+    for (j, _), term in zip(sizes, terms):
+        if 2.0 ** term > two_branch_miss_bound(j * k / n):
             violations += 1
     elapsed = time.monotonic() - start
     ok = violations == 0 and elapsed < 1.0
@@ -215,7 +217,7 @@ def test_criterion_06_subset_minimization_closed_form():
     for _ in range(1000):
         r = rng.randint(1, 12)
         pairs = [(rng.uniform(0.005, 4.0), rng.uniform(0.005, 4.0)) for _ in range(r)]
-        profile = profile_from_normalized(4096, 64, pairs)
+        profile = NormalizedProfile(4096, 64, tuple(ProfileEntry.make(a, b) for a, b in pairs), False)
         closed = asymmetric_condition(profile, 0.0)
         brute, _ = brute_min_over_subsets(
             [(e.product_term, e.entropy_term) for e in profile.entries]

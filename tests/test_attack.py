@@ -13,7 +13,7 @@ from zarank.attack import (
     run_attack_trials,
     survivor_statistics,
 )
-from zarank.bounds import profile_from_family, profile_from_normalized
+from zarank.bounds import profile_from_family
 from zarank.cli import main
 from zarank.core import BicliqueFamily, RandomSource, jsonable, save_json, union_of
 from zarank.witness import WitnessResult, has_kxk_independent_set
@@ -35,17 +35,23 @@ def only_large_family(n, k, r, m, seed):
     return fam
 
 
+def sized_profile(sizes):
+    """The profile of m x m2 bicliques at n = 100, k = 10: alpha = m / 10."""
+    pairs = [(range(m), range(m2)) for m, m2 in sizes]
+    return profile_from_family(BicliqueFamily.from_index_lists(100, 10, pairs))
+
+
 class TestClassify:
     def test_symmetric_threshold_at_one(self):
-        profile = profile_from_normalized(100, 10, [(0.5, 0.5), (2.0, 2.0)])
+        profile = sized_profile([(5, 5), (20, 20)])
         assert classify(profile, "symmetric") == ((1,), (0,))
 
     def test_asymmetric_complement_of_marked(self):
-        profile = profile_from_normalized(100, 10, [(0.5, 0.7), (2.0, 1.0)])
+        profile = sized_profile([(5, 7), (20, 10)])
         assert classify(profile, "asymmetric", marked={0}) == ((1,), (0,))
 
     def test_all_small_attacks_nothing(self):
-        profile = profile_from_normalized(100, 10, [(0.5, 0.5), (1.0, 1.0)])
+        profile = sized_profile([(5, 5), (10, 10)])
         attacked, kept = classify(profile, "symmetric")
         assert attacked == () and kept == (0, 1)
 
@@ -59,7 +65,7 @@ class TestClassify:
 
     def test_default_marked_is_binding_argmin(self):
         # alpha = beta = 1: product term 1 < entropy term 2, so index marked.
-        profile = profile_from_normalized(100, 10, [(1.0, 1.0)])
+        profile = sized_profile([(10, 10)])
         attacked, kept = classify(profile, "asymmetric")
         assert attacked == () and kept == (0,)
 

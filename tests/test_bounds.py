@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from oracles import brute_min_over_subsets, counting_lhs, naive_bipartite_witness, projective_plane_complement
 from zarank.bounds import (
     Constants,
+    NormalizedProfile,
+    ProfileEntry,
     asymmetric_condition,
     asymmetric_value_at,
     binary_entropy,
@@ -18,11 +20,16 @@ from zarank.bounds import (
     kst_degree_lower_bound,
     log2_binomial,
     profile_from_family,
-    profile_from_normalized,
     symmetric_condition,
 )
 from zarank.cli import main
 from zarank.core import BicliqueFamily, BipartiteGraph, jsonable, load_json, save_json
+
+
+def normalized(pairs, n=100, k=10):
+    """A profile of these (alpha, beta) pairs, for the conditions, which
+    do not read its regime flag."""
+    return NormalizedProfile(n, k, tuple(ProfileEntry.make(a, b) for a, b in pairs), False)
 
 
 class TestBinaryEntropy:
@@ -201,27 +208,27 @@ class TestHanselCheck:
 
 class TestSymmetricCondition:
     def test_two_branch_sum(self):
-        profile = profile_from_normalized(100, 10, [(0.5, 0.5), (2.0, 2.0)])
+        profile = normalized([(0.5, 0.5), (2.0, 2.0)])
         assert symmetric_condition(profile, 0.0).lhs == pytest.approx(2.25, abs=1e-12)
 
     def test_boundary_alpha_one(self):
-        profile = profile_from_normalized(100, 10, [(1.0, 1.0)] * 5)
+        profile = normalized([(1.0, 1.0)] * 5)
         assert symmetric_condition(profile, 0.0).lhs == pytest.approx(5.0, abs=1e-12)
 
     def test_empty_profile(self):
-        profile = profile_from_normalized(100, 10, [])
+        profile = normalized([])
         res = symmetric_condition(profile, 1.0)
         assert res.lhs == 0.0 and not res.satisfied
 
     def test_asymmetric_entry_rejected(self):
-        profile = profile_from_normalized(100, 10, [(0.5, 0.6)])
+        profile = normalized([(0.5, 0.6)])
         with pytest.raises(ValueError):
             symmetric_condition(profile, 1.0)
 
 
 class TestAsymmetricCondition:
     def test_single_unit_entry(self):
-        profile = profile_from_normalized(100, 10, [(1.0, 1.0)])
+        profile = normalized([(1.0, 1.0)])
         res = asymmetric_condition(profile, 0.0)
         # Options: X={0} gives 1, X={} gives 2 H(1/2) = 2.
         assert res.min_over_x == pytest.approx(1.0, abs=1e-12)
@@ -234,7 +241,7 @@ class TestAsymmetricCondition:
             pairs = [
                 (rng.uniform(0.01, 3.0), rng.uniform(0.01, 3.0)) for _ in range(r)
             ]
-            profile = profile_from_normalized(64, 8, pairs)
+            profile = normalized(pairs, 64, 8)
             res = asymmetric_condition(profile, 0.0)
             terms = [(e.product_term, e.entropy_term) for e in profile.entries]
             brute, _ = brute_min_over_subsets(terms)
@@ -243,7 +250,7 @@ class TestAsymmetricCondition:
 
     def test_symmetric_entries_product_branch_until_two(self):
         for alpha in (0.3, 1.0, 1.7, 2.0, 2.4, 5.0):
-            profile = profile_from_normalized(100, 10, [(alpha, alpha)])
+            profile = normalized([(alpha, alpha)])
             e = profile.entries[0]
             assert e.entropy_term == pytest.approx(2 * alpha, abs=1e-12)
             res = asymmetric_condition(profile, 0.0)
@@ -254,12 +261,12 @@ class TestAsymmetricCondition:
         # An empty biclique adds 0 to every X and stays out of the argmin,
         # which keeps the profile's own indices.
         pairs = [(1.0, 3.0), (0.0, 0.0), (2.0, 0.5)]
-        full = asymmetric_condition(profile_from_normalized(100, 10, pairs), 1.0)
-        live = asymmetric_condition(profile_from_normalized(100, 10, pairs[::2]), 1.0)
+        full = asymmetric_condition(normalized(pairs), 1.0)
+        live = asymmetric_condition(normalized(pairs[::2]), 1.0)
         assert full.min_over_x == live.min_over_x
         assert full.argmin_x == {2 * j for j in live.argmin_x}
         assert 1 not in full.argmin_x
-        empty = asymmetric_condition(profile_from_normalized(100, 10, [(0.0, 0.0)]), 1.0)
+        empty = asymmetric_condition(normalized([(0.0, 0.0)]), 1.0)
         assert empty.min_over_x == 0.0 and empty.argmin_x == frozenset()
 
 

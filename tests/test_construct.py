@@ -4,15 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import decimal_certificate, enumerate_miss_probability, exact_certificate
+from oracles import decimal_certificate, enumerate_miss_probability, exact_certificate, two_branch_miss_bound
 from zarank.construct import (
     certify_union_bound,
     construct_until_verified,
-    miss_probability,
-    miss_probability_bound,
-    miss_probability_exact,
     miss_probability_exact_fraction,
-    miss_probability_relaxed,
     random_family,
 )
 from zarank.core import BicliqueFamily, RandomSource, union_of
@@ -24,10 +20,10 @@ class TestMissExact:
         assert miss_probability_exact_fraction(4, 2, 2, 2) == Fraction(11, 36)
 
     def test_empty_side_always_misses(self):
-        assert miss_probability_exact(10, 3, 0, 5) == 1.0
+        assert float(miss_probability_exact_fraction(10, 3, 0, 5)) == 1.0
 
     def test_full_k_cannot_be_avoided(self):
-        assert miss_probability_exact(6, 6, 1, 1) == 0.0
+        assert float(miss_probability_exact_fraction(6, 6, 1, 1)) == 0.0
 
     def test_matches_enumeration(self):
         for n, k, m, n2 in [(4, 2, 2, 2), (5, 2, 1, 3), (5, 3, 2, 2), (6, 2, 3, 1), (6, 4, 2, 3)]:
@@ -48,24 +44,29 @@ class TestMissExact:
             assert miss_probability_exact_fraction(n, k + 1, m, n2) <= base
 
 
+def relaxed_misses(n, k, sizes):
+    """The relaxed miss probability of each size, from the terms the
+    certificate itself sums."""
+    return [2.0 ** term for term in certify_union_bound(n, k, sizes, "relaxed").per_index_log2_miss]
+
+
 class TestMissRelaxedAndBound:
     def test_relaxed_unit(self):
-        assert miss_probability_relaxed(1.0, 1.0) == pytest.approx(
-            0.6004235991062719, abs=1e-14
-        )
+        assert relaxed_misses(10, 2, [(5, 5)]) == [pytest.approx(0.6004235991062719, abs=1e-14)]
 
     def test_relaxed_zero_is_one(self):
-        assert miss_probability_relaxed(0.0, 0.0) == 1.0
+        assert relaxed_misses(10, 2, [(0, 0)]) == [1.0]
 
     def test_relaxed_limit_vanishes(self):
-        assert miss_probability_relaxed(800.0, 900.0) < 1e-300
+        (term,) = certify_union_bound(1000, 1000, [(800, 900)], "relaxed").per_index_log2_miss
+        assert term < math.log2(1e-300)
 
     def test_bound_values(self):
-        assert miss_probability_bound(1.0) == pytest.approx(
+        assert two_branch_miss_bound(1.0) == pytest.approx(
             math.exp(-1.0 / 3.0), abs=1e-14
         )
-        assert miss_probability_bound(0.0) == 1.0
-        assert miss_probability_bound(2.0) == pytest.approx(
+        assert two_branch_miss_bound(0.0) == 1.0
+        assert two_branch_miss_bound(2.0) == pytest.approx(
             0.5413411329464508, abs=1e-12
         )
 
@@ -73,9 +74,9 @@ class TestMissRelaxedAndBound:
         # Exhaustive at small n, sampled up to the contract's n = 200.
         for n in range(2, 25):
             for k in range(1, n + 1):
-                for m in range(0, n + 1):
-                    exact = miss_probability_exact(n, k, m, m)
-                    relaxed = miss_probability_relaxed(m * k / n, m * k / n)
+                sizes = [(m, m) for m in range(0, n + 1)]
+                for (m, _), relaxed in zip(sizes, relaxed_misses(n, k, sizes)):
+                    exact = float(miss_probability_exact_fraction(n, k, m, m))
                     assert exact <= relaxed + 1e-12
         rng = random.Random(5)
         for _ in range(300):
@@ -83,19 +84,16 @@ class TestMissRelaxedAndBound:
             k = rng.randint(1, n)
             m = rng.randint(0, n)
             n2 = rng.randint(0, n)
-            exact = miss_probability_exact(n, k, m, n2)
-            relaxed = miss_probability_relaxed(m * k / n, n2 * k / n)
+            exact = float(miss_probability_exact_fraction(n, k, m, n2))
+            (relaxed,) = relaxed_misses(n, k, [(m, n2)])
             assert exact <= relaxed + 1e-12
 
     def test_relaxed_below_bound_on_grid(self):
-        for j in range(1, 2001):
-            alpha = 0.005 * j
-            assert miss_probability_relaxed(alpha, alpha) <= miss_probability_bound(alpha)
-
-    def test_combined_struct(self):
-        mp = miss_probability(100, 10, 10, 10)
-        assert mp.exact <= mp.relaxed <= mp.bound
-        assert miss_probability(100, 10, 5, 20).bound is None
+        # alpha = j k / n = 0.005 j for j = 1..2000
+        n, k = 2000, 10
+        sizes = [(j, j) for j in range(1, 2001)]
+        for (j, _), relaxed in zip(sizes, relaxed_misses(n, k, sizes)):
+            assert relaxed <= two_branch_miss_bound(j * k / n)
 
 
 class TestCertificate:

@@ -4,6 +4,7 @@ imported from its module on first use."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,3 +94,21 @@ def test_only_core_fills_a_column_cache():
             and node.value.attr == "__dict__"
         ]
         assert not writes, f"{path.name}:{writes[0]}"
+
+
+def test_every_public_name_is_reached():
+    # A public name is used by a library module, the README or the bench,
+    # not only by tests: a use is any mention but its own def or class line
+    # and its __all__ entry. The writers of the package's own file formats
+    # stay without one.
+    root = Path(__file__).resolve().parents[1]
+    paths = [*sorted((root / "src" / "zarank").glob("*.py")), root / "README.md", *sorted((root / "bench").glob("*.py"))]
+    lines = [line for path in paths for line in path.read_text(encoding="utf-8").splitlines()]
+    kept = {"graph_to_json", "layered_to_json"}
+    unreached = []
+    for name in sorted(set(zarank.__all__) - kept):
+        own = re.compile(rf'\s*((def|class) {name}\b.*|"{name}",)')
+        used = re.compile(rf"\b{name}\b")
+        if not any(used.search(line) and not own.fullmatch(line) for line in lines):
+            unreached.append(name)
+    assert unreached == []

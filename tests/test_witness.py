@@ -1,12 +1,16 @@
+import contextlib
 import csv
 import multiprocessing
 import os
 import random
 import signal
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -608,6 +612,73 @@ class TestSplitProof:
         with OrderedForks(lambda task: time.sleep(0.05) or os.getpid(), 6, 3) as pool:
             pids = list(pool)
         assert len(pids) == 6 and os.getpid() not in pids
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+    def test_workers_die_with_a_killed_caller(self):
+        # A caller killed by SIGKILL runs no cleanup. Its two workers, each
+        # asleep in a minute-long task that has printed the worker's pid,
+        # must be gone, or zombies left for a reaper, within 5 s. Three
+        # processes in all; the test kills any it leaves.
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+            except FileNotFoundError:
+                return False
+
+        code = (
+            "import os, time, zarank.forks\n"
+            "zarank.forks._usable_cpus = lambda: 2\n"
+            "task = lambda task: os.write(1, b'%d\\n' % os.getpid()) and time.sleep(60)\n"
+            "pool = zarank.forks.OrderedForks(task, 4, 2)\n"
+            "time.sleep(60)\n"
+        )
+        src = str(Path(zarank.forks.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        caller = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True)
+        alive = []
+        try:
+            pids = [int(caller.stdout.readline()) for _ in range(2)]
+            caller.kill()
+            caller.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while (alive := list(filter(running, pids))) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert alive == []
+        finally:
+            caller.kill()
+            caller.wait(timeout=10)
+            caller.stdout.close()
+            for pid in alive:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_workers_exit_quietly_once_the_callers_ends_close(self, monkeypatch, capfd):
+        # Each worker closes the caller's pipe ends it inherits, so the
+        # caller's own are the last ones open. Closing them, as the caller's
+        # death would, makes each worker's next send, or its last receive,
+        # fail, and the worker exits 0 without a traceback.
+        self.use_cpus(monkeypatch, 2)
+        with OrderedForks(lambda task: time.sleep(0.05) or task, 20, 2) as pool:
+            assert next(iter(pool)) == 0
+            for conn in pool.conns:
+                conn.close()
+            for proc in pool.procs:
+                proc.join(timeout=10)
+            assert [proc.exitcode for proc in pool.procs] == [0, 0]
+        assert capfd.readouterr().err == ""
+
+    def test_a_worker_whose_caller_has_gone_before_it_starts_exits(self, monkeypatch):
+        # A caller that dies between the fork and the death signal leaves its
+        # workers with another parent; each exits before taking a task.
+        self.use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "getppid", lambda: -1)
+        with OrderedForks(lambda task: task, 3, 2) as pool:
+            with pytest.raises(RuntimeError, match="worker"):
+                list(pool)
+            for proc in pool.procs:
+                proc.join(timeout=10)
+            assert [proc.exitcode for proc in pool.procs] == [0, 0]
 
     def test_serial_without_fork_with_threads_or_inside_a_child(self, monkeypatch):
         cpus = zarank.forks._usable_cpus
