@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import importlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,6 +73,28 @@ def _at_least_one(value: int, where: str) -> int:
 def _refuse_overwrite(path, force: bool) -> None:
     if not force and Path(path).exists():
         raise SchemaError(f"refusing to overwrite {path} (use --force)")
+
+
+def _claim_outputs(outputs: dict, inputs, force: bool) -> None:
+    """Refuse, before a run that may take long, any output in ``outputs``
+    (label to path) that would be lost or would destroy data: an empty path,
+    two outputs that name one file, an existing output that is one of the
+    run's ``(label, path)`` ``inputs``, and an existing output without
+    ``force``. Only an existing file can be an input, so a fresh output
+    costs one ``stat``."""
+    for label, path in outputs.items():
+        if not path:
+            raise SchemaError(f"{label}: expected a file path, got {path!r}")
+    if len(outputs) == 2:  # construct's family and certificate
+        (first, a), (second, b) = outputs.items()
+        if Path(a).resolve() == Path(b).resolve():
+            raise SchemaError(f"{first} and {second} name one file: {a}")
+    for label, path in outputs.items():
+        if os.path.exists(path):
+            for source_label, source in inputs:
+                if os.path.exists(source) and os.path.samefile(path, source):
+                    raise SchemaError(f"{label} and {source_label} name one file: {path}")
+            _refuse_overwrite(path, force)
 
 
 def _output_path(path, force: bool) -> Path:
@@ -514,23 +538,23 @@ COMMANDS = {
 def _cmd_run(args: argparse.Namespace) -> int:
     """Any command of ``COMMANDS``: check, run, print, write the report."""
     command = COMMANDS[args.command]
+
+    def flag(name: str) -> str:
+        return "--" + name.replace("_", "-")
+
     given = {p.name: getattr(args, p.name) for p in command.params if hasattr(args, p.name)}
+    inputs = [(flag(p.name), given[p.name]) for p in command.params if p.kind in (Path, list) and p.name in given]
+    outputs = {flag(name): getattr(args, name) for name in ("out_family", "out_cert", "json_out")
+               if getattr(args, name, None) is not None}
     if "sizes" in given:
         given["sizes"] = load_json(given["sizes"])  # a JSON file on the command line
-    params = _check_params(command.params, given, lambda name: "--" + name.replace("_", "-"))
-    family_path = getattr(args, "out_family", None)
-    report_path = getattr(args, "json_out", None) or getattr(args, "out_cert", None)
-    if family_path and report_path and Path(family_path).resolve() == Path(report_path).resolve():
-        raise SchemaError(f"--out-family and --out-cert name one file: {family_path}")
-    for path in filter(None, (family_path, report_path)):  # before a run that may take long
-        _refuse_overwrite(path, args.force)
+    params = _check_params(command.params, given, flag)
+    _claim_outputs(outputs, inputs, args.force)
     doc, refuted = command.run(params)
     family = doc.pop("family", None)
     command.show(doc)
-    if family_path:
-        save_json(_output_path(family_path, args.force), family)
-    if report_path:
-        save_json(_output_path(report_path, args.force), doc)
+    for label, path in outputs.items():  # the family first
+        save_json(_output_path(path, args.force), family if label == "--out-family" else doc)
     return EXIT_REFUTED if refuted else EXIT_OK
 
 
@@ -623,10 +647,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base_dir = spec_path.resolve().parent
     paths = [p.name for p in command.params if p.kind is Path]
     tasks = []
+    inputs = [("--spec", args.spec)]
     for index, point in enumerate(_sweep_points(name, grid, params)):
         resolved = {k: str(base_dir / point[k]) for k in paths if point[k] is not None}
+        inputs += [(f"spec.{'grid' if k in grid else 'params'}.{k}", path) for k, path in resolved.items()]
         tasks.append((index, name, point, {**point, **resolved}))
-    _refuse_overwrite(base_dir / output_csv, args.force)
+    output = output_csv and base_dir / output_csv  # an empty name stays empty, not the spec's directory
+    _claim_outputs({"spec.output_csv": output}, dict.fromkeys(inputs), args.force)
     from .forks import OrderedForks
 
     for module in command.modules:  # once here, not in every forked worker
@@ -634,7 +661,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with OrderedForks(lambda i: _sweep_point(tasks[i]), len(tasks), args.jobs) as pool:
         results = list(pool)
 
-    out_path = _output_path(base_dir / output_csv, args.force)
+    out_path = _output_path(output, args.force)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "command", "version"] + [c.partition("=")[0] for c in command.columns])
@@ -651,14 +678,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 _NAMES = (*COMMANDS, "sweep")
 
 
+@functools.cache
 def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     """The CLI's parser: every subcommand, or only the one named ``only``.
 
-    ``main`` builds one subcommand per call, the one its argv names, since
-    building all seven costs several times what parsing takes. Either parser
-    prints the same text for an argv that starts with ``only``: the one-command
-    parser's metavar lists every command, for the usage line of an error that
-    the top-level parser reports, such as an unrecognized argument.
+    ``main`` asks for the one subcommand its argv names, since building all
+    seven costs several times what parsing takes. Each parser is built once
+    per process and then reused, since even one subcommand costs about five
+    times its parse, and an in-process caller (the tests, ``bench/``) calls
+    ``main`` many times. Reuse is safe: ``parse_args`` returns a fresh
+    namespace, every default is immutable, ``_cmd_run`` looks its command up
+    when it runs, and help text wraps to ``COLUMNS`` when it is printed.
+    Either parser prints the same text for an argv that starts with ``only``:
+    the one-command parser's metavar lists every command, for the usage line
+    of an error that the top-level parser reports, such as an unrecognized
+    argument.
     """
     parser = argparse.ArgumentParser(prog="zarank", description=__doc__)
     parser.add_argument("--version", action="version", version=f"zarank {__version__}")

@@ -60,6 +60,8 @@ DEFICIT = (
 POOL_FDS = SPLIT + "test_no_fd_or_child_outlives_a_pool"
 CALLER_GONE = SPLIT + "test_workers_exit_quietly_once_the_callers_ends_close"
 ATTACK = ("tests/test_attack.py", "tests/test_reports.py")
+OUTPUTS = "tests/test_cli.py::TestExistingOutput"
+PARSERS = "tests/test_cli.py::TestParserReuse"
 LOADERS = (
     "tests/test_core.py::TestLoaderMessages",
     "tests/test_core.py::TestLoaderOracle",
@@ -465,6 +467,34 @@ MUTANTS = [
         "    except (EOFError, ConnectionError):  # the caller has gone\n        os._exit(0)\n",
         "    except (EOFError, ConnectionError):  # the caller has gone\n        raise\n",
         (CALLER_GONE,),
+    ),
+    Mutant(
+        "main builds its parser on every call",
+        "zarank/cli.py",
+        "@functools.cache\n",
+        "",
+        (PARSERS,),
+    ),
+    Mutant(
+        "the parser cache keeps one subcommand",
+        "zarank/cli.py",
+        "@functools.cache\n",
+        "@functools.lru_cache(maxsize=1)\n",
+        (PARSERS,),
+    ),
+    Mutant(
+        "an output may name an input",
+        "zarank/cli.py",
+        "if os.path.exists(source) and os.path.samefile(path, source):",
+        "if False:",
+        (OUTPUTS,),
+    ),
+    Mutant(
+        "an empty output path reads as no output",
+        "zarank/cli.py",
+        "        if not path:\n",
+        "        if False:\n",
+        (OUTPUTS,),
     ),
 ]
 

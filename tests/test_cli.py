@@ -442,6 +442,108 @@ class TestExistingOutput:
         assert ran == [] and (tmp_path / "out.csv").read_text(encoding="utf-8") == "kept"
         assert capsys.readouterr() == ("", f"error: refusing to overwrite {tmp_path / 'out.csv'} (use --force)\n")
 
+    @pytest.mark.parametrize("argv, output, source", [
+        (["verify", "--family", "{family}", "--json-out", "{family}"], "--json-out", "--family"),
+        (["bounds", "--family", "{family}", "--json-out", "{family}"], "--json-out", "--family"),
+        (["attack", "--family", "{family}", "--mode", "sym", "--seed", "1", "--json-out", "{family}"],
+         "--json-out", "--family"),
+        (["sc-verify", "--layered", "{layered}", "--json-out", "{layered}"], "--json-out", "--layered"),
+        (["sc-analyze", "--layered", "{layered}", "--theorem", "8", "--json-out", "{layered}"],
+         "--json-out", "--layered"),
+        (["construct", "--n", "12", "--k", "4", "--sizes", "{sizes}", "--seed", "1",
+          "--out-cert", "{sizes}", "--out-family", "{new}"], "--out-cert", "--sizes"),
+        (["construct", "--n", "12", "--k", "4", "--sizes", "{sizes}", "--seed", "1",
+          "--out-family", "{sizes}", "--out-cert", "{new}"], "--out-family", "--sizes"),
+    ], ids=["verify", "bounds", "attack", "sc-verify", "sc-analyze", "construct-cert", "construct-family"])
+    @pytest.mark.parametrize("force", [False, True], ids=["no-force", "force"])
+    def test_output_naming_an_input_refused(
+        self, tmp_path, sizes_file, sparse_family_file, layered_file, capsys, ran, argv, output, source, force
+    ):
+        # Even with --force: the report would replace the input, and a rerun
+        # of the same argv would then fail on it.
+        files = {"sizes": sizes_file, "family": sparse_family_file, "layered": layered_file, "new": tmp_path / "new.json"}
+        before = {path: Path(path).read_bytes() for path in (sizes_file, sparse_family_file, layered_file)}
+        argv = [arg.format(**files) for arg in argv] + ["--force"] * force
+        named = argv[argv.index(output) + 1]
+        assert main(argv) == 2
+        assert ran == [] and not files["new"].exists()
+        assert {path: Path(path).read_bytes() for path in before} == before
+        assert capsys.readouterr() == ("", f"error: {output} and {source} name one file: {named}\n")
+
+    def test_output_naming_an_input_by_another_path_refused(self, tmp_path, sparse_family_file, capsys, ran):
+        alias = tmp_path / "alias.json"
+        alias.symlink_to(sparse_family_file)
+        assert main(["bounds", "--family", sparse_family_file, "--json-out", str(alias), "--force"]) == 2
+        assert ran == [] and capsys.readouterr().err == f"error: --json-out and --family name one file: {alias}\n"
+
+    @pytest.mark.parametrize("output_csv, source", [("spec.json", "--spec"), ("sparse.json", "spec.grid.family")])
+    def test_sweep_output_naming_an_input_refused(self, tmp_path, sparse_family_file, capsys, ran, output_csv, source):
+        spec = {"command": "bounds", "grid": {"family": [sparse_family_file], "seed": [0]}, "output_csv": output_csv}
+        path = write_json(tmp_path / "spec.json", spec)
+        before = Path(path).read_bytes(), Path(sparse_family_file).read_bytes()
+        assert main(["sweep", "--spec", path, "--force"]) == 2
+        assert ran == [] and (Path(path).read_bytes(), Path(sparse_family_file).read_bytes()) == before
+        assert capsys.readouterr().err == f"error: spec.output_csv and {source} name one file: {tmp_path / output_csv}\n"
+
+    @pytest.mark.parametrize("argv, output", [
+        (["verify", "--family", "{family}", "--json-out", ""], "--json-out"),
+        (["sc-verify", "--layered", "{layered}", "--json-out", ""], "--json-out"),
+        (["construct", "--n", "12", "--k", "4", "--sizes", "{sizes}", "--seed", "1",
+          "--out-cert", "", "--out-family", "{new}"], "--out-cert"),
+        (["construct", "--n", "12", "--k", "4", "--sizes", "{sizes}", "--seed", "1",
+          "--out-family", "", "--out-cert", "{new}"], "--out-family"),
+        (["construct", "--n", "12", "--k", "4", "--sizes", "{sizes}", "--seed", "1",
+          "--out-family", "", "--out-cert", ""], "--out-family"),
+    ], ids=["verify", "sc-verify", "construct-cert", "construct-family", "construct-both"])
+    @pytest.mark.parametrize("force", [False, True], ids=["no-force", "force"])
+    def test_empty_output_path_refused(
+        self, tmp_path, sizes_file, sparse_family_file, layered_file, capsys, ran, argv, output, force
+    ):
+        # Not read as "no output": the run would write nothing and exit 0 or 1.
+        files = {"sizes": sizes_file, "family": sparse_family_file, "layered": layered_file, "new": tmp_path / "new.json"}
+        assert main([arg.format(**files) for arg in argv] + ["--force"] * force) == 2
+        assert ran == [] and not files["new"].exists()
+        assert capsys.readouterr() == ("", f"error: {output}: expected a file path, got ''\n")
+
+    @pytest.mark.parametrize("force", [False, True], ids=["no-force", "force"])
+    def test_sweep_empty_output_path_refused(self, tmp_path, sparse_family_file, capsys, ran, force):
+        spec = {"command": "bounds", "grid": {"family": [sparse_family_file], "seed": [0]}, "output_csv": ""}
+        assert main(["sweep", "--spec", write_json(tmp_path / "spec.json", spec)] + ["--force"] * force) == 2
+        assert ran == [] and capsys.readouterr() == ("", "error: spec.output_csv: expected a file path, got ''\n")
+
+
+class TestParserReuse:
+    """``main`` builds each subcommand's parser once per process; no call
+    sees a value of an earlier one."""
+
+    def test_each_parser_built_once(self):
+        names = [None, *cli._NAMES]
+        parsers = [cli._build_parser(name) for name in names]
+        assert all(cli._build_parser(name) is parser for name, parser in zip(names, parsers))
+        assert len({id(parser) for parser in parsers}) == len(names)
+
+    def test_force_does_not_carry_over(self, tmp_path, sparse_family_file, capsys):
+        argv = ["bounds", "--family", sparse_family_file, "--json-out", str(tmp_path / "out.json")]
+        assert main(argv) == 0 and main(argv + ["--force"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: refusing to overwrite {tmp_path / 'out.json'} (use --force)\n"
+
+    def test_k_does_not_carry_over(self, tmp_path, sparse_family_file):
+        assert main(["verify", "--family", sparse_family_file, "--k", "3", "--json-out", str(tmp_path / "k3.json")]) == 1
+        assert main(["verify", "--family", sparse_family_file, "--json-out", str(tmp_path / "k.json")]) == 1
+        assert (load_json(tmp_path / "k3.json")["k"], load_json(tmp_path / "k.json")["k"]) == (3, 2)
+
+    def test_command_patched_after_the_build_runs(self, sparse_family_file, capsys, monkeypatch):
+        main(["bounds", "--family", sparse_family_file])
+        capsys.readouterr()
+        patched = dataclasses.replace(
+            cli.COMMANDS["bounds"], run=lambda params: ({"ran": params["family"]}, True), show=print
+        )
+        monkeypatch.setitem(cli.COMMANDS, "bounds", patched)
+        assert main(["bounds", "--family", sparse_family_file]) == 1
+        assert capsys.readouterr().out == f"{{'ran': '{sparse_family_file}'}}\n"
+
 
 # Each argv and the modules it loads beyond ``zarank.cli``, ``.core`` and
 # ``.bounds``; ``{family}``, ``{layered}`` and ``{sizes}`` stand for input files.

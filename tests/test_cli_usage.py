@@ -72,3 +72,15 @@ def test_output_matches_full_parser(name, capsys, monkeypatch):
     # Holds under any argparse version, where the digests above need 3.11's.
     full = run(lambda argv: _build_parser().parse_args(argv), ARGVS[name], capsys, monkeypatch)
     assert run(main, ARGVS[name], capsys, monkeypatch) == full
+
+
+@pytest.mark.parametrize("name", sorted(ARGVS))
+def test_output_pinned_from_a_parser_built_wider(name, capsys, monkeypatch):
+    # A parser is built once per process, and its text wraps to the COLUMNS
+    # of the call that prints it, not of the call that built it.
+    _build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(list(ARGVS[name]))
+    capsys.readouterr()
+    assert run(main, ARGVS[name], capsys, monkeypatch) == PINNED[name]
